@@ -75,7 +75,7 @@ designspace-smoke:
 
 # Scale smoke test: the seed-1 scale sweep run at GOMAXPROCS=1 and at the
 # host's full GOMAXPROCS must be byte-identical to each other and to the
-# pinned digest — the barrier-phase scheduler's determinism contract.
+# pinned digest — the relay scheduler's determinism contract.
 scale-smoke:
 	./scripts/scale_smoke.sh
 

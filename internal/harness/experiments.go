@@ -62,8 +62,9 @@ func (o ExpOptions) runCluster(cfg multicore.Config) *multicore.Result {
 // deterministic regardless of host scheduling (the engine's determinism
 // matrix), and results are consumed strictly by input slot, so the report a
 // sweep produces is byte-identical to the sequential one. With a submitter
-// the runs stay sequential — the simulation service schedules, shards and
-// caches them itself.
+// the runs execute one after another through it: the simulation service
+// runs an experiment's cluster cells in sequence on the job's one worker,
+// consulting its run cache for each.
 func (o ExpOptions) runClusterGrid(cfgs []multicore.Config) []*multicore.Result {
 	out := make([]*multicore.Result, len(cfgs))
 	if o.SubmitCluster != nil {

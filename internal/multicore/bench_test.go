@@ -78,3 +78,31 @@ func BenchmarkEngineParallel4Core(b *testing.B) { benchEngineParallel(b, 4) }
 func BenchmarkEngineParallel8Core(b *testing.B) { benchEngineParallel(b, 8) }
 
 func BenchmarkEngineParallel16Core(b *testing.B) { benchEngineParallel(b, 16) }
+
+// BenchmarkEngineRelay16Core measures the relay scheduler at the design-space
+// study's widest cluster: 16 cores on the default config (remote frees on,
+// so the relay scheduler runs), where every epoch
+// boundary passes the token through all sixteen core goroutines. Reuse is
+// off, so each iteration builds a fresh engine, as an uncached designspace
+// cell does.
+func BenchmarkEngineRelay16Core(b *testing.B) {
+	w, ok := workload.ByName("xapian.abstracts")
+	if !ok {
+		b.Fatal("workload xapian.abstracts missing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		res := multicore.Run(multicore.Config{
+			Cores:        16,
+			Workload:     w,
+			CallsPerCore: 500,
+			Seed:         1,
+		})
+		cycles += res.TotalCycles
+	}
+	if cycles == 0 {
+		b.Fatal("engine simulated zero cycles")
+	}
+}

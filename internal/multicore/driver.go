@@ -53,6 +53,9 @@ type coreState struct {
 	// engine can reset it between runs.
 	prof *telemetry.StepProfiler
 
+	// wake is the core's one-slot token channel under the relay
+	// scheduler: the token holder sends on it to hand this core the turn.
+	wake     chan struct{}
 	budget   int
 	epochEnd uint64
 	done     bool
@@ -197,7 +200,7 @@ func (cs *coreState) freeLocal(addr, sizeHint uint64) {
 }
 
 // drainInbox executes the frees peers have posted since this core last ran.
-// The caller must hold the engine mutex with cs active.
+// The caller must hold the token with cs active.
 func (cs *coreState) drainInbox() {
 	for cs.inboxPos < len(cs.inbox) {
 		rf := cs.inbox[cs.inboxPos]
@@ -231,10 +234,10 @@ func (cs *coreState) Antagonize() {
 }
 
 // trackLive maintains the rounded-footprint accounting. Under the relay
-// scheduler the ledger is engine-global (the engine mutex is held whenever
-// a core executes); under the barrier scheduler each core accumulates its
-// own deltas — no remote frees means every free lands on the allocating
-// core — and replayPeak merges them in serialized order after the run.
+// scheduler the ledger is engine-global (only the token holder executes);
+// under the barrier scheduler each core accumulates its own deltas — no
+// remote frees means every free lands on the allocating core — and
+// replayPeak merges them in serialized order after the run.
 func (cs *coreState) trackLive(addr, size uint64) {
 	eng := cs.eng
 	rounded := size

@@ -16,10 +16,12 @@
 // visits the runnable cores in ID order; the holder executes until its own
 // cpu.Core clock reaches the epoch boundary (epoch+1)*EpochCycles, then
 // passes the token on; the epoch counter advances when the token wraps.
-// Execution is therefore fully serialized: the engine mutex is held by the
-// running core and released only inside cond.Wait, which both gives every
-// cross-core interaction a happens-before edge (race-free) and makes the
-// interleaving a pure function of the simulated cycle counts (repeatable).
+// Execution is therefore fully serialized: the holder hands the token over
+// by a send on the next core's one-slot wake channel and then blocks on its
+// own, so only the core that runs next is woken. The send/receive pair gives
+// every cross-core interaction a happens-before edge (race-free), and the
+// interleaving is a pure function of the simulated cycle counts
+// (repeatable).
 // Goroutines model the per-core control flow — each shard keeps its natural
 // call stack — not host parallelism.
 //
@@ -182,8 +184,6 @@ type Engine struct {
 	cas   *casTable
 	reg   *telemetry.Registry
 
-	mu     sync.Mutex
-	cond   *sync.Cond
 	turn   int // ID of the core holding the token; -1 when all done
 	active *coreState
 	epoch  uint64
@@ -191,8 +191,11 @@ type Engine struct {
 	track  *progress.Tracker
 
 	// Barrier-phase scheduler state (parallel.go). parallel selects the
-	// concurrent scheduler; finished/pending/runnable implement the
-	// per-epoch barrier.
+	// concurrent scheduler; mu/cond guard its admission gate and barrier,
+	// and finished/pending/runnable implement the per-epoch barrier. The
+	// relay scheduler needs neither: the token's wake channels order it.
+	mu       sync.Mutex
+	cond     *sync.Cond
 	parallel bool
 	finished []bool
 	pending  int
@@ -277,10 +280,11 @@ func New(cfg Config) *Engine {
 
 	for i := 0; i < cfg.Cores; i++ {
 		cs := &coreState{
-			eng: eng,
-			id:  i,
-			cpu: cpu.New(cCfg, cachesim.NewDefaultHierarchy()),
-			rng: stats.NewRNG(cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77 + 0xc2b2),
+			eng:  eng,
+			id:   i,
+			wake: make(chan struct{}, 1),
+			cpu:  cpu.New(cCfg, cachesim.NewDefaultHierarchy()),
+			rng:  stats.NewRNG(cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77 + 0xc2b2),
 		}
 		switch {
 		case eng.heap != nil:
@@ -352,10 +356,12 @@ func (cs *coreState) beginQuantum() {
 }
 
 // checkpoint is called at every App entry point: while the core's logical
-// clock has crossed the epoch boundary, pass the token on and wait for it
-// to come back. A core that overshot several epochs (a long span refill or
-// simulated syscall) keeps yielding until the global epoch catches up, so
-// the cores stay aligned on logical time.
+// clock has crossed the epoch boundary, hand the token to the next runnable
+// core and wait for it to come back. A core that overshot several epochs (a
+// long span refill or simulated syscall) keeps yielding until the global
+// epoch catches up, so the cores stay aligned on logical time. When it is
+// the only runnable core the token comes straight back, and it continues
+// without blocking.
 func (cs *coreState) checkpoint() {
 	eng := cs.eng
 	if eng.parallel {
@@ -365,19 +371,21 @@ func (cs *coreState) checkpoint() {
 	for cs.cpu.Cycle() >= cs.epochEnd {
 		eng.yields++
 		cs.res.Yields++
-		eng.advanceTurn()
-		for eng.turn != cs.id {
-			eng.cond.Wait()
+		if next := eng.advanceTurn(); next != cs {
+			next.wake <- struct{}{}
+			<-cs.wake
 		}
 		cs.beginQuantum()
 	}
 }
 
-// advanceTurn hands the token to the next runnable core in cyclic ID order,
-// bumping the epoch when the token wraps (including the single-runnable-core
-// case, where the wrap is what lets its deadline advance). With no runnable
-// cores the token parks at -1.
-func (eng *Engine) advanceTurn() {
+// advanceTurn moves the token to the next runnable core in cyclic ID order
+// and returns that core, bumping the epoch when the token wraps (including
+// the single-runnable-core case, where the wrap is what lets its deadline
+// advance). With no runnable cores the token parks at -1 and it returns
+// nil. The caller holds the token and wakes the returned core unless it is
+// itself.
+func (eng *Engine) advanceTurn() *coreState {
 	n := len(eng.cores)
 	for i := 1; i <= n; i++ {
 		next := (eng.turn + i) % n
@@ -387,20 +395,19 @@ func (eng *Engine) advanceTurn() {
 		if next <= eng.turn {
 			eng.epoch++
 			// Epoch count and cycle counts are deterministic, so the
-			// snapshot stream is too. The engine mutex is held here; the
-			// reporter must not call back into the engine.
+			// snapshot stream is too. The reporter runs on the token
+			// holder's goroutine and must not call back into the engine.
 			eng.track.Observe(eng.epoch*eng.cfg.EpochCycles, eng.fillSnapshot)
 		}
 		eng.setActive(next)
-		eng.cond.Broadcast()
-		return
+		return eng.cores[next]
 	}
 	eng.turn = -1
-	eng.cond.Broadcast()
+	return nil
 }
 
 // fillSnapshot populates a progress snapshot with machine-wide aggregates.
-// Caller holds the engine mutex.
+// Caller holds the token (relay) or the engine mutex (barrier scheduler).
 func (eng *Engine) fillSnapshot(s *progress.Snapshot) {
 	var lookupHits, lookupMisses uint64
 	for _, cs := range eng.cores {
@@ -435,9 +442,8 @@ func (eng *Engine) Run() *Result {
 	if eng.parallel {
 		return eng.runParallel()
 	}
-	eng.mu.Lock()
 	eng.setActive(0)
-	eng.mu.Unlock()
+	eng.cores[0].wake <- struct{}{}
 
 	var wg sync.WaitGroup
 	for _, cs := range eng.cores {
@@ -451,7 +457,6 @@ func (eng *Engine) Run() *Result {
 
 	// Frees posted to cores that finished before draining them execute
 	// now, sequentially in ID order, on their owning core.
-	eng.mu.Lock()
 	for _, cs := range eng.cores {
 		if cs.inboxPos < len(cs.inbox) {
 			eng.setActive(cs.id)
@@ -465,7 +470,6 @@ func (eng *Engine) Run() *Result {
 		}
 	}
 	eng.track.Finish(wall, eng.fillSnapshot)
-	eng.mu.Unlock()
 	res := eng.collect()
 	if !eng.pooled {
 		eng.recycleEmitters()
@@ -494,20 +498,18 @@ func (eng *Engine) recycleEmitters() {
 }
 
 // runCore is one core's goroutine body: wait for the token, run the shard
-// with the engine mutex held (checkpoint releases it at epoch boundaries),
-// then retire from the rotation.
+// (checkpoint hands the token on at epoch boundaries), then retire from the
+// rotation and pass the token to the next runnable core, if any.
 func (eng *Engine) runCore(cs *coreState) {
-	eng.mu.Lock()
-	defer eng.mu.Unlock()
-	for eng.turn != cs.id {
-		eng.cond.Wait()
-	}
+	<-cs.wake
 	cs.beginQuantum()
 	eng.cfg.Workload.Run(cs, cs.budget, stats.NewRNG(eng.cfg.Seed+1+uint64(cs.id)*0x9e37))
 	cs.drainInbox()
 	cs.done = true
 	cs.res.DoneEpoch = eng.epoch
-	eng.advanceTurn()
+	if next := eng.advanceTurn(); next != nil {
+		next.wake <- struct{}{}
+	}
 }
 
 // coreName returns the telemetry prefix of core i.

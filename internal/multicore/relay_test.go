@@ -1,0 +1,151 @@
+package multicore
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"mallacc/internal/stats"
+	"mallacc/internal/workload"
+)
+
+// Relay scheduler edge cases. Each test pins its run's telemetry snapshot
+// byte-for-byte to a golden in testdata, so a change to how the token moves
+// cannot shift the interleaving unnoticed. A lost wake-up shows up as a
+// hang; run the package with -timeout to turn that into a failure.
+//
+// Regenerate with UPDATE_GOLDEN=1 go test ./internal/multicore -run TestRelay
+// (only when the simulated behaviour is meant to change).
+
+// checkGolden compares snap with testdata/<name>.golden.
+func checkGolden(t *testing.T, name string, snap []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name+".golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
+	}
+	if !bytes.Equal(snap, want) {
+		t.Fatalf("telemetry snapshot drifted from %s (%d bytes, want %d)", golden, len(snap), len(want))
+	}
+}
+
+// TestRelayOneCore runs a 1-core cluster: every yield wraps the token back
+// to the only runnable core, which must continue without blocking.
+func TestRelayOneCore(t *testing.T) {
+	r := Run(Config{
+		Cores:        1,
+		Variant:      Mallacc,
+		Workload:     wl(t, "ubench.gauss_free"),
+		CallsPerCore: 3000,
+		Seed:         1,
+	})
+	if r.Yields == 0 || r.Epochs == 0 {
+		t.Fatalf("1-core run never yielded: yields %d, epochs %d", r.Yields, r.Epochs)
+	}
+	checkGolden(t, "relay_one_core", snapshotJSON(t, r))
+}
+
+// TestRelayUnevenRetire gives cores very different budgets: cores 0 and 2
+// retire inside their first quantum (long enough to absorb the cold first
+// calls), so the token must skip them from the first wrap on, and the
+// survivors keep rotating until the longest shard ends.
+func TestRelayUnevenRetire(t *testing.T) {
+	r := Run(Config{
+		Cores:        5,
+		Variant:      Baseline,
+		Workload:     wl(t, "ubench.tp_small"),
+		CallsPerCore: 3000,
+		CoreCalls:    []int{2, 800, 1, 0, 3000},
+		EpochCycles:  40000,
+		Seed:         4,
+	})
+	for _, id := range []int{0, 2} {
+		if c := r.PerCore[id]; c.DoneEpoch != 0 || c.Yields != 0 {
+			t.Errorf("core %d did not retire in its first quantum: done epoch %d, yields %d", id, c.DoneEpoch, c.Yields)
+		}
+	}
+	if r.PerCore[1].DoneEpoch >= r.PerCore[4].DoneEpoch {
+		t.Errorf("core 1 (800 calls) retired no earlier than core 4 (3000 calls)")
+	}
+	checkGolden(t, "relay_uneven_retire", snapshotJSON(t, r))
+}
+
+// inboxProbe wraps a workload and, when each shard ends, records how many
+// remote frees sit undrained in the inboxes of cores that have already
+// retired. It runs on the token holder, so the reads are ordered by the
+// scheduler.
+type inboxProbe struct {
+	workload.Workload
+	stranded int
+}
+
+func (p *inboxProbe) Run(app workload.App, budget int, rng *stats.RNG) {
+	p.Workload.Run(app, budget, rng)
+	for _, peer := range app.(*coreState).eng.cores {
+		if peer.done {
+			p.stranded = max(p.stranded, len(peer.inbox)-peer.inboxPos)
+		}
+	}
+}
+
+// TestRelayRetireWithPostedFrees retires core 0 early while its peers keep
+// posting frees to its inbox: those frees must wait for the end-of-run
+// drain, on core 0, and none may be lost.
+func TestRelayRetireWithPostedFrees(t *testing.T) {
+	probe := &inboxProbe{Workload: wl(t, "ubench.tp_small")}
+	r := Run(Config{
+		Cores:          4,
+		Variant:        Mallacc,
+		Workload:       probe,
+		CallsPerCore:   3000,
+		CoreCalls:      []int{40},
+		RemoteFreeProb: 0.3,
+		Seed:           2,
+	})
+	if probe.stranded == 0 {
+		t.Fatal("no remote frees were left in a retired core's inbox")
+	}
+	var posted, drained uint64
+	for _, c := range r.PerCore {
+		posted += c.RemotePosted
+		drained += c.RemoteDrained
+	}
+	if posted != drained {
+		t.Fatalf("remote frees lost: posted %d, drained %d", posted, drained)
+	}
+	checkGolden(t, "relay_retire_posted_frees", snapshotJSON(t, r))
+}
+
+// TestRelaySixteenCores runs designspace's widest cluster at GOMAXPROCS 1
+// and 2: the hand-off must neither deadlock when every core goroutine
+// shares one P nor depend on how many Ps there are.
+func TestRelaySixteenCores(t *testing.T) {
+	var snaps [][]byte
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		r := Run(Config{
+			Cores:        16,
+			Variant:      Mallacc,
+			Workload:     wl(t, "ubench.gauss_free"),
+			CallsPerCore: 800,
+			Seed:         1,
+		})
+		runtime.GOMAXPROCS(prev)
+		snaps = append(snaps, snapshotJSON(t, r))
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatal("16-core snapshot differs between GOMAXPROCS 1 and 2")
+	}
+	checkGolden(t, "relay_sixteen_cores", snaps[0])
+}

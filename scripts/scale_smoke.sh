@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
-# scale_smoke.sh — determinism smoke test of the barrier-phase parallel
+# scale_smoke.sh — determinism smoke test of the multicore relay
 # scheduler.
 #
-# The multicore engine runs one goroutine per simulated core and
-# synchronizes only at epoch boundaries; its determinism contract is that
-# telemetry is a pure function of (seed, core count) no matter how the Go
-# runtime schedules those goroutines. This script stresses exactly that
-# axis:
+# The multicore engine runs one goroutine per simulated core and hands a
+# turn token between them at epoch boundaries; its determinism contract is
+# that telemetry is a pure function of (seed, core count) no matter how the
+# Go runtime schedules those goroutines. The scale experiment keeps remote
+# frees on, so every cell runs on the relay scheduler (the barrier-phase
+# scheduler is not exercised here). This script stresses exactly that axis:
 #
-#   1. runs the seed-1 scale experiment (1..16 cores, serialized and
-#      parallel engines) at GOMAXPROCS=1 — maximal interleaving through a
-#      single OS thread — and at the host's full GOMAXPROCS, and requires
-#      the two JSON reports to be byte-identical,
+#   1. runs the seed-1 scale experiment (1..16 cores) at GOMAXPROCS=1 —
+#      every core goroutine on a single P — and at the host's full
+#      GOMAXPROCS, and requires the two JSON reports to be byte-identical,
 #   2. when the pinned digest results/metrics/multicore.json exists,
 #      requires both reports to match it byte-for-byte (regenerate with
 #      `make baseline` after an intentional simulator change).
@@ -37,7 +37,7 @@ go run ./cmd/mallacc-bench -run scale -format json -seed 1 \
     > "$workdir/pn.json"
 
 cmp -s "$workdir/p1.json" "$workdir/pn.json" \
-    || fail "GOMAXPROCS=1 and full-parallel runs differ (scheduler nondeterminism)"
+    || fail "GOMAXPROCS=1 and full-width runs differ (scheduler nondeterminism)"
 echo "scale-smoke: reports byte-identical across GOMAXPROCS ($(wc -c <"$workdir/p1.json") bytes)"
 
 pinned=results/metrics/multicore.json
