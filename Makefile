@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke baseline serve-smoke chaos-smoke obs-smoke fleet-smoke fleet-chaos membership-chaos designspace-smoke scale-smoke clean
+.PHONY: all build vet test race bench bench-smoke baseline serve-smoke chaos-smoke obs-smoke fleet-smoke fleet-chaos membership-chaos designspace-smoke scale-smoke baseline-smoke clean
 
 all: build vet test
 
@@ -78,6 +78,13 @@ designspace-smoke:
 # pinned digest — the relay scheduler's determinism contract.
 scale-smoke:
 	./scripts/scale_smoke.sh
+
+# Baseline smoke test: seed-1 fig13+fig14 run at GOMAXPROCS=1 and at the
+# host's full GOMAXPROCS must be byte-identical to each other and to the
+# pinned results/metrics/baseline.json — the experiment grid's fan-out
+# must not change any report.
+baseline-smoke:
+	./scripts/baseline_smoke.sh
 
 # Fleet chaos test: the same grid sweep on a clean fleet and on a fleet
 # with seeded faults on every hop plus a node kill -9'd mid-sweep; the two

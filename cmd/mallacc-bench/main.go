@@ -42,7 +42,7 @@ func main() {
 		format   = flag.String("format", "text", "output format: text | json | csv")
 		metrics  = flag.Bool("metrics", false, "attach each run's full telemetry snapshot to the reports")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		workers  = flag.Int("workers", 0, "experiment worker pool width (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "concurrent simulations, experiments and their cells alike (0 = GOMAXPROCS)")
 		cacheDir = flag.String("cache-dir", "", "on-disk result cache; repeated invocations reuse stored reports")
 	)
 	flag.Parse()
@@ -90,9 +90,10 @@ func main() {
 	}
 
 	// The whole suite goes through an in-process simulation service: the
-	// experiments run concurrently on the worker pool, overlapping grids
-	// (fig13/fig14 share every run) collapse in the run-level cache, and a
-	// -cache-dir makes repeated invocations skip finished experiments
+	// experiments run concurrently on the worker pool, an experiment's
+	// single-core cells spread over whatever workers are idle, overlapping
+	// grids (fig13/fig14 share every run) collapse in the run-level cache,
+	// and a -cache-dir makes repeated invocations skip finished experiments
 	// entirely.
 	svc, err := simsvc.New(simsvc.Config{
 		Workers:        *workers,

@@ -51,7 +51,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7077", "listen address")
-		workers   = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "concurrent simulations, jobs and experiment cells alike (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", simsvc.DefaultQueueHighWater, "queue high-water mark; submissions beyond it get 429")
 		cacheN    = flag.Int("cache", simsvc.DefaultCacheEntries, "in-memory result cache entries")
 		cacheDir  = flag.String("cache-dir", "", "directory for the on-disk result cache (empty = memory only)")

@@ -47,30 +47,37 @@ func Ablation(opt ExpOptions) *Report {
 		"extension beyond the paper's figures; 32-entry cache (so tp's 25 classes fit and the blocking rule is exercised)",
 		"'no prefetch blocking' is a timing-only what-if: real hardware needs the rule for consistency (Sec. 4.1)")
 
-	baselines := map[string]float64{}
-	for _, wn := range ablationWorkloads {
-		r := opt.run(Options{Workload: mustWorkload(wn), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		baselines[wn] = float64(r.AllocatorCycles())
-	}
-
-	header := []string{"configuration"}
-	for _, wn := range ablationWorkloads {
-		header = append(header, shortName(wn))
-	}
-	tb := &table{header: header}
-	for _, cfg := range ablationConfigs() {
-		row := []string{cfg.name}
-		for _, wn := range ablationWorkloads {
+	// The grid: one baseline per workload, then every configuration
+	// across the workloads.
+	ws := mustWorkloads(ablationWorkloads)
+	opts := variantGrid(opt, ws, VariantBaseline)
+	cfgs := ablationConfigs()
+	for _, cfg := range cfgs {
+		for _, w := range ws {
 			o := Options{
-				Workload:  mustWorkload(wn),
+				Workload:  w,
 				Variant:   VariantMallacc,
 				MCEntries: 32,
 				Calls:     opt.Calls,
 				Seed:      opt.Seed,
 			}
 			cfg.apply(&o)
-			r := opt.run(o)
-			imp := 100 * (baselines[wn] - float64(r.AllocatorCycles())) / baselines[wn]
+			opts = append(opts, o)
+		}
+	}
+	results := opt.runGrid(opts)
+
+	header := []string{"configuration"}
+	for _, wn := range ablationWorkloads {
+		header = append(header, shortName(wn))
+	}
+	tb := &table{header: header}
+	for ci, cfg := range cfgs {
+		row := []string{cfg.name}
+		for wi := range ws {
+			base := float64(results[wi].AllocatorCycles())
+			r := results[(ci+1)*len(ws)+wi]
+			imp := 100 * (base - float64(r.AllocatorCycles())) / base
 			row = append(row, pct(imp))
 		}
 		tb.addRow(row...)

@@ -36,15 +36,24 @@ func CtxSwitch(opt ExpOptions) *Report {
 	}
 	tb := &table{header: header}
 	hitTb := &table{header: header}
+	var opts []Options
 	for _, wn := range ctxWorkloads {
 		w := mustWorkload(wn)
+		for _, iv := range ctxIntervals {
+			opts = append(opts,
+				Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed,
+					Threads: 4, SwitchEvery: iv},
+				Options{Workload: w, Variant: VariantMallacc, MCEntries: 16, Calls: opt.Calls, Seed: opt.Seed,
+					Threads: 4, SwitchEvery: iv})
+		}
+	}
+	results := opt.runGrid(opts)
+	for wi, wn := range ctxWorkloads {
 		row := []string{wn}
 		hitRow := []string{wn}
-		for _, iv := range ctxIntervals {
-			base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed,
-				Threads: 4, SwitchEvery: iv})
-			mall := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 16, Calls: opt.Calls, Seed: opt.Seed,
-				Threads: 4, SwitchEvery: iv})
+		for ii := range ctxIntervals {
+			cell := 2 * (wi*len(ctxIntervals) + ii)
+			base, mall := results[cell], results[cell+1]
 			imp := 100 * (float64(base.AllocatorCycles()) - float64(mall.AllocatorCycles())) / float64(base.AllocatorCycles())
 			row = append(row, pct(imp))
 			hitRow = append(hitRow, pct(100*mall.MC.PopHitRate()))

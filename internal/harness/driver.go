@@ -220,8 +220,7 @@ type driver struct {
 	footLines uint64 // number of cache lines in the app footprint
 	touchBuf  []uint64
 
-	liveRounded map[uint64]uint64 // addr -> rounded bytes
-	liveBytes   uint64
+	liveBytes uint64 // rounded bytes of the live objects
 }
 
 // tc returns the active thread cache.
@@ -336,7 +335,6 @@ func Run(opt Options) *Result {
 		res:         res,
 		track:       progress.NewTracker(opt.Progress, opt.ProgressEvery),
 		switchEvery: opt.SwitchEvery,
-		liveRounded: map[uint64]uint64{},
 	}
 	if fp := workload.FootprintOf(opt.Workload); fp > 0 {
 		d.footBase = uint64(1) << 40
@@ -388,14 +386,7 @@ func (d *driver) Malloc(size uint64) uint64 {
 	}
 	// Fragmentation accounting: track the rounded footprint of live
 	// objects.
-	rounded := size
-	if _, r, ok := d.heap.SizeMap.ClassFor(size); ok {
-		rounded = r
-	} else {
-		rounded = mem.RoundUp(size, mem.PageSize)
-	}
-	d.liveRounded[addr] = rounded
-	d.liveBytes += rounded
+	d.liveBytes += d.roundedSize(addr)
 	if d.liveBytes > d.res.PeakLiveBytes {
 		d.res.PeakLiveBytes = d.liveBytes
 	}
@@ -414,11 +405,22 @@ func (d *driver) fillSnapshot(s *progress.Snapshot) {
 	}
 }
 
-func (d *driver) Free(addr uint64, sizeHint uint64) {
-	if r, ok := d.liveRounded[addr]; ok {
-		d.liveBytes -= r
-		delete(d.liveRounded, addr)
+// roundedSize returns the rounded footprint of the live object at addr,
+// read off the span that holds it: the size class's object size, or the
+// whole span for a large allocation. The lookup is functional only and
+// emits no uops, so it replaces a per-object side table at no simulated
+// cost.
+func (d *driver) roundedSize(addr uint64) uint64 {
+	s := d.heap.PageHeap.PageMap().Get(addr >> mem.PageShift)
+	if s.SizeClass == 0 {
+		return s.Length << mem.PageShift
 	}
+	return d.heap.SizeMap.ClassSize(s.SizeClass)
+}
+
+func (d *driver) Free(addr uint64, sizeHint uint64) {
+	// Before heap.Free: a freed large span may be coalesced away.
+	d.liveBytes -= d.roundedSize(addr)
 	d.heap.Em.Reset()
 	d.heap.Free(d.tc(), addr, sizeHint)
 	d.tick()

@@ -5,9 +5,11 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mallacc/internal/area"
 	"mallacc/internal/multicore"
+	"mallacc/internal/progress"
 	"mallacc/internal/stats"
 	"mallacc/internal/uop"
 	"mallacc/internal/workload"
@@ -33,76 +35,184 @@ type ExpOptions struct {
 	// submitter that routes every run through its content-addressed result
 	// cache, so sweeps with overlapping grids — fig13 and fig14 share all
 	// their runs, repeated invocations share everything — re-simulate
-	// nothing. Nil falls back to Run.
+	// nothing. An experiment runs its grid's independent cells
+	// concurrently, so Submit may be called from up to GOMAXPROCS
+	// goroutines at once and must be safe for that. Nil falls back to Run.
 	Submit func(Options) *Result
-	// SubmitCluster is Submit for multi-core runs (the scale sweep).
+	// SubmitCluster is Submit for multi-core runs (the scale and
+	// designspace sweeps). It is called from one goroutine at a time.
 	SubmitCluster func(multicore.Config) *multicore.Result
+
+	// Progress, when set, receives one cumulative snapshot per completed
+	// run, single- or multi-core, in grid order rather than completion
+	// order, so the stream is a pure function of the options however the
+	// cells overlap. Observability only: it never changes the report.
+	Progress progress.Reporter
+	// cells folds completed runs into Progress's snapshots; withDefaults
+	// creates it, and copies of the options share it.
+	cells *cellProgress
+}
+
+// cellProgress accumulates an experiment's completed runs into cumulative
+// progress snapshots. forEachCell serializes its calls.
+type cellProgress struct {
+	rep progress.Reporter
+	sn  progress.Snapshot
+}
+
+func (p *cellProgress) add(cycles, uops, mallocs, frees uint64) {
+	if p == nil {
+		return
+	}
+	p.sn.Cycles += cycles
+	p.sn.Instructions += uops
+	p.sn.MallocCalls += mallocs
+	p.sn.FreeCalls += frees
+	p.rep.Report(p.sn)
+	p.sn.Seq++
 }
 
 // run executes one single-core simulation through the configured submitter.
 func (o ExpOptions) run(opt Options) *Result {
-	if o.Submit != nil {
-		return o.Submit(opt)
-	}
-	return Run(opt)
+	return o.runGrid([]Options{opt})[0]
 }
 
-// runCluster executes one multi-core simulation through the configured
-// submitter.
-func (o ExpOptions) runCluster(cfg multicore.Config) *multicore.Result {
-	if o.SubmitCluster != nil {
-		return o.SubmitCluster(cfg)
-	}
-	return multicore.Run(cfg)
+// runGrid executes a batch of independent single-core simulations and
+// returns the results in input order. The runs execute concurrently
+// (forEachCell), through the submitter when one is set: each run is a pure
+// function of its options, so the report is byte-identical to a sequential
+// sweep.
+func (o ExpOptions) runGrid(opts []Options) []*Result {
+	out := make([]*Result, len(opts))
+	forEachCell(len(opts), runtime.GOMAXPROCS(0), func(i int) {
+		if o.Submit != nil {
+			out[i] = o.Submit(opts[i])
+		} else {
+			out[i] = Run(opts[i])
+		}
+	}, func(i int) {
+		r := out[i]
+		o.cells.add(r.TotalCycles, r.CPU.Uops, r.MallocCalls, r.FreeCalls)
+	})
+	return out
 }
 
 // runClusterGrid executes a batch of multi-core simulations and returns the
 // results in input order. Without an injected submitter the runs execute
 // concurrently on a bounded worker pool: each run is internally
 // deterministic regardless of host scheduling (the engine's determinism
-// matrix), and results are consumed strictly by input slot, so the report a
-// sweep produces is byte-identical to the sequential one. With a submitter
-// the runs execute one after another through it: the simulation service
-// runs an experiment's cluster cells in sequence on the job's one worker,
+// matrix), so the report a sweep produces is byte-identical to the
+// sequential one. With a submitter the runs execute one after another
+// through it: a 16-core cell's footprint is large enough that the
+// simulation service runs an experiment's cluster cells in sequence,
 // consulting its run cache for each.
 func (o ExpOptions) runClusterGrid(cfgs []multicore.Config) []*multicore.Result {
 	out := make([]*multicore.Result, len(cfgs))
+	width := runtime.GOMAXPROCS(0)
 	if o.SubmitCluster != nil {
-		for i, cfg := range cfgs {
-			out[i] = o.SubmitCluster(cfg)
+		width = 1
+	}
+	forEachCell(len(cfgs), width, func(i int) {
+		if o.SubmitCluster != nil {
+			out[i] = o.SubmitCluster(cfgs[i])
+		} else {
+			out[i] = multicore.Run(cfgs[i])
 		}
-		return out
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	if workers <= 1 {
-		for i, cfg := range cfgs {
-			out[i] = multicore.Run(cfg)
-		}
-		return out
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = multicore.Run(cfgs[i])
-			}
-		}()
-	}
-	for i := range cfgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	}, func(i int) {
+		// multicore.Result keeps no machine-wide uop aggregate.
+		r := out[i]
+		o.cells.add(r.TotalCycles, 0, r.MallocCalls, r.FreeCalls)
+	})
 	return out
 }
 
+// forEachCell calls cell(i) for every i in [0, n) from up to width
+// goroutines, and done(i) on the caller's goroutine in increasing order of
+// i once cells 0..i have all returned. A panic in a cell stops the
+// dispatch of further cells, and once the cells in flight have returned
+// the first panic value is re-raised on the caller — so a cancellation
+// sentinel or a simulator panic unwinds exactly as it would from a
+// sequential loop instead of killing the process.
+func forEachCell(n, width int, cell func(int), done func(int)) {
+	if width > n {
+		width = n
+	}
+	if width <= 1 {
+		for i := 0; i < n; i++ {
+			cell(i)
+			done(i)
+		}
+		return
+	}
+	type outcome struct {
+		i        int
+		panicked bool
+		val      any
+	}
+	var (
+		next    atomic.Int64 // next cell to dispatch
+		stopped atomic.Bool  // a cell panicked: dispatch no more
+		wg      sync.WaitGroup
+		results = make(chan outcome)
+	)
+	run := func(i int) (o outcome) {
+		o.i, o.panicked = i, true
+		defer func() {
+			if o.panicked {
+				o.val = recover()
+			}
+		}()
+		cell(i)
+		o.panicked = false
+		return o
+	}
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stopped.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				o := run(i)
+				if o.panicked {
+					stopped.Store(true)
+				}
+				results <- o
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+
+	finished := make([]bool, n)
+	prefix := 0 // cells 0..prefix-1 have had done called
+	var failure *outcome
+	for o := range results {
+		if o.panicked {
+			if failure == nil {
+				failure = &o
+			}
+			continue
+		}
+		finished[o.i] = true
+		for failure == nil && prefix < n && finished[prefix] {
+			done(prefix)
+			prefix++
+		}
+	}
+	if failure != nil {
+		panic(failure.val)
+	}
+}
+
 func (o ExpOptions) withDefaults() ExpOptions {
+	if o.Progress != nil && o.cells == nil {
+		o.cells = &cellProgress{rep: o.Progress}
+	}
 	if o.Calls <= 0 {
 		o.Calls = 60000
 	}
@@ -167,6 +277,27 @@ func mustWorkload(name string) workload.Workload {
 		panic("harness: unknown workload " + name)
 	}
 	return w
+}
+
+// mustWorkloads resolves a list of workload names.
+func mustWorkloads(names []string) []workload.Workload {
+	ws := make([]workload.Workload, len(names))
+	for i, name := range names {
+		ws[i] = mustWorkload(name)
+	}
+	return ws
+}
+
+// variantGrid is, per workload, one run of each variant at the
+// experiment's budget and seed, with the paper's 32-entry malloc cache.
+func variantGrid(opt ExpOptions, ws []workload.Workload, vs ...Variant) []Options {
+	opts := make([]Options, 0, len(ws)*len(vs))
+	for _, w := range ws {
+		for _, v := range vs {
+			opts = append(opts, Options{Workload: w, Variant: v, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
+		}
+	}
+	return opts
 }
 
 // Figure1 reproduces the three-peak time-in-calls PDF for perlbench:
@@ -252,8 +383,10 @@ func Figure2(opt ExpOptions) *Report {
 	rep := &Report{ID: "fig2", Title: "CDF of time in malloc by call duration (baseline)"}
 	rep.Notes = append(rep.Notes, "paper: >60% of malloc time below 100 cycles for SPEC; masstree perf tests >30% on the fast path")
 	tb := &table{header: []string{"workload", "<32cy", "<100cy", "<1k", "<10k", "<100k"}}
-	for _, w := range workload.Macro() {
-		r := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
+	ws := workload.Macro()
+	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline))
+	for i, w := range ws {
+		r := results[i]
 		tb.addRow(w.Name(),
 			pct(r.MallocHist.TimeCDFBelow(32)),
 			pct(r.MallocHist.TimeCDFBelow(100)),
@@ -294,11 +427,17 @@ func Table1(opt ExpOptions) *Report {
 		"paper: per-benchmark cycle error 3.7-12.3% vs real Haswell, average 6.28%",
 		"here: detailed OoO model vs the dependence-graph analytical reference (no silicon available)")
 	tb := &table{header: []string{"benchmark", "analytic(cyc)", "detailed(cyc)", "error", "paper-native(cyc)"}}
-	var errSum float64
+	var opts []Options
 	for _, c := range table1Benchmarks {
-		det := opt.run(Options{Workload: mustWorkload(c.name), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		ana := opt.run(Options{Workload: mustWorkload(c.name), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed, AnalyticCPU: true})
-		d, a := det.MeanMallocCycles(), ana.MeanMallocCycles()
+		det := Options{Workload: mustWorkload(c.name), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed}
+		ana := det
+		ana.AnalyticCPU = true
+		opts = append(opts, det, ana)
+	}
+	results := opt.runGrid(opts)
+	var errSum float64
+	for i, c := range table1Benchmarks {
+		d, a := results[2*i].MeanMallocCycles(), results[2*i+1].MeanMallocCycles()
 		e := 100 * abs(d-a) / a
 		errSum += e
 		anchor := "-"
@@ -327,21 +466,36 @@ func Figure4(opt ExpOptions) *Report {
 	rep := &Report{ID: "fig4", Title: "Fast-path cycles by component (timing-ablated steps)"}
 	rep.Notes = append(rep.Notes, "paper: the three components together account for ~50% of fast-path cycles")
 	tb := &table{header: []string{"benchmark", "baseline", "-sampling", "-sizeclass", "-push/pop", "combined", "combined save"}}
-	ablate := func(w workload.Workload, label string, steps ...uop.Step) float64 {
-		var drop [uop.NumSteps]bool
-		for _, s := range steps {
-			drop[s] = true
-		}
-		r := opt.run(Options{Workload: w, Variant: VariantBaseline, UseDropSteps: true, DropSteps: drop, Calls: opt.Calls, Seed: opt.Seed})
-		rep.addRun(opt.Metrics, w.Name()+"/"+label, r)
-		return r.MeanFastMallocCycles()
+	ablations := []struct {
+		label string
+		steps []uop.Step
+	}{
+		{"baseline", nil},
+		{"-sampling", []uop.Step{uop.StepSampling}},
+		{"-sizeclass", []uop.Step{uop.StepSizeClass}},
+		{"-pushpop", []uop.Step{uop.StepPushPop}},
+		{"combined", []uop.Step{uop.StepSampling, uop.StepSizeClass, uop.StepPushPop}},
 	}
-	for _, w := range workload.Micro() {
-		base := ablate(w, "baseline")
-		noSamp := ablate(w, "-sampling", uop.StepSampling)
-		noSz := ablate(w, "-sizeclass", uop.StepSizeClass)
-		noPop := ablate(w, "-pushpop", uop.StepPushPop)
-		comb := ablate(w, "combined", uop.StepSampling, uop.StepSizeClass, uop.StepPushPop)
+	ws := workload.Micro()
+	var opts []Options
+	for _, w := range ws {
+		for _, a := range ablations {
+			var drop [uop.NumSteps]bool
+			for _, s := range a.steps {
+				drop[s] = true
+			}
+			opts = append(opts, Options{Workload: w, Variant: VariantBaseline, UseDropSteps: true, DropSteps: drop, Calls: opt.Calls, Seed: opt.Seed})
+		}
+	}
+	results := opt.runGrid(opts)
+	for wi, w := range ws {
+		cyc := make([]float64, len(ablations))
+		for ai, a := range ablations {
+			r := results[wi*len(ablations)+ai]
+			rep.addRun(opt.Metrics, w.Name()+"/"+a.label, r)
+			cyc[ai] = r.MeanFastMallocCycles()
+		}
+		base, noSamp, noSz, noPop, comb := cyc[0], cyc[1], cyc[2], cyc[3], cyc[4]
 		save := 0.0
 		if base > 0 {
 			save = 100 * (base - comb) / base
@@ -361,8 +515,10 @@ func Figure6(opt ExpOptions) *Report {
 	rep := &Report{ID: "fig6", Title: "Size classes used per workload (CDF of malloc calls)"}
 	rep.Notes = append(rep.Notes, "paper: all but one workload use <5 classes on 90% of calls; xalancbmk needs ~30; masstree ~1")
 	tb := &table{header: []string{"workload", "classes", "50%", "90%", "99%"}}
-	for _, w := range workload.Macro() {
-		r := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
+	ws := workload.Macro()
+	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline))
+	for i, w := range ws {
+		r := results[i]
 		counts := make([]uint64, 0, len(r.ClassCounts))
 		var total uint64
 		for _, c := range r.ClassCounts {
@@ -391,10 +547,10 @@ func Figure6(opt ExpOptions) *Report {
 // improvementRows runs baseline/mallacc/limit for every macro workload and
 // returns per-workload improvements of the chosen metric.
 func improvementRows(opt ExpOptions, rep *Report, metric func(*Result) float64) (names []string, mallacc, limit []float64) {
-	for _, w := range workload.Macro() {
-		base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		mall := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
-		lim := opt.run(Options{Workload: w, Variant: VariantLimit, Calls: opt.Calls, Seed: opt.Seed})
+	ws := workload.Macro()
+	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline, VariantMallacc, VariantLimit))
+	for i, w := range ws {
+		base, mall, lim := results[3*i], results[3*i+1], results[3*i+2]
 		rep.addRun(opt.Metrics, w.Name()+"/baseline", base)
 		rep.addRun(opt.Metrics, w.Name()+"/mallacc", mall)
 		rep.addRun(opt.Metrics, w.Name()+"/limit", lim)
@@ -456,9 +612,9 @@ func Figure14(opt ExpOptions) *Report {
 func durationComparison(id, title, wname string, opt ExpOptions, note string) *Report {
 	rep := &Report{ID: id, Title: title}
 	rep.Notes = append(rep.Notes, note)
-	var results [3]*Result
-	for i, v := range []Variant{VariantBaseline, VariantLimit, VariantMallacc} {
-		results[i] = opt.run(Options{Workload: mustWorkload(wname), Variant: v, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
+	variants := []Variant{VariantBaseline, VariantLimit, VariantMallacc}
+	results := opt.runGrid(variantGrid(opt, []workload.Workload{mustWorkload(wname)}, variants...))
+	for i, v := range variants {
 		rep.addRun(opt.Metrics, wname+"/"+v.String(), results[i])
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf("median malloc cycles: baseline=%.0f limit=%.0f mallacc=%.0f",
@@ -524,16 +680,25 @@ func Figure17(opt ExpOptions) *Report {
 	}
 	header = append(header, "limit")
 	tb := &table{header: header}
-	for _, w := range workload.Micro() {
-		base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		b := float64(base.MallocCycles)
-		row := []string{w.Name()}
+	// Per workload: baseline, one mallacc run per cache size, then limit.
+	ws := workload.Micro()
+	var opts []Options
+	for _, w := range ws {
+		opts = append(opts, Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
 		for _, s := range sizes {
-			r := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: s, Calls: opt.Calls, Seed: opt.Seed})
+			opts = append(opts, Options{Workload: w, Variant: VariantMallacc, MCEntries: s, Calls: opt.Calls, Seed: opt.Seed})
+		}
+		opts = append(opts, Options{Workload: w, Variant: VariantLimit, Calls: opt.Calls, Seed: opt.Seed})
+	}
+	results := opt.runGrid(opts)
+	stride := len(sizes) + 2
+	for wi, w := range ws {
+		cells := results[wi*stride : (wi+1)*stride]
+		b := float64(cells[0].MallocCycles)
+		row := []string{w.Name()}
+		for _, r := range cells[1:] {
 			row = append(row, pct(100*(b-float64(r.MallocCycles))/b))
 		}
-		lim := opt.run(Options{Workload: w, Variant: VariantLimit, Calls: opt.Calls, Seed: opt.Seed})
-		row = append(row, pct(100*(b-float64(lim.MallocCycles))/b))
 		tb.addRow(row...)
 	}
 	rep.addTable("", tb)
@@ -552,9 +717,10 @@ func Figure18(opt ExpOptions) *Report {
 	rep.Notes = append(rep.Notes, "paper: WSC fleet ~7%; masstree.same 18.6%; SPEC/xapian mostly 1-5%")
 	tb := &table{header: []string{"workload", "fraction", ""}}
 	tb.addRow("WSC (Kanev et al.)", pct(figure18WSC), bar(figure18WSC, 20, 40))
-	for _, w := range workload.Macro() {
-		r := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		f := 100 * r.AllocatorFraction()
+	ws := workload.Macro()
+	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline))
+	for i, w := range ws {
+		f := 100 * results[i].AllocatorFraction()
 		tb.addRow(w.Name(), pct(f), bar(f, 20, 40))
 	}
 	rep.addTable("", tb)
@@ -570,13 +736,22 @@ func Table2(opt ExpOptions) *Report {
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("paper: mean 0.43%%, max 0.78%% (perlbench); workloads failing the 95%% test omitted; %d seeds here", opt.Seeds))
 	tb := &table{header: []string{"workload", "speedup", "stddev", "p-value", "significant"}}
-	var sigSpeedups []float64
-	for _, w := range workload.Macro() {
-		var baseTotals, mallTotals, speedups []float64
+	ws := workload.Macro()
+	var opts []Options
+	for _, w := range ws {
 		for s := 0; s < opt.Seeds; s++ {
 			seed := opt.Seed + uint64(s)*7919
-			base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: seed})
-			mall := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: seed})
+			opts = append(opts,
+				Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: seed},
+				Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: seed})
+		}
+	}
+	results := opt.runGrid(opts)
+	var sigSpeedups []float64
+	for wi, w := range ws {
+		var baseTotals, mallTotals, speedups []float64
+		for s := 0; s < opt.Seeds; s++ {
+			base, mall := results[2*(wi*opt.Seeds+s)], results[2*(wi*opt.Seeds+s)+1]
 			bt, mt := float64(base.TotalCycles), float64(mall.TotalCycles)
 			baseTotals = append(baseTotals, bt)
 			mallTotals = append(mallTotals, mt)

@@ -22,9 +22,10 @@ func Frag(opt ExpOptions) *Report {
 		"overhead = OS-requested (excl. fixed metadata) / peak rounded-live; Mallacc is placement-neutral so its column must match",
 		"churn-heavy workloads with tiny live sets show the allocator's retention floor (thread caches, kept spans), not waste per object")
 	tb := &table{header: []string{"workload", "OS MiB", "peak live MiB", "overhead", "mallacc overhead"}}
-	for _, w := range workload.Macro() {
-		base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		mall := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
+	ws := workload.Macro()
+	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline, VariantMallacc))
+	for i, w := range ws {
+		base, mall := results[2*i], results[2*i+1]
 		ratio := func(r *Result) float64 {
 			if r.PeakLiveBytes == 0 {
 				return 0

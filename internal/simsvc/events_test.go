@@ -182,11 +182,12 @@ func TestSSEClientDisconnect(t *testing.T) {
 // TestProgressEventDeterminism pins the determinism invariant: the same
 // spec and seed on two fresh services produce byte-identical event streams
 // (same cadence, same payloads), because progress is clocked on simulated
-// cycles, not wall time.
+// cycles, not wall time. An experiment job's stream holds too, although
+// its cells overlap on two workers: snapshots follow grid order.
 func TestProgressEventDeterminism(t *testing.T) {
-	run := func() []JobEvent {
-		svc := newTestService(t, Config{Workers: 1, ProgressEvery: 10_000})
-		st := submitWait(t, svc, JobSpec{Workload: "ubench.gauss", Calls: 3000, Seed: 7})
+	run := func(spec JobSpec) []JobEvent {
+		svc := newTestService(t, Config{Workers: 2, ProgressEvery: 10_000})
+		st := submitWait(t, svc, spec)
 		log, err := svc.Events(st.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -197,12 +198,17 @@ func TestProgressEventDeterminism(t *testing.T) {
 		}
 		return events
 	}
-	a, b := run(), run()
-	if len(a) < 3 {
-		t.Fatalf("cadence too coarse for the test: only %d events", len(a))
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("event streams differ:\n%+v\n%+v", a, b)
+	for _, spec := range []JobSpec{
+		{Workload: "ubench.gauss", Calls: 3000, Seed: 7},
+		{Experiment: "fig13", Calls: 800, Seed: 7},
+	} {
+		a, b := run(spec), run(spec)
+		if len(a) < 3 {
+			t.Fatalf("%+v: cadence too coarse for the test: only %d events", spec, len(a))
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v: event streams differ:\n%+v\n%+v", spec, a, b)
+		}
 	}
 }
 

@@ -142,11 +142,14 @@ type Scheduler struct {
 	cfg SchedulerConfig
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signals workers and Drain waiters
+	cond     *sync.Cond // signals workers
+	slots    *sync.Cond // signals cells waiting for a slot (cellSlots)
 	queue    []*job
 	jobs     map[string]*job
 	retained []string // terminal job ids in finish order, for pruning
 	nextID   uint64
+	// busy counts running simulations: one per running job, plus one per
+	// worker an experiment's cell has borrowed. It never exceeds Workers.
 	busy     int
 	retrying int // jobs in StateRetrying (waiting out a backoff)
 	draining bool
@@ -185,6 +188,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		runTime:   telemetry.NewSyncHist(),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.slots = sync.NewCond(&s.mu)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -325,6 +329,7 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 				break
 			}
 		}
+		s.slots.Broadcast() // an emptied queue frees idle workers to lend
 		s.finishLocked(j, StateCanceled, "canceled while queued", nil)
 		st := j.statusLocked()
 		s.mu.Unlock()
@@ -384,7 +389,7 @@ func (s *Scheduler) finishLocked(j *job, state JobState, errMsg string, result [
 		j.events.close(EventCanceled, errorData(errMsg))
 	}
 	s.retainLocked(j)
-	s.cond.Broadcast() // wake Drain waiters watching for busy == 0
+	s.cond.Broadcast() // wake workers parked while the pool was full
 }
 
 // retainLocked bounds the terminal-job table.
@@ -396,12 +401,14 @@ func (s *Scheduler) retainLocked(j *job) {
 	}
 }
 
-// worker pops jobs off the queue until the scheduler stops.
+// worker pops jobs off the queue until the scheduler stops. It pops only
+// while a simulation slot is free: a worker lent to an experiment's cell
+// (cellSlots) stays busy until the cell returns it.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.stopped {
+		for (len(s.queue) == 0 || s.busy >= s.cfg.Workers) && !s.stopped {
 			s.cond.Wait()
 		}
 		if len(s.queue) == 0 { // stopped and drained
@@ -416,6 +423,7 @@ func (s *Scheduler) worker() {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.JobTimeout)
 		j.cancel = cancel
 		s.busy++
+		s.slots.Broadcast() // the queue may now be empty
 		s.mu.Unlock()
 
 		s.queueWait.Observe(uint64(j.started.Sub(j.created).Microseconds()))
@@ -432,6 +440,7 @@ func (s *Scheduler) worker() {
 
 		s.mu.Lock()
 		s.busy--
+		s.slots.Broadcast()
 		var outcome Outcome
 		switch {
 		case err == nil:
@@ -531,6 +540,63 @@ func (s *Scheduler) runIsolated(ctx context.Context, spec JobSpec, rep progress.
 	}
 }
 
+// cellSlots admits the concurrent cells of one experiment job. A cell runs
+// on the job's own worker slot when that is free, or on an idle worker
+// borrowed from the pool — but only while no job is queued, so queued jobs
+// keep priority, and only while busy < Workers, so cells and jobs together
+// never run more simulations than the pool is wide.
+type cellSlots struct {
+	s       *Scheduler
+	ctx     context.Context // the job's
+	ownBusy bool            // guarded by s.mu
+}
+
+// cellSlots returns the slot gate for the cells of the experiment job
+// running under ctx.
+func (s *Scheduler) cellSlots(ctx context.Context) *cellSlots {
+	return &cellSlots{s: s, ctx: ctx}
+}
+
+// acquire blocks until a slot is free and returns the function that gives
+// it back. Once the job's context is dead it panics with the cancellation
+// sentinel instead, so cells queued behind a canceled job's running ones
+// never start.
+func (c *cellSlots) acquire() (release func()) {
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if c.ctx.Err() != nil {
+			panic(errRunCanceled)
+		}
+		if !c.ownBusy {
+			c.ownBusy = true
+			return c.releaseOwn
+		}
+		if len(s.queue) == 0 && s.busy < s.cfg.Workers {
+			s.busy++
+			return c.releaseBorrowed
+		}
+		s.slots.Wait()
+	}
+}
+
+func (c *cellSlots) releaseOwn() {
+	c.s.mu.Lock()
+	c.ownBusy = false
+	c.s.slots.Broadcast()
+	c.s.mu.Unlock()
+}
+
+func (c *cellSlots) releaseBorrowed() {
+	s := c.s
+	s.mu.Lock()
+	s.busy--
+	s.slots.Broadcast()
+	s.cond.Signal() // a queued job may be waiting for this worker
+	s.mu.Unlock()
+}
+
 // Events returns the job's event log for tailing. The log outlives the
 // job's terminal transition, so finished jobs replay their full stream.
 func (s *Scheduler) Events(id string) (*eventLog, error) {
@@ -579,6 +645,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		s.finishLocked(j, StateCanceled, "canceled: draining", nil)
 	}
 	s.queue = nil
+	s.slots.Broadcast()
 	// Jobs waiting out a retry backoff are canceled too; their timers
 	// find a non-retrying state and no-op.
 	for _, j := range s.jobs {

@@ -94,9 +94,16 @@ type Service struct {
 	// Run-level memoization: experiments with overlapping grids (fig13 and
 	// fig14 share every run; fig17's sweep revisits the headline points)
 	// resolve their inner simulations here, keyed by the full option set.
+	// A key being simulated has a flight that later callers wait on.
 	runMu          sync.Mutex
 	runResults     map[string]*harness.Result
 	clusterResults map[string]*multicore.Result
+	runFlights     map[string]*flight[*harness.Result]
+	clusterFlights map[string]*flight[*multicore.Result]
+
+	// simulate executes one single-core run (harness.Run; tests wrap it
+	// to observe concurrency).
+	simulate func(harness.Options) *harness.Result
 
 	runHits, runMisses atomic.Uint64
 }
@@ -129,6 +136,9 @@ func New(cfg Config) (*Service, error) {
 		peerFill:       cfg.PeerFill,
 		runResults:     map[string]*harness.Result{},
 		clusterResults: map[string]*multicore.Result{},
+		runFlights:     map[string]*flight[*harness.Result]{},
+		clusterFlights: map[string]*flight[*multicore.Result]{},
+		simulate:       harness.Run,
 	}
 	s.sched = NewScheduler(SchedulerConfig{
 		Workers:        cfg.Workers,
@@ -255,7 +265,7 @@ func (s *Service) resolveWorkload(name string) (workload.Workload, error) {
 // buildReport runs the simulation behind a canonical spec. prog receives
 // the job's progress snapshots; run/cluster jobs report straight from the
 // simulator's deterministic clock, experiment jobs report one cumulative
-// snapshot per completed inner run.
+// snapshot per completed inner run, in grid order (ExpOptions.Progress).
 func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.Reporter) (*harness.Report, error) {
 	switch spec.Kind {
 	case KindRun:
@@ -266,7 +276,7 @@ func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.R
 		opt := spec.runOptions(w)
 		opt.Progress = prog
 		opt.ProgressEvery = s.progressEvery
-		return harness.ReportForRun(s.cachedRun(opt), spec.Metrics), nil
+		return harness.ReportForRun(s.cachedRun(opt, nil), spec.Metrics), nil
 	case KindCluster:
 		w, err := s.resolveWorkload(spec.Workload)
 		if err != nil {
@@ -283,67 +293,29 @@ func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.R
 		}
 		// The hooks below abort at the next run boundary once the job's
 		// context dies: experiments are long chains of runs, and the
-		// sentinel panic is recovered by the worker's isolation goroutine.
-		agg := &experimentProgress{rep: prog}
+		// sentinel panic reaches the worker's isolation goroutine through
+		// the experiment's grid. Concurrent single-core cells run on the
+		// job's own worker or on idle workers it borrows (cellSlots).
+		cells := s.sched.cellSlots(ctx)
 		return exp.Run(harness.ExpOptions{
-			Calls:   spec.Calls,
-			Seeds:   spec.Seeds,
-			Seed:    spec.Seed,
-			Metrics: spec.Metrics,
-			Cores:   spec.Cores,
+			Calls:    spec.Calls,
+			Seeds:    spec.Seeds,
+			Seed:     spec.Seed,
+			Metrics:  spec.Metrics,
+			Cores:    spec.Cores,
+			Progress: prog,
 			Submit: func(opt harness.Options) *harness.Result {
 				abortIfDone(ctx)
-				r := s.cachedRun(opt)
-				agg.addRun(r)
-				return r
+				return s.cachedRun(opt, cells)
 			},
 			SubmitCluster: func(cfg multicore.Config) *multicore.Result {
 				abortIfDone(ctx)
-				r := s.cachedCluster(cfg)
-				agg.addCluster(r)
-				return r
+				return s.cachedCluster(cfg)
 			},
 		}), nil
 	default:
 		return nil, fmt.Errorf("unknown job kind %q", spec.Kind)
 	}
-}
-
-// experimentProgress turns an experiment's inner-run completions into one
-// cumulative progress event each. Experiments drive their runs serially,
-// but the mutex keeps the accounting safe if one ever fans out.
-type experimentProgress struct {
-	rep progress.Reporter
-
-	mu     sync.Mutex
-	track  progress.Snapshot
-	cycles uint64
-}
-
-func (e *experimentProgress) addRun(r *harness.Result) {
-	e.add(r.TotalCycles, r.CPU.Uops, r.MallocCalls, r.FreeCalls)
-}
-
-func (e *experimentProgress) addCluster(r *multicore.Result) {
-	// multicore.Result keeps no machine-wide uop aggregate; instructions
-	// stay at the runs' contribution.
-	e.add(r.TotalCycles, 0, r.MallocCalls, r.FreeCalls)
-}
-
-func (e *experimentProgress) add(cycles, uops, mallocs, frees uint64) {
-	if e.rep == nil {
-		return
-	}
-	e.mu.Lock()
-	e.cycles += cycles
-	e.track.Cycles = e.cycles
-	e.track.Instructions += uops
-	e.track.MallocCalls += mallocs
-	e.track.FreeCalls += frees
-	sn := e.track
-	e.track.Seq++
-	e.mu.Unlock()
-	e.rep.Report(sn)
 }
 
 // abortIfDone panics with the cancellation sentinel once the job context
@@ -354,27 +326,21 @@ func abortIfDone(ctx context.Context) {
 	}
 }
 
-// cachedRun memoizes single-core runs by full option fingerprint.
-func (s *Service) cachedRun(opt harness.Options) *harness.Result {
+// cachedRun memoizes single-core runs by full option fingerprint. cells,
+// when set, gates the simulation itself: an experiment's concurrent cells
+// take a slot only on a miss.
+func (s *Service) cachedRun(opt harness.Options, cells *cellSlots) *harness.Result {
+	sim := func() *harness.Result {
+		if cells != nil {
+			defer cells.acquire()()
+		}
+		return s.simulate(opt)
+	}
 	key, ok := runKeyOf(opt)
 	if !ok {
-		return harness.Run(opt)
+		return sim()
 	}
-	s.runMu.Lock()
-	if r, hit := s.runResults[key]; hit {
-		s.runMu.Unlock()
-		s.runHits.Add(1)
-		return r
-	}
-	s.runMu.Unlock()
-	s.runMisses.Add(1)
-	r := harness.Run(opt)
-	s.runMu.Lock()
-	if len(s.runResults) < maxRunResults {
-		s.runResults[key] = r
-	}
-	s.runMu.Unlock()
-	return r
+	return memoize(s, s.runResults, s.runFlights, key, sim)
 }
 
 // cachedCluster memoizes multi-core runs by full config fingerprint.
@@ -383,21 +349,59 @@ func (s *Service) cachedCluster(cfg multicore.Config) *multicore.Result {
 	if !ok {
 		return multicore.Run(cfg)
 	}
-	s.runMu.Lock()
-	if r, hit := s.clusterResults[key]; hit {
+	return memoize(s, s.clusterResults, s.clusterFlights, key, func() *multicore.Result {
+		return multicore.Run(cfg)
+	})
+}
+
+// flight is one simulation in progress under a run-level cache key.
+type flight[R any] struct {
+	done chan struct{} // closed when the owner returns or panics
+	r    R
+	ok   bool // the owner returned r; false when it panicked
+}
+
+// memoize resolves key from the run-level cache, simulating it with sim on
+// a miss. A caller that finds the key already simulating waits for that
+// result and counts as a hit, so concurrent experiments sharing a grid —
+// fig13 and fig14 submitted together — simulate each cell once. If the
+// owner panics (a cancellation sentinel or a simulator fault) its waiters
+// are released and retry, simulating the cell themselves if need be.
+func memoize[R any](s *Service, results map[string]R, flights map[string]*flight[R], key string, sim func() R) R {
+	for {
+		s.runMu.Lock()
+		if r, hit := results[key]; hit {
+			s.runMu.Unlock()
+			s.runHits.Add(1)
+			return r
+		}
+		if f, busy := flights[key]; busy {
+			s.runMu.Unlock()
+			<-f.done
+			if f.ok {
+				s.runHits.Add(1)
+				return f.r
+			}
+			continue
+		}
+		f := &flight[R]{done: make(chan struct{})}
+		flights[key] = f
 		s.runMu.Unlock()
-		s.runHits.Add(1)
-		return r
+		s.runMisses.Add(1)
+
+		defer func() {
+			s.runMu.Lock()
+			delete(flights, key)
+			if f.ok && len(results) < maxRunResults {
+				results[key] = f.r
+			}
+			s.runMu.Unlock()
+			close(f.done)
+		}()
+		f.r = sim()
+		f.ok = true
+		return f.r
 	}
-	s.runMu.Unlock()
-	s.runMisses.Add(1)
-	r := multicore.Run(cfg)
-	s.runMu.Lock()
-	if len(s.clusterResults) < maxRunResults {
-		s.clusterResults[key] = r
-	}
-	s.runMu.Unlock()
-	return r
 }
 
 // runOptions lowers a canonical run spec to harness options, with the
