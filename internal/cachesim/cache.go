@@ -47,7 +47,7 @@ func (s Stats) MissRate() float64 {
 // way is one cache line's metadata. A line is valid iff stamp > the
 // cache's epoch watermark: the LRU clock pre-increments before every stamp
 // write, so live lines always carry a stamp above the epoch they were
-// written in, and whole-cache invalidation (Reset, Flush) is O(1) — raise
+// written in, and whole-cache invalidation (Flush) is O(1) — raise
 // the epoch to the current clock and every line goes stale at once.
 // Single-line invalidation zeroes the stamp (0 is never above any epoch).
 // Packing tag and stamp into one 16-byte struct (instead of the former
@@ -70,7 +70,7 @@ type Cache struct {
 	nw      int    // cfg.Ways
 	clock   uint64
 	// epoch is the invalidation watermark: lines stamped at or below it are
-	// stale. The clock never rewinds (it survives Reset), so stamp order —
+	// stale. The clock never rewinds (it survives Flush), so stamp order —
 	// the only thing LRU decisions read — is isomorphic to a fresh cache's.
 	epoch uint64
 	Stats Stats
@@ -215,18 +215,8 @@ func (c *Cache) EvictLRUHalf() {
 	}
 }
 
-// Reset returns the cache to a just-built state: every line invalid and
-// statistics cleared, in O(1) — the epoch watermark rises to the current
-// clock, invalidating all lines at once. The clock itself keeps running:
-// LRU reads only stamp order, which is isomorphic to a fresh cache's, so a
-// reset cache behaves identically to a new one.
-func (c *Cache) Reset() {
-	c.epoch = c.clock
-	c.Stats = Stats{}
-}
-
-// Flush invalidates the whole cache (same O(1) epoch bump as Reset, but
-// statistics survive).
+// Flush invalidates the whole cache in O(1): the epoch watermark rises to
+// the current clock, invalidating every line at once. Statistics survive.
 func (c *Cache) Flush() {
 	c.epoch = c.clock
 }

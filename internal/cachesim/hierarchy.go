@@ -137,12 +137,3 @@ func (h *Hierarchy) FlushAll() {
 	h.L3.Flush()
 	h.DTLB.Flush()
 }
-
-// Reset returns every level to its just-built state (contents and stats),
-// for pooled simulations that replay a run on recycled hardware models.
-func (h *Hierarchy) Reset() {
-	h.L1D.Reset()
-	h.L2.Reset()
-	h.L3.Reset()
-	h.DTLB.Reset()
-}

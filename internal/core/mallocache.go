@@ -341,16 +341,6 @@ func (m *MallocCache) InvalidateClass(class uint8) {
 	}
 }
 
-// Reset returns the cache to its just-built state: all entries invalid, the
-// LRU clock at zero, statistics cleared (unlike Flush, which counts itself).
-func (m *MallocCache) Reset() {
-	for i := range m.entries {
-		m.entries[i] = Entry{}
-	}
-	m.clock = 0
-	m.Stats = Stats{}
-}
-
 // Flush invalidates the whole cache. Because entries are only fast copies
 // (the definitive free lists live in memory), flushing needs no writebacks
 // — exactly the context-switch argument of Sec. 4.1.

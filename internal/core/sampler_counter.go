@@ -29,9 +29,6 @@ func (c *SampleCounter) Arm(threshold int64) {
 // Armed reports whether the counter is active.
 func (c *SampleCounter) Armed() bool { return c.armed }
 
-// Reset disarms the counter and clears its statistics.
-func (c *SampleCounter) Reset() { *c = SampleCounter{} }
-
 // Add accumulates one allocation of size bytes and reports whether the PMU
 // interrupt fired (the allocation should be sampled). Once fired, the
 // counter disarms until re-armed.

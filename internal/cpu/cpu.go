@@ -221,21 +221,6 @@ func New(cfg Config, mem *cachesim.Hierarchy) *Core {
 // Memory exposes the cache hierarchy (for antagonist callbacks and stats).
 func (c *Core) Memory() *cachesim.Hierarchy { return c.mem }
 
-// Reset returns the core to its just-built state — clock at zero, fresh
-// predictor counters, no outstanding prefetches or fills, statistics cleared
-// — without discarding the grown scratch buffers. The reservation generation
-// keeps counting so ring slots stamped by earlier runs stay invalid; the
-// cache hierarchy is shared-owned and reset separately by the caller.
-func (c *Core) Reset() {
-	c.cycle = 0
-	c.Stats = Stats{}
-	c.bp.Reset()
-	clear(c.entryReady)
-	clear(c.mshr)
-	clear(c.stepCyc[:])
-	clear(c.stepUops[:])
-}
-
 // SetStepObserver installs a per-call attribution sink: after every
 // scheduled call, fn receives the call's cycles and micro-ops per step tag
 // (indexed by uop.Step, valid only during the callback).

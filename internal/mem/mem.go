@@ -11,10 +11,7 @@
 // hierarchy and TLB models consume.
 package mem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 const (
 	// PageShift matches TCMalloc's kPageShift at the evaluated revision:
@@ -29,9 +26,10 @@ const (
 	CacheLineSize = 64
 )
 
-// wordShardCount shards the word store so concurrent cores touching
-// disjoint addresses rarely contend on the same lock in shared mode. 64
-// shards keep the per-shard tables small enough to stay cache-resident.
+// wordShardCount splits the word store into independent tables. Each shard
+// grows on its own, so a rehash copies one sixty-fourth of the store rather
+// than all of it, and the per-shard tables stay small enough to be
+// cache-resident.
 const wordShardCount = 64
 
 // wordShardInitSlots is a fresh shard's slot count (power of two).
@@ -39,12 +37,10 @@ const wordShardInitSlots = 256
 
 // wordShard is one open-addressed uint64->uint64 table with linear probing.
 // Key 0 marks an empty slot (heap addresses start at Space.base, never 0).
-// Keys are never removed: writing value 0 zeroes the slot's value in place,
-// and zero-valued keys are dropped at the next rehash. The mapping exposed
-// through get/set is therefore order-independent, which keeps concurrent
-// same-shard writes to distinct addresses deterministic.
+// Keys are never removed: writing value 0 zeroes the slot's value in place
+// (the word stops counting as live), and zero-valued keys are dropped at the
+// next rehash.
 type wordShard struct {
-	mu   sync.Mutex
 	keys []uint64
 	vals []uint64
 	used int // occupied slots, including zero-valued keys
@@ -146,11 +142,8 @@ type Space struct {
 	brk   uint64
 	limit uint64
 
-	// shards is the sharded word store; shared arms the per-shard locks so
-	// cores running concurrently in the parallel multicore scheduler can
-	// touch disjoint addresses safely.
+	// shards is the sharded word store.
 	shards [wordShardCount]wordShard
-	shared bool
 
 	// SbrkCalls counts OS memory requests, which the timing model charges
 	// as expensive system calls.
@@ -197,11 +190,6 @@ func (s *Space) Sbrk(n uint64) uint64 {
 	return addr
 }
 
-// SetShared arms (or disarms) the per-shard word locks. The parallel
-// multicore scheduler sets it before launching core goroutines; single-
-// threaded users skip the locks entirely.
-func (s *Space) SetShared(on bool) { s.shared = on }
-
 // ReadWord returns the 8-byte word at addr (0 if never written). addr must
 // be 8-byte aligned: the allocator only stores aligned pointers.
 func (s *Space) ReadWord(addr uint64) uint64 {
@@ -209,14 +197,7 @@ func (s *Space) ReadWord(addr uint64) uint64 {
 		panic(fmt.Sprintf("mem: unaligned read at %#x", addr))
 	}
 	h := wordHash(addr)
-	sh := &s.shards[h>>(64-6)]
-	if s.shared {
-		sh.mu.Lock()
-		v := sh.get(h, addr)
-		sh.mu.Unlock()
-		return v
-	}
-	return sh.get(h, addr)
+	return s.shards[h>>(64-6)].get(h, addr)
 }
 
 // WriteWord stores an 8-byte word at addr. Writing 0 un-materializes the
@@ -230,14 +211,7 @@ func (s *Space) WriteWord(addr, val uint64) {
 		panic("mem: write at address 0")
 	}
 	h := wordHash(addr)
-	sh := &s.shards[h>>(64-6)]
-	if s.shared {
-		sh.mu.Lock()
-		sh.set(h, addr, val)
-		sh.mu.Unlock()
-		return
-	}
-	sh.set(h, addr, val)
+	s.shards[h>>(64-6)].set(h, addr, val)
 }
 
 // WordsLive returns how many distinct words are materialized; used by tests
@@ -248,49 +222,6 @@ func (s *Space) WordsLive() int {
 		n += s.shards[i].live
 	}
 	return n
-}
-
-// SpaceMark captures a Space's full state so a pooled simulation can rewind
-// to it: the growth pointer, the OS-request counters, and every live word.
-type SpaceMark struct {
-	brk       uint64
-	sbrkCalls int
-	sbrkBytes uint64
-	addrs     []uint64
-	vals      []uint64
-}
-
-// Mark snapshots the current state. It is meant to be taken right after
-// construction, when few or no words are live.
-func (s *Space) Mark() SpaceMark {
-	m := SpaceMark{brk: s.brk, sbrkCalls: s.SbrkCalls, sbrkBytes: s.SbrkBytes}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for j, k := range sh.keys {
-			if k != 0 && sh.vals[j] != 0 {
-				m.addrs = append(m.addrs, k)
-				m.vals = append(m.vals, sh.vals[j])
-			}
-		}
-	}
-	return m
-}
-
-// Reset rewinds the space to a previously taken mark, keeping the shard
-// tables' capacity so a pooled run re-populates them without reallocating.
-func (s *Space) Reset(m SpaceMark) {
-	s.brk = m.brk
-	s.SbrkCalls = m.sbrkCalls
-	s.SbrkBytes = m.sbrkBytes
-	for i := range s.shards {
-		sh := &s.shards[i]
-		clear(sh.keys)
-		clear(sh.vals)
-		sh.used, sh.live = 0, 0
-	}
-	for i, a := range m.addrs {
-		s.WriteWord(a, m.vals[i])
-	}
 }
 
 // RoundUp rounds n up to a multiple of align (a power of two).
@@ -340,13 +271,3 @@ func (a *Arena) Alloc(n, align uint64) uint64 {
 	a.cur = addr + n
 	return addr
 }
-
-// ArenaMark captures an arena's bump state for pooled rewinds.
-type ArenaMark struct{ cur, end uint64 }
-
-// Mark snapshots the arena's bump pointer.
-func (a *Arena) Mark() ArenaMark { return ArenaMark{cur: a.cur, end: a.end} }
-
-// Reset rewinds the arena to a mark. The owning Space must be rewound to a
-// matching mark as well, so any post-mark growth replays identically.
-func (a *Arena) Reset(m ArenaMark) { a.cur, a.end = m.cur, m.end }

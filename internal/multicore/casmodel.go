@@ -18,9 +18,8 @@ type casState struct {
 }
 
 // casTable implements lockfree.Contention over the engine's logical
-// clocks. All calls come from the relay's token holder (the lock-free
-// substrate never runs under the barrier scheduler), so the table needs no
-// synchronization and stays deterministic.
+// clocks. All calls come from the relay's token holder, so the table needs
+// no synchronization and stays deterministic.
 type casTable struct {
 	eng     *Engine
 	classes map[uint8]*casState

@@ -7,7 +7,6 @@ import (
 	"mallacc/internal/mem"
 	"mallacc/internal/stats"
 	"mallacc/internal/tcmalloc"
-	"mallacc/internal/telemetry"
 	"mallacc/internal/uop"
 )
 
@@ -49,9 +48,6 @@ type coreState struct {
 	hw  *core.SampleCounter   // nil unless Variant == Mallacc on tcmalloc
 	em  *uop.Emitter          // core-local trace emitter (tcmalloc substrate)
 	rng *stats.RNG
-	// prof is the per-core step profiler; kept on the state so a pooled
-	// engine can reset it between runs.
-	prof *telemetry.StepProfiler
 
 	// wake is the core's one-slot token channel under the relay
 	// scheduler: the token holder sends on it to hand this core the turn.
@@ -62,15 +58,6 @@ type coreState struct {
 
 	inbox    []remoteFree
 	inboxPos int
-
-	// Barrier-scheduler state (parallel.go): gated marks the core admitted
-	// to the shared tier for the current quantum; liveSizes/qNet/qMax/
-	// quanta are the core-local live-byte ledger merged after the run.
-	gated     bool
-	liveSizes map[uint64]uint64
-	qNet      int64
-	qMax      int64
-	quanta    []quantumLive
 
 	footBase  uint64
 	footLines uint64
@@ -233,11 +220,8 @@ func (cs *coreState) Antagonize() {
 	cs.cpu.Memory().Antagonize()
 }
 
-// trackLive maintains the rounded-footprint accounting. Under the relay
-// scheduler the ledger is engine-global (only the token holder executes);
-// under the barrier scheduler each core accumulates its own deltas — no
-// remote frees means every free lands on the allocating core — and
-// replayPeak merges them in serialized order after the run.
+// trackLive maintains the rounded-footprint accounting. The ledger is
+// engine-global: only the token holder executes.
 func (cs *coreState) trackLive(addr, size uint64) {
 	eng := cs.eng
 	rounded := size
@@ -245,14 +229,6 @@ func (cs *coreState) trackLive(addr, size uint64) {
 		rounded = r
 	} else {
 		rounded = mem.RoundUp(size, mem.PageSize)
-	}
-	if eng.parallel {
-		cs.liveSizes[addr] = rounded
-		cs.qNet += int64(rounded)
-		if cs.qNet > cs.qMax {
-			cs.qMax = cs.qNet
-		}
-		return
 	}
 	eng.liveSizes[addr] = rounded
 	eng.liveBytes += rounded
@@ -263,13 +239,6 @@ func (cs *coreState) trackLive(addr, size uint64) {
 
 func (cs *coreState) untrackLive(addr uint64) {
 	eng := cs.eng
-	if eng.parallel {
-		if r, ok := cs.liveSizes[addr]; ok {
-			cs.qNet -= int64(r)
-			delete(cs.liveSizes, addr)
-		}
-		return
-	}
 	if r, ok := eng.liveSizes[addr]; ok {
 		eng.liveBytes -= r
 		delete(eng.liveSizes, addr)

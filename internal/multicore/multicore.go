@@ -110,22 +110,9 @@ type Config struct {
 	// clocks (default 2000).
 	EpochCycles uint64
 	// RemoteFreeProb is the probability a free is posted to a peer core
-	// instead of executing locally (default 0.15; negative disables).
-	// Disabling it removes all mid-epoch cross-core dataflow, which lets
-	// the engine run cores concurrently (see Serialize).
+	// instead of executing locally (default 0.15; negative disables, so
+	// every free runs on the core that allocated the block).
 	RemoteFreeProb float64
-	// Serialize forces the serialized relay scheduler even for configs the
-	// barrier-phase scheduler could run concurrently (tcmalloc substrate,
-	// no remote frees). Output is byte-identical either way; tests use it
-	// as the frozen reference for lockstep equivalence.
-	Serialize bool
-	// Reuse lets Run recycle a finished engine for the next identical
-	// config instead of rebuilding heap, cores and caches from scratch
-	// (every simulated structure is rewound to its post-construction
-	// state, so results are byte-identical to a fresh engine's). Meant
-	// for benchmarks and repeated sweeps; ignored for configs the pool
-	// cannot key (custom workloads, external registries, reporters).
-	Reuse bool
 	// Registry receives all metrics; a fresh one is created when nil.
 	Registry *telemetry.Registry
 
@@ -190,21 +177,6 @@ type Engine struct {
 	yields uint64
 	track  *progress.Tracker
 
-	// Barrier-phase scheduler state (parallel.go). parallel selects the
-	// concurrent scheduler; mu/cond guard its admission gate and barrier,
-	// and finished/pending/runnable implement the per-epoch barrier. The
-	// relay scheduler needs neither: the token's wake channels order it.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	parallel bool
-	finished []bool
-	pending  int
-	runnable int
-
-	// pooled marks an engine built for reuse (pool.go): its emitters keep
-	// their slabs between runs instead of recycling them at the end.
-	pooled bool
-
 	metaBytes uint64
 	liveBytes uint64
 	peakLive  uint64
@@ -227,7 +199,6 @@ func New(cfg Config) *Engine {
 		track:     progress.NewTracker(cfg.Progress, cfg.ProgressEvery),
 		liveSizes: map[uint64]uint64{},
 	}
-	eng.cond = sync.NewCond(&eng.mu)
 
 	// Build the allocator substrate. Per-core accelerator state (malloc
 	// cache, sampling counter) is swapped in by setActive, so any
@@ -328,23 +299,6 @@ func New(cfg Config) *Engine {
 	if eng.lf != nil {
 		eng.lf.MC = nil
 	}
-	// The barrier-phase scheduler needs a run with no mid-epoch cross-core
-	// dataflow: remote frees post to peer inboxes with intra-epoch drain
-	// semantics, and the lockfree/offload substrates route every call
-	// through shared state, so those stay on the serialized relay.
-	eng.parallel = !cfg.Serialize && eng.heap != nil && cfg.RemoteFreeProb == 0
-	if eng.parallel {
-		for _, cs := range eng.cores {
-			cs.tc.Gate = cs.gate
-			cs.liveSizes = map[uint64]uint64{}
-		}
-	}
-	if cfg.Reuse && eng.heap != nil {
-		// Snapshot the clean state so the engine pool can rewind and rerun
-		// this engine for the next identical config.
-		eng.heap.MarkClean()
-		eng.pooled = true
-	}
 	eng.registerMetrics()
 	return eng
 }
@@ -364,10 +318,6 @@ func (cs *coreState) beginQuantum() {
 // without blocking.
 func (cs *coreState) checkpoint() {
 	eng := cs.eng
-	if eng.parallel {
-		cs.checkpointParallel()
-		return
-	}
 	for cs.cpu.Cycle() >= cs.epochEnd {
 		eng.yields++
 		cs.res.Yields++
@@ -407,7 +357,7 @@ func (eng *Engine) advanceTurn() *coreState {
 }
 
 // fillSnapshot populates a progress snapshot with machine-wide aggregates.
-// Caller holds the token (relay) or the engine mutex (barrier scheduler).
+// Caller holds the token.
 func (eng *Engine) fillSnapshot(s *progress.Snapshot) {
 	var lookupHits, lookupMisses uint64
 	for _, cs := range eng.cores {
@@ -436,12 +386,8 @@ func (eng *Engine) setActive(id int) {
 }
 
 // Run executes every core's shard to completion and returns the collected
-// result. An engine runs once; the package-level Run reruns pooled engines
-// only after rewinding them through reset (pool.go).
+// result. An engine runs once.
 func (eng *Engine) Run() *Result {
-	if eng.parallel {
-		return eng.runParallel()
-	}
 	eng.setActive(0)
 	eng.cores[0].wake <- struct{}{}
 
@@ -471,15 +417,11 @@ func (eng *Engine) Run() *Result {
 	}
 	eng.track.Finish(wall, eng.fillSnapshot)
 	res := eng.collect()
-	if !eng.pooled {
-		eng.recycleEmitters()
-	}
+	eng.recycleEmitters()
 	return res
 }
 
-// recycleEmitters returns every emitter's trace slabs. Pooled engines skip
-// this after each run — they keep their slabs for the next rewind — and the
-// pool calls it directly when an engine is finally dropped.
+// recycleEmitters returns every emitter's trace slabs once the run is over.
 func (eng *Engine) recycleEmitters() {
 	switch {
 	case eng.heap != nil:

@@ -2,6 +2,7 @@ package multicore
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,7 +17,7 @@ import (
 // cannot shift the interleaving unnoticed. A lost wake-up shows up as a
 // hang; run the package with -timeout to turn that into a failure.
 //
-// Regenerate with UPDATE_GOLDEN=1 go test ./internal/multicore -run TestRelay
+// Regenerate with UPDATE_GOLDEN=1 go test ./internal/multicore -run 'TestRelay|TestLockstep'
 // (only when the simulated behaviour is meant to change).
 
 // checkGolden compares snap with testdata/<name>.golden.
@@ -148,4 +149,61 @@ func TestRelaySixteenCores(t *testing.T) {
 		t.Fatal("16-core snapshot differs between GOMAXPROCS 1 and 2")
 	}
 	checkGolden(t, "relay_sixteen_cores", snaps[0])
+}
+
+// noRemoteFreesConfig is a run with cross-core free traffic disabled, so
+// every free executes on the core that allocated the block.
+func noRemoteFreesConfig(t *testing.T, variant Variant, wlName string, cores int) Config {
+	t.Helper()
+	return Config{
+		Cores:          cores,
+		Variant:        variant,
+		Workload:       wl(t, wlName),
+		CallsPerCore:   3000,
+		Seed:           1,
+		RemoteFreeProb: -1,
+	}
+}
+
+// TestRelayNoRemoteFrees runs an 8-core cluster with remote frees disabled
+// at GOMAXPROCS 1 and at the host's CPU count: no core may post or drain a
+// remote free, and the snapshot must not depend on how many Ps there are.
+func TestRelayNoRemoteFrees(t *testing.T) {
+	cfg := noRemoteFreesConfig(t, Mallacc, "ubench.gauss_free", 8)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+
+	var snaps [][]byte
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		r := Run(cfg)
+		if r.RemoteFrees != 0 {
+			t.Fatalf("GOMAXPROCS=%d: %d remote frees with RemoteFreeProb < 0", procs, r.RemoteFrees)
+		}
+		for id, c := range r.PerCore {
+			if c.RemotePosted != 0 || c.RemoteDrained != 0 {
+				t.Fatalf("GOMAXPROCS=%d: core %d posted %d / drained %d remote frees", procs, id, c.RemotePosted, c.RemoteDrained)
+			}
+		}
+		snaps = append(snaps, snapshotJSON(t, r))
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatalf("snapshot differs between GOMAXPROCS 1 and %d", runtime.NumCPU())
+	}
+	checkGolden(t, "relay_no_remote_frees", snaps[0])
+}
+
+// TestLockstepEquivalence pins the no-remote-frees grid — every variant on
+// three workloads, 4 cores — to goldens recorded from the serialized relay
+// when a second, barrier-phase scheduler still ran these configs and
+// matched it byte for byte. The relay must keep producing that output.
+func TestLockstepEquivalence(t *testing.T) {
+	for _, variant := range []Variant{Baseline, Mallacc, Limit} {
+		for _, wlName := range []string{"ubench.tp_small", "ubench.gauss_free", "server.requests"} {
+			t.Run(fmt.Sprintf("%s/%s", variant, wlName), func(t *testing.T) {
+				r := Run(noRemoteFreesConfig(t, variant, wlName, 4))
+				checkGolden(t, fmt.Sprintf("lockstep_%s_%s", variant, wlName), snapshotJSON(t, r))
+			})
+		}
+	}
 }

@@ -97,23 +97,8 @@ func (r *Result) MCPopHitRate() float64 {
 	return r.MC.PopHitRate()
 }
 
-// Run builds (or, with cfg.Reuse, recycles) an engine for cfg and runs it
-// to completion; see pool.go for the reuse machinery.
-func Run(cfg Config) *Result {
-	key, ok := poolKeyOf(cfg)
-	if !ok {
-		return New(cfg).Run()
-	}
-	eng := enginePool.take(key)
-	if eng == nil {
-		eng = New(cfg)
-	} else {
-		eng.reset()
-	}
-	res := eng.Run()
-	enginePool.put(key, eng)
-	return res
-}
+// Run builds an engine for cfg and runs it to completion.
+func Run(cfg Config) *Result { return New(cfg).Run() }
 
 // collect assembles the Result after all shards have finished.
 func (eng *Engine) collect() *Result {
@@ -207,9 +192,9 @@ func (eng *Engine) registerMetrics() {
 	for _, cs := range eng.cores {
 		cs := cs
 		sub := reg.Sub(coreName(cs.id))
-		cs.prof = telemetry.NewStepProfiler(stepNames)
-		cs.prof.Register(sub)
-		cs.cpu.SetStepObserver(cs.prof.ObserveCall)
+		prof := telemetry.NewStepProfiler(stepNames)
+		prof.Register(sub)
+		cs.cpu.SetStepObserver(prof.ObserveCall)
 		cs.cpu.RegisterMetrics(sub)
 		cs.cpu.Memory().RegisterMetrics(sub)
 		if cs.mc != nil {

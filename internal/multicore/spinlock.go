@@ -58,9 +58,9 @@ type LockSiteStats struct {
 func (s LockSiteStats) Cycles() uint64 { return s.WaitCycles + s.HandoffCycles }
 
 // lockTable implements tcmalloc.LockModel over the engine's logical clocks.
-// All calls come from the one core allowed into the shared tier — the
-// relay's token holder, or the barrier scheduler's gated core — so the
-// table needs no synchronization of its own and stays deterministic.
+// All calls come from the relay's token holder, the one core executing at a
+// time, so the table needs no synchronization of its own and stays
+// deterministic.
 type lockTable struct {
 	eng   *Engine
 	locks map[lockKey]*lockState

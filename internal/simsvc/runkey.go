@@ -123,15 +123,6 @@ type clusterKey struct {
 	Seed           uint64
 	EpochCycles    uint64
 	RemoteFreeProb float64
-	// Serialize picks the scheduler implementation, not the simulated
-	// machine; both schedulers produce byte-identical output (the engine's
-	// lockstep-equivalence test), so it is zeroed and the two runs share a
-	// cache entry.
-	Serialize bool
-	// Reuse is an engine-lifecycle optimization (pooled engines are rewound
-	// and rerun, producing byte-identical output), so it is zeroed and both
-	// settings share a cache entry.
-	Reuse bool
 	// Observability-only, zeroed like runKey's counterparts.
 	Progress      bool
 	ProgressEvery uint64

@@ -71,13 +71,6 @@ func (h *DurationHist) Add(d uint64) {
 	h.n++
 }
 
-// Reset empties the histogram.
-func (h *DurationHist) Reset() {
-	clear(h.counts[:])
-	clear(h.sums[:])
-	h.total, h.n = 0, 0
-}
-
 // N returns the number of recorded calls.
 func (h *DurationHist) N() uint64 { return h.n }
 

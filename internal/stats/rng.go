@@ -24,14 +24,6 @@ type RNG struct {
 // guarantees a well-mixed nonzero state for any seed value.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	r.Reseed(seed)
-	return r
-}
-
-// Reseed rewinds the generator to the exact state NewRNG(seed) produces,
-// discarding any cached Gaussian. Pooled simulations use it to replay a
-// run's random streams without reallocating the generators.
-func (r *RNG) Reseed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -40,7 +32,7 @@ func (r *RNG) Reseed(seed uint64) {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	r.gauss, r.hasGauss = 0, false
+	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -53,19 +53,6 @@ type CentralFreeList struct {
 	FreeObjects    int
 }
 
-// Reset empties the list back to its just-built state: no transfer-cache
-// batches, no spans, no statistics. The lock and counter words keep their
-// construction-time arena addresses.
-func (c *CentralFreeList) Reset() {
-	c.slots = c.slots[:0]
-	c.nonempty = spanList{}
-	c.empty = spanList{}
-	c.lockHeldAt = 0
-	c.TransferHits, c.TransferMisses = 0, 0
-	c.SpansRequested, c.SpansReturned = 0, 0
-	c.FreeObjects = 0
-}
-
 func newCentralFreeList(h *Heap, class uint8) *CentralFreeList {
 	return &CentralFreeList{
 		class:     class,

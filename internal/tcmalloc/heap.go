@@ -114,13 +114,6 @@ type Heap struct {
 	rng     *stats.RNG
 	threads []*ThreadCache
 	Stats   HeapStats
-
-	// Pooled-rewind marks (MarkClean/ResetClean): the simulated space and
-	// metadata arena as of the moment the owning engine finished
-	// construction.
-	spaceMark mem.SpaceMark
-	arenaMark mem.ArenaMark
-	marked    bool
 }
 
 // New builds a heap over a fresh simulated address space.
@@ -161,45 +154,6 @@ func (h *Heap) NewThread() *ThreadCache {
 // Threads returns the registered thread caches.
 func (h *Heap) Threads() []*ThreadCache { return h.threads }
 
-// MarkClean snapshots the heap's post-construction state (simulated words,
-// sbrk pointer, arena bump pointer) so ResetClean can rewind to it. Call it
-// once, after every NewThread, before the first allocation.
-func (h *Heap) MarkClean() {
-	h.spaceMark = h.Space.Mark()
-	h.arenaMark = h.Arena.Mark()
-	h.marked = true
-}
-
-// ResetClean rewinds the heap to the MarkClean state so a pooled simulation
-// can rerun on it. Every tier is restored to its just-built condition, and
-// the sampler RNG streams are reseeded and re-forked in thread order —
-// exactly the construction sequence — so a rerun with the same seed is
-// byte-identical to a run on a fresh heap.
-func (h *Heap) ResetClean() {
-	if !h.marked {
-		panic("tcmalloc: ResetClean without MarkClean")
-	}
-	h.Space.Reset(h.spaceMark)
-	h.Arena.Reset(h.arenaMark)
-	h.PageHeap.Reset()
-	for _, c := range h.Central {
-		if c != nil {
-			c.Reset()
-		}
-	}
-	h.rng.Reseed(h.Cfg.Seed ^ 0xa11c)
-	for _, tc := range h.threads {
-		tc.Reset(h.rng.Fork())
-	}
-	if h.MC != nil {
-		h.MC.Reset()
-	}
-	if h.HWCounter != nil {
-		h.HWCounter.Reset()
-	}
-	h.Stats = HeapStats{}
-}
-
 // mcFor resolves the malloc cache a call from tc should use: the thread's
 // core-local cache when installed (multicore engine), else the heap's.
 func (h *Heap) mcFor(tc *ThreadCache) *core.MallocCache {
@@ -227,9 +181,8 @@ func (h *Heap) emFor(tc *ThreadCache) *uop.Emitter {
 }
 
 // StatsSnapshot returns the heap-level event counts summed with every
-// thread cache's shard. Hot paths bump the calling thread's shard so
-// concurrent cores never write one cache line; readers (metrics closures,
-// results, tests) see the merged view here.
+// thread cache's shard. Hot paths bump the calling thread's shard;
+// readers (metrics closures, results, tests) see the merged view here.
 func (h *Heap) StatsSnapshot() HeapStats {
 	s := h.Stats
 	for _, tc := range h.threads {
@@ -615,7 +568,6 @@ func (h *Heap) popFallback(e *uop.Emitter, tc *ThreadCache, class uint8, la uop.
 // centralFetch refills from the central list; everything below the thread
 // cache is tagged StepOther so the limit study only removes fast-path work.
 func (h *Heap) centralFetch(e *uop.Emitter, tc *ThreadCache, class uint8) uint64 {
-	tc.gate()
 	prev := e.Step(uop.StepOther)
 	tc.Stats.CentralFetches++
 	result := tc.fetchFromCentral(e, class)
@@ -626,7 +578,6 @@ func (h *Heap) centralFetch(e *uop.Emitter, tc *ThreadCache, class uint8) uint64
 // mallocLarge allocates size bytes directly as a span ("Large requests
 // (> 256KB) go directly to spans and bypass the prior caches", Sec. 3.1).
 func (h *Heap) mallocLarge(e *uop.Emitter, tc *ThreadCache, size uint64) uint64 {
-	tc.gate()
 	prev := e.Step(uop.StepOther)
 	tc.Stats.LargeMallocs++
 	pages := mem.RoundUp(size, mem.PageSize) >> mem.PageShift
@@ -661,9 +612,6 @@ func (h *Heap) Free(tc *ThreadCache, ptr uint64, size uint64) {
 		e.Branch(siteFreeSmall, false, classDep)
 	} else {
 		// Page-map walk: the poorly-caching address->size-class lookup.
-		// The page map is shared (central refills install leaves), so the
-		// walk needs shared-structure admission in the parallel scheduler.
-		tc.gate()
 		span, walkDep := h.PageHeap.PageMap().EmitGet(e, ptr>>mem.PageShift, tls)
 		if span == nil {
 			panic(fmt.Sprintf("tcmalloc: free of unknown pointer %#x", ptr))
@@ -701,7 +649,6 @@ func (h *Heap) Free(tc *ThreadCache, ptr uint64, size uint64) {
 	mDep := e.Load(tc.listMetaAddr(class), la)
 	if l.length > l.maxLen {
 		e.Branch(siteListTooLong, true, mDep)
-		tc.gate()
 		prev := e.Step(uop.StepOther)
 		tc.listTooLong(e, class)
 		e.Step(prev)
@@ -710,7 +657,6 @@ func (h *Heap) Free(tc *ThreadCache, ptr uint64, size uint64) {
 	}
 	if tc.size > maxThreadCacheSize {
 		e.Branch(siteCacheTooBig, true, mDep)
-		tc.gate()
 		prev := e.Step(uop.StepOther)
 		tc.scavenge(e)
 		e.Step(prev)

@@ -50,21 +50,6 @@ func NewPageHeap(space *mem.Space, arena *mem.Arena, pm *PageMap) *PageHeap {
 // PageMap exposes the radix tree (free() walks it).
 func (ph *PageHeap) PageMap() *PageMap { return ph.pm }
 
-// Reset returns the page heap (and its radix tree) to the just-built empty
-// state: no free spans, no statistics. Span metadata is dropped with the
-// lists; a pooled run re-allocates spans through the rewound arena at the
-// same simulated addresses a fresh run would use.
-func (ph *PageHeap) Reset() {
-	for i := range ph.free {
-		ph.free[i] = spanList{}
-	}
-	ph.large = spanList{}
-	ph.lockHeldAt = 0
-	ph.SpansAllocated, ph.SpansFreed, ph.SpansSplit = 0, 0, 0
-	ph.GrowCalls, ph.FreePages = 0, 0
-	ph.pm.Reset()
-}
-
 // LockAddr returns the simulated address of the page-heap lock word.
 func (ph *PageHeap) LockAddr() uint64 { return ph.lockAddr }
 

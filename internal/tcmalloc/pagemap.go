@@ -51,16 +51,6 @@ func NewPageMap(arena *mem.Arena) *PageMap {
 	return &PageMap{arena: arena, rootAddr: arena.Alloc(rootFanout*slotBytes, 64)}
 }
 
-// Reset empties the tree back to its just-built state. Interior nodes are
-// dropped rather than kept: their metadata addresses came from the arena,
-// and a pooled run — whose arena has been rewound to the post-construction
-// mark — must replay the exact same allocation sequence a fresh run would,
-// so the nodes are re-carved lazily at identical addresses.
-func (pm *PageMap) Reset() {
-	clear(pm.root[:])
-	pm.Nodes = 0
-}
-
 func (pm *PageMap) indices(pageID uint64) (r, m, l uint64) {
 	pageID &= pageIDMask
 	return pageID >> rootShift, (pageID >> midShift) & (midFanout - 1), pageID & (leafFanout - 1)

@@ -32,18 +32,6 @@ func NewSampler(rng *stats.RNG, meanBytes int64, counterAddr uint64) *Sampler {
 // Enabled reports whether sampling is active.
 func (s *Sampler) Enabled() bool { return s.mean > 0 }
 
-// Reset rewinds the sampler to its just-built state over a fresh generator,
-// replaying the initial threshold draw exactly as NewSampler does. The mean
-// and counter address are construction-time constants and stay put.
-func (s *Sampler) Reset(rng *stats.RNG) {
-	s.rng = rng
-	s.Samples = 0
-	s.until = 0
-	if s.mean > 0 {
-		s.until = s.draw()
-	}
-}
-
 // CounterAddr is the simulated address the software fast path loads and
 // stores.
 func (s *Sampler) CounterAddr() uint64 { return s.counterAddr }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mallacc/internal/core"
-	"mallacc/internal/stats"
 	"mallacc/internal/uop"
 )
 
@@ -49,10 +48,10 @@ type ThreadCache struct {
 	tlsAddr   uint64
 	sampler   *Sampler
 
-	// Per-thread overrides of heap-level state, so concurrent cores in the
-	// multicore engine's parallel scheduler can run disjoint fast paths
-	// without touching shared fields. When nil, the heap-level instance is
-	// used (the single-core harness path).
+	// Per-thread overrides of heap-level state, so each core in the
+	// multicore engine runs its fast path against its own accelerator,
+	// emitter and statistics. When nil, the heap-level instance is used
+	// (the single-core harness path).
 	//
 	// MC/HW are the core-local accelerator state (malloc cache, sampling
 	// PMU counter); Em is a core-local trace emitter; Stats is a per-thread
@@ -61,24 +60,11 @@ type ThreadCache struct {
 	HW *core.SampleCounter
 	Em *uop.Emitter
 
-	// Gate, when set, is invoked before any operation that leaves thread-
-	// local state for the shared tiers (central lists, page heap, page map).
-	// The parallel multicore scheduler installs a hook that blocks until the
-	// core's deterministic turn at the shared structures arrives.
-	Gate func()
-
 	// Stats
 	Hits, Misses uint64
 	Scavenges    uint64
 	ListTooLongs uint64
 	Stats        HeapStats
-}
-
-// gate runs the shared-structure admission hook, if installed.
-func (tc *ThreadCache) gate() {
-	if tc.Gate != nil {
-		tc.Gate()
-	}
 }
 
 func newThreadCache(h *Heap, id int) *ThreadCache {
@@ -90,23 +76,6 @@ func newThreadCache(h *Heap, id int) *ThreadCache {
 		tc.lists[c].maxLen = 1
 	}
 	return tc
-}
-
-// Reset returns the thread cache to its just-built state over a fresh
-// sampler stream: empty lists at the slow-start cap, zeroed statistics. The
-// metadata addresses (list headers, stack, TLS word, sample counter) are
-// construction-time constants and survive, which is what lets a pooled run
-// replay a fresh run's trace byte for byte.
-func (tc *ThreadCache) Reset(samplerRNG *stats.RNG) {
-	for c := range tc.lists {
-		l := &tc.lists[c]
-		l.length, l.maxLen, l.lowWater = 0, 1, 0
-	}
-	tc.size = 0
-	tc.Hits, tc.Misses = 0, 0
-	tc.Scavenges, tc.ListTooLongs = 0, 0
-	tc.Stats = HeapStats{}
-	tc.sampler.Reset(samplerRNG)
 }
 
 // listHeadAddr returns the simulated address of class cl's head pointer.

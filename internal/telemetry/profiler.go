@@ -59,17 +59,6 @@ func (p *StepProfiler) ObserveCall(cycles, uops []uint64) {
 // StepCycles returns the accumulated cycles for step i.
 func (p *StepProfiler) StepCycles(i int) uint64 { return p.cycles[i] }
 
-// Reset clears every accumulator and histogram in place, keeping the
-// registered metric closures valid for a pooled run.
-func (p *StepProfiler) Reset() {
-	clear(p.cycles)
-	clear(p.uops)
-	clear(p.calls)
-	for _, h := range p.hists {
-		h.Reset()
-	}
-}
-
 // Register adds the profiler's metrics to reg under "step.<name>.*":
 // cycles and uops counters plus the per-call cycle histogram.
 func (p *StepProfiler) Register(reg *Registry) {

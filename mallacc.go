@@ -523,14 +523,8 @@ type ClusterConfig struct {
 	// Seed drives all randomness; same seed + same Cores is byte-identical.
 	Seed uint64
 	// RemoteFreeProb is the fraction of frees executed on a peer core
-	// (default 0.15; negative disables cross-core traffic, which also
-	// lets the engine run the simulated cores truly concurrently — see
-	// DESIGN.md §18).
+	// (default 0.15; negative disables cross-core traffic).
 	RemoteFreeProb float64
-	// Reuse opts in to engine pooling: a finished engine is rewound and
-	// reused by the next Run with an identical config, cutting the
-	// per-run construction cost without changing a byte of output.
-	Reuse bool
 }
 
 // ClusterResult is the multi-core measurement set: per-core breakdowns,
@@ -557,14 +551,12 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		CallsPerCore:   cfg.CallsPerCore,
 		Seed:           cfg.Seed,
 		RemoteFreeProb: cfg.RemoteFreeProb,
-		Reuse:          cfg.Reuse,
 	}}
 }
 
-// Run executes every core's shard concurrently (one goroutine per core,
-// deterministically interleaved — truly parallel when the config has no
-// cross-core frees) and returns the collected result. Repeated Runs are
-// byte-identical; with Reuse set they draw the engine from a pool.
+// Run executes every core's shard (one goroutine per core, interleaved in
+// deterministic lockstep epochs) and returns the collected result. Repeated
+// Runs are byte-identical.
 func (c *Cluster) Run() *ClusterResult { return multicore.Run(c.cfg) }
 
 // RunCluster is the one-shot form of NewCluster(cfg).Run().

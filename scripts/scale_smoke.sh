@@ -5,9 +5,8 @@
 # The multicore engine runs one goroutine per simulated core and hands a
 # turn token between them at epoch boundaries; its determinism contract is
 # that telemetry is a pure function of (seed, core count) no matter how the
-# Go runtime schedules those goroutines. The scale experiment keeps remote
-# frees on, so every cell runs on the relay scheduler (the barrier-phase
-# scheduler is not exercised here). This script stresses exactly that axis:
+# Go runtime schedules those goroutines. This script stresses exactly that
+# axis:
 #
 #   1. runs the seed-1 scale experiment (1..16 cores) at GOMAXPROCS=1 —
 #      every core goroutine on a single P — and at the host's full
