@@ -11,7 +11,11 @@
 package cachesim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"mallacc/internal/telemetry"
 )
@@ -44,19 +48,26 @@ func (s Stats) MissRate() float64 {
 	return telemetry.Rate(s.Misses, s.Accesses())
 }
 
-// way is one cache line's metadata. A line is valid iff stamp > the
-// cache's epoch watermark: the LRU clock pre-increments before every stamp
-// write, so live lines always carry a stamp above the epoch they were
-// written in, and whole-cache invalidation (Flush) is O(1) — raise
-// the epoch to the current clock and every line goes stale at once.
-// Single-line invalidation zeroes the stamp (0 is never above any epoch).
-// Packing tag and stamp into one 16-byte struct (instead of the former
-// parallel tags/valid/stamp slices) makes a way probe touch one cache line
-// instead of three — Lookup and Insert are the hottest leaves of the
-// timing model.
+// way is one cache line's metadata, packed into 8 bytes so an 8-way set
+// fills exactly one 64-byte host line and an 8 MiB L3 costs 1 MiB of host
+// memory.
+//
+// The tag is the line number with the set-index bits shifted out: the set
+// is implied by the way's slot, so Insert rebuilds an evicted line number
+// as tag<<setBits | set. A line whose tag needs more than 32 bits panics
+// rather than alias; for the default L1D (64 sets of 64-byte lines) that is
+// any address at or above 2^44, which trace parsing keeps out of reach.
+//
+// A line is valid iff stamp > the cache's epoch watermark: the LRU clock
+// pre-increments before every stamp write, so live lines always carry a
+// stamp above the epoch they were written in, and whole-cache invalidation
+// (Flush) is O(1) — raise the epoch to the current clock and every line
+// goes stale at once. Single-line invalidation zeroes the stamp (0 is never
+// above any epoch). When the 32-bit clock would wrap, renumber rewrites
+// every stamp without changing any decision LRU can make.
 type way struct {
-	tag   uint64 // line number (addr >> LineShift); garbage while stale
-	stamp uint64 // LRU stamp; valid iff > the cache epoch
+	tag   uint32 // line number >> setBits; garbage while stale
+	stamp uint32 // LRU stamp; valid iff > the cache epoch
 }
 
 // Cache is one set-associative level with true-LRU replacement implemented
@@ -66,13 +77,14 @@ type way struct {
 type Cache struct {
 	ways    []way  // sets*cfg.Ways
 	shift   uint   // cfg.LineShift
+	setBits uint   // log2(sets)
 	setMask uint64 // sets - 1
 	nw      int    // cfg.Ways
-	clock   uint64
+	clock   uint32
 	// epoch is the invalidation watermark: lines stamped at or below it are
-	// stale. The clock never rewinds (it survives Flush), so stamp order —
-	// the only thing LRU decisions read — is isomorphic to a fresh cache's.
-	epoch uint64
+	// stale. The clock never rewinds across Flush, so stamp order — the
+	// only thing LRU decisions read — is isomorphic to a fresh cache's.
+	epoch uint32
 	Stats Stats
 	cfg   Config
 	sets  int
@@ -91,6 +103,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		ways:    make([]way, sets*cfg.Ways),
 		shift:   cfg.LineShift,
+		setBits: uint(bits.TrailingZeros(uint(sets))),
 		setMask: uint64(sets - 1),
 		nw:      cfg.Ways,
 		cfg:     cfg,
@@ -107,22 +120,63 @@ func (c *Cache) Ways() int { return c.cfg.Ways }
 // Latency returns the hit latency.
 func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 
-// line returns the line number and set index for an address.
-func (c *Cache) line(addr uint64) (ln uint64, set int) {
-	ln = addr >> c.shift
-	return ln, int(ln & c.setMask)
+// line returns the tag and set index for an address.
+func (c *Cache) line(addr uint64) (tag uint32, set int) {
+	ln := addr >> c.shift
+	t := ln >> c.setBits
+	if t > math.MaxUint32 {
+		panic(fmt.Sprintf("cachesim: %s address %#x is beyond the 32-bit tag range", c.cfg.Name, addr))
+	}
+	return uint32(t), int(ln & c.setMask)
+}
+
+// tick advances the LRU clock for one stamp write, renumbering first if
+// the clock would wrap.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renumber()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renumber compacts the stamps so the clock can restart: stale ways get 0,
+// each set's valid ways get 1..k in their current LRU order, the epoch
+// drops to 0 and the clock to Ways. This is exact because LRU only ever
+// compares stamps within one set and against the epoch, and a way's
+// position is never observable: a victim is either an invalid way (no
+// eviction) or the set's unique minimum stamp.
+func (c *Cache) renumber() {
+	order := make([]int, 0, c.nw)
+	for base := 0; base < len(c.ways); base += c.nw {
+		s := c.ways[base : base+c.nw]
+		order = order[:0]
+		for i := range s {
+			if s[i].stamp > c.epoch {
+				order = append(order, i)
+			} else {
+				s[i].stamp = 0
+			}
+		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(s[a].stamp, s[b].stamp) })
+		for k, i := range order {
+			s[i].stamp = uint32(k + 1)
+		}
+	}
+	c.epoch = 0
+	c.clock = uint32(c.nw)
 }
 
 // Lookup probes for addr without modifying contents, updating LRU and stats
 // on a hit.
 func (c *Cache) Lookup(addr uint64) bool {
-	ln, set := c.line(addr)
+	tag, set := c.line(addr)
 	base := set * c.nw
-	c.clock++
+	now := c.tick()
 	s := c.ways[base : base+c.nw]
 	for i := range s {
-		if s[i].stamp > c.epoch && s[i].tag == ln {
-			s[i].stamp = c.clock
+		if s[i].stamp > c.epoch && s[i].tag == tag {
+			s[i].stamp = now
 			c.Stats.Hits++
 			return true
 		}
@@ -135,21 +189,21 @@ func (c *Cache) Lookup(addr uint64) bool {
 // line number and whether an eviction occurred (for inclusive back-
 // invalidation).
 //
-// Victim selection replicates the original parallel-slice implementation
-// exactly (byte-identical simulation output depends on it): an invalid way
-// always overwrites the running victim — so the LAST invalid way in scan
-// order wins — and otherwise the FIRST way holding the minimum stamp wins
-// (valid stamps are unique, so strict < picks the first minimum).
+// Victim selection keeps the original parallel-slice implementation's
+// rule: an invalid way always overwrites the running victim — so the LAST
+// invalid way in scan order wins — and otherwise the FIRST way holding the
+// minimum stamp wins (valid stamps are unique, so strict < picks the first
+// minimum).
 func (c *Cache) Insert(addr uint64) (evicted uint64, wasEvicted bool) {
-	ln, set := c.line(addr)
+	tag, set := c.line(addr)
 	base := set * c.nw
-	c.clock++
+	now := c.tick()
 	s := c.ways[base : base+c.nw]
 	victim := 0
-	var oldest uint64 = ^uint64(0)
+	oldest := uint32(math.MaxUint32) // every valid stamp is below now
 	for i := range s {
-		if s[i].stamp > c.epoch && s[i].tag == ln {
-			s[i].stamp = c.clock // already present
+		if s[i].stamp > c.epoch && s[i].tag == tag {
+			s[i].stamp = now // already present
 			return 0, false
 		}
 		if s[i].stamp <= c.epoch {
@@ -161,19 +215,22 @@ func (c *Cache) Insert(addr uint64) (evicted uint64, wasEvicted bool) {
 		}
 	}
 	wasEvicted = s[victim].stamp > c.epoch
-	evicted = s[victim].tag
-	s[victim].tag = ln
-	s[victim].stamp = c.clock
+	evicted = uint64(s[victim].tag)<<c.setBits | uint64(set)
+	s[victim].tag = tag
+	s[victim].stamp = now
 	return evicted, wasEvicted
 }
 
 // InvalidateLine removes a line (by line number) if present.
 func (c *Cache) InvalidateLine(ln uint64) {
-	set := int(ln & c.setMask)
-	base := set * c.nw
+	t := ln >> c.setBits
+	if t > math.MaxUint32 {
+		return // never insertable, so never present
+	}
+	base := int(ln&c.setMask) * c.nw
 	s := c.ways[base : base+c.nw]
 	for i := range s {
-		if s[i].stamp > c.epoch && s[i].tag == ln {
+		if s[i].stamp > c.epoch && s[i].tag == uint32(t) {
 			s[i].stamp = 0
 			return
 		}
@@ -182,10 +239,10 @@ func (c *Cache) InvalidateLine(ln uint64) {
 
 // Contains probes without any side effects (no LRU or stats update).
 func (c *Cache) Contains(addr uint64) bool {
-	ln, set := c.line(addr)
+	tag, set := c.line(addr)
 	base := set * c.nw
 	for _, w := range c.ways[base : base+c.nw] {
-		if w.stamp > c.epoch && w.tag == ln {
+		if w.stamp > c.epoch && w.tag == tag {
 			return true
 		}
 	}
@@ -196,15 +253,14 @@ func (c *Cache) Contains(addr uint64) bool {
 // is the simulator callback the antagonist microbenchmark invokes after
 // each allocation (Sec. 5).
 func (c *Cache) EvictLRUHalf() {
-	half := c.cfg.Ways / 2
-	for set := 0; set < c.sets; set++ {
-		base := set * c.cfg.Ways
-		s := c.ways[base : base+c.cfg.Ways]
+	half := c.nw / 2
+	for base := 0; base < len(c.ways); base += c.nw {
+		s := c.ways[base : base+c.nw]
 		for k := 0; k < half; k++ {
-			victim, oldest := -1, ^uint64(0)
+			victim := -1
 			for i := range s {
-				if s[i].stamp > c.epoch && s[i].stamp < oldest {
-					victim, oldest = i, s[i].stamp
+				if s[i].stamp > c.epoch && (victim < 0 || s[i].stamp < s[victim].stamp) {
+					victim = i
 				}
 			}
 			if victim < 0 {

@@ -1,8 +1,11 @@
 package cachesim
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func smallCache() *Cache {
@@ -202,5 +205,132 @@ func TestStatsMissRate(t *testing.T) {
 	}
 	if s.Accesses() != 4 {
 		t.Errorf("accesses %v", s.Accesses())
+	}
+}
+
+func TestWayIsEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(way{}); got != 8 {
+		t.Fatalf("sizeof(way) = %d, want 8", got)
+	}
+}
+
+// TestTagBeyond32BitsPanics: an L1D address at 2^44 needs a 33-bit tag,
+// which must panic rather than alias a lower line.
+func TestTagBeyond32BitsPanics(t *testing.T) {
+	c := New(DefaultHierarchyConfig().L1D)
+	c.Insert(1<<44 - 64) // the last line below the bound fits
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an L1D address at 2^44 did not panic")
+		}
+	}()
+	c.Lookup(1 << 44)
+}
+
+// TestRenumberKeepsLRUOrder wraps the clock of a one-set cache and checks
+// that the LRU line is still the one evicted afterwards.
+func TestRenumberKeepsLRUOrder(t *testing.T) {
+	c := New(Config{Name: "t", SizeBytes: 64 * 4, Ways: 4, LineShift: 6, Latency: 1})
+	c.clock, c.epoch = math.MaxUint32-4, math.MaxUint32-4
+	for i := uint64(0); i < 4; i++ {
+		c.Insert(i << 6)
+	}
+	c.Lookup(0) // wraps the clock: line 0 becomes MRU, line 1 is LRU
+	if c.clock != 5 || c.epoch != 0 {
+		t.Fatalf("clock %d epoch %d after the wrap, want 5 and 0", c.clock, c.epoch)
+	}
+	if ln, ok := c.Insert(4 << 6); !ok || ln != 1 {
+		t.Fatalf("evicted line %d (%v), want the LRU line 1", ln, ok)
+	}
+}
+
+// geometries are the default hierarchy's levels, the lockstep streams'
+// subjects.
+func geometries() []Config {
+	h := DefaultHierarchyConfig()
+	return []Config{h.L1D, h.L2, h.L3, h.DTLB}
+}
+
+// TestMatchesReference drives the packed Cache and the frozen 16-byte-way
+// reference in lockstep over seeded random operation streams for each
+// default geometry, and demands identical hits, evictions, stats and
+// occupancy. The "wrap" runs start the packed cache's clock 1000 below
+// MaxUint32, so stamps are renumbered mid-stream with stale and flushed
+// lines present.
+func TestMatchesReference(t *testing.T) {
+	for _, cfg := range geometries() {
+		for _, wrap := range []bool{false, true} {
+			name := cfg.Name
+			if wrap {
+				name += "/wrap"
+			}
+			t.Run(name, func(t *testing.T) {
+				lockstep(t, cfg, wrap, 1+uint64(len(name)))
+			})
+		}
+	}
+}
+
+func lockstep(t *testing.T, cfg Config, wrap bool, seed uint64) {
+	const steps = 20000
+	c, ref := New(cfg), newRefCache(cfg)
+	if wrap {
+		c.clock, c.epoch = math.MaxUint32-1000, math.MaxUint32-1000
+	}
+	rng := rand.New(rand.NewPCG(seed, 0x5eed))
+	// Concentrate the stream on a few sets, each with a pool of 3*Ways
+	// tags, so hits, evictions and invalidations of present lines are all
+	// common. Tags span the full 32-bit range the packed layout allows.
+	sets := []uint64{0, 1, uint64(c.sets - 1), uint64(c.sets / 2)}
+	tags := make([]uint64, 3*cfg.Ways)
+	for i := range tags {
+		tags[i] = rng.Uint64N(1 << 32)
+	}
+	tags[0], tags[1] = 0, math.MaxUint32
+	addr := func() uint64 {
+		ln := tags[rng.IntN(len(tags))]<<c.setBits | sets[rng.IntN(len(sets))]
+		return ln<<cfg.LineShift | rng.Uint64N(1<<cfg.LineShift)
+	}
+	for step := 0; step < steps; step++ {
+		switch r := rng.IntN(1000); {
+		case r < 400:
+			a := addr()
+			if got, want := c.Lookup(a), ref.Lookup(a); got != want {
+				t.Fatalf("step %d: Lookup(%#x) = %v, reference %v", step, a, got, want)
+			}
+		case r < 800:
+			a := addr()
+			ln, ok := c.Insert(a)
+			wantLn, wantOK := ref.Insert(a)
+			if ok != wantOK || (ok && ln != wantLn) {
+				t.Fatalf("step %d: Insert(%#x) = %#x,%v, reference %#x,%v", step, a, ln, ok, wantLn, wantOK)
+			}
+		case r < 880:
+			ln := addr() >> cfg.LineShift
+			c.InvalidateLine(ln)
+			ref.InvalidateLine(ln)
+		case r < 990:
+			a := addr()
+			if got, want := c.Contains(a), ref.Contains(a); got != want {
+				t.Fatalf("step %d: Contains(%#x) = %v, reference %v", step, a, got, want)
+			}
+		case r < 995:
+			c.EvictLRUHalf()
+			ref.EvictLRUHalf()
+		default:
+			c.Flush()
+			ref.Flush()
+		}
+		if c.Stats != ref.Stats {
+			t.Fatalf("step %d: stats %+v, reference %+v", step, c.Stats, ref.Stats)
+		}
+		if step%500 == 0 || step == steps-1 {
+			if got, want := c.Occupancy(), ref.Occupancy(); got != want {
+				t.Fatalf("step %d: occupancy %v, reference %v", step, got, want)
+			}
+		}
+	}
+	if wrap && c.clock >= math.MaxUint32-1000 {
+		t.Fatalf("clock %d never wrapped", c.clock)
 	}
 }

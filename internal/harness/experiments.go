@@ -1,11 +1,11 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mallacc/internal/area"
 	"mallacc/internal/multicore"
@@ -40,7 +40,9 @@ type ExpOptions struct {
 	// goroutines at once and must be safe for that. Nil falls back to Run.
 	Submit func(Options) *Result
 	// SubmitCluster is Submit for multi-core runs (the scale and
-	// designspace sweeps). It is called from one goroutine at a time.
+	// designspace sweeps). Cluster cells run concurrently too, so it may be
+	// called from up to GOMAXPROCS goroutines at once, with at most one and
+	// a half times the grid's widest cell in simulated cores in flight.
 	SubmitCluster func(multicore.Config) *multicore.Result
 
 	// Progress, when set, receives one cumulative snapshot per completed
@@ -84,7 +86,7 @@ func (o ExpOptions) run(opt Options) *Result {
 // sweep.
 func (o ExpOptions) runGrid(opts []Options) []*Result {
 	out := make([]*Result, len(opts))
-	forEachCell(len(opts), runtime.GOMAXPROCS(0), func(i int) {
+	forEachCell(len(opts), runtime.GOMAXPROCS(0), nil, func(i int) {
 		if o.Submit != nil {
 			out[i] = o.Submit(opts[i])
 		} else {
@@ -98,21 +100,21 @@ func (o ExpOptions) runGrid(opts []Options) []*Result {
 }
 
 // runClusterGrid executes a batch of multi-core simulations and returns the
-// results in input order. Without an injected submitter the runs execute
-// concurrently on a bounded worker pool: each run is internally
-// deterministic regardless of host scheduling (the engine's determinism
-// matrix), so the report a sweep produces is byte-identical to the
-// sequential one. With a submitter the runs execute one after another
-// through it: a 16-core cell's footprint is large enough that the
-// simulation service runs an experiment's cluster cells in sequence,
-// consulting its run cache for each.
+// results in input order. The runs execute concurrently, directly or
+// through the submitter, under one rule: up to GOMAXPROCS cells at once,
+// widest first, with the simulated cores in flight held within one and a
+// half of the grid's widest cell (forEachCell). Host memory grows with the
+// simulated cores, so on the power-of-two sweeps a 16-core cell overlaps an
+// 8-core or narrower one but never a second 16-core cell. Each run is
+// internally deterministic regardless of host scheduling, so the report a
+// sweep produces is byte-identical to the sequential one.
 func (o ExpOptions) runClusterGrid(cfgs []multicore.Config) []*multicore.Result {
 	out := make([]*multicore.Result, len(cfgs))
-	width := runtime.GOMAXPROCS(0)
-	if o.SubmitCluster != nil {
-		width = 1
+	cores := make([]int, len(cfgs))
+	for i, cfg := range cfgs {
+		cores[i] = cfg.Cores
 	}
-	forEachCell(len(cfgs), width, func(i int) {
+	forEachCell(len(cfgs), runtime.GOMAXPROCS(0), cores, func(i int) {
 		if o.SubmitCluster != nil {
 			out[i] = o.SubmitCluster(cfgs[i])
 		} else {
@@ -128,70 +130,75 @@ func (o ExpOptions) runClusterGrid(cfgs []multicore.Config) []*multicore.Result 
 
 // forEachCell calls cell(i) for every i in [0, n) from up to width
 // goroutines, and done(i) on the caller's goroutine in increasing order of
-// i once cells 0..i have all returned. A panic in a cell stops the
-// dispatch of further cells, and once the cells in flight have returned
-// the first panic value is re-raised on the caller — so a cancellation
-// sentinel or a simulator panic unwinds exactly as it would from a
-// sequential loop instead of killing the process.
-func forEachCell(n, width int, cell func(int), done func(int)) {
-	if width > n {
-		width = n
+// i once cells 0..i have all returned.
+//
+// With cores nil the cells are dispatched in index order. Otherwise cell i
+// simulates cores[i] cores: cells are dispatched widest first, and a cell
+// is admitted only while the cores in flight plus its own stay within
+// widest + widest/2, where widest is the grid's widest cell — or when
+// nothing is in flight. The first waiting cell that fits goes next.
+//
+// A panic in a cell stops the dispatch of further cells, and once the
+// cells in flight have returned the first panic value is re-raised on the
+// caller — so a cancellation sentinel or a simulator panic unwinds exactly
+// as it would from a sequential loop instead of killing the process.
+func forEachCell(n, width int, cores []int, cell func(int), done func(int)) {
+	pending := make([]int, n) // undispatched cells, in dispatch order
+	for i := range pending {
+		pending[i] = i
 	}
-	if width <= 1 {
-		for i := 0; i < n; i++ {
-			cell(i)
-			done(i)
-		}
-		return
+	weight := func(int) int { return 0 }
+	budget := 0
+	if cores != nil && n > 0 {
+		slices.SortStableFunc(pending, func(a, b int) int { return cmp.Compare(cores[b], cores[a]) })
+		widest := cores[pending[0]]
+		budget = widest + widest/2
+		weight = func(i int) int { return cores[i] }
 	}
+	width = max(width, 1)
+
 	type outcome struct {
 		i        int
 		panicked bool
 		val      any
 	}
-	var (
-		next    atomic.Int64 // next cell to dispatch
-		stopped atomic.Bool  // a cell panicked: dispatch no more
-		wg      sync.WaitGroup
-		results = make(chan outcome)
-	)
-	run := func(i int) (o outcome) {
-		o.i, o.panicked = i, true
+	results := make(chan outcome)
+	run := func(i int) {
+		o := outcome{i: i, panicked: true}
 		defer func() {
 			if o.panicked {
 				o.val = recover()
 			}
+			results <- o
 		}()
 		cell(i)
 		o.panicked = false
-		return o
 	}
-	for w := 0; w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stopped.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				o := run(i)
-				if o.panicked {
-					stopped.Store(true)
-				}
-				results <- o
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
 	finished := make([]bool, n)
-	prefix := 0 // cells 0..prefix-1 have had done called
+	prefix := 0           // cells 0..prefix-1 have had done called
+	running, load := 0, 0 // cells and cores in flight
 	var failure *outcome
-	for o := range results {
+	for {
+		for failure == nil && running < width {
+			k := slices.IndexFunc(pending, func(i int) bool {
+				return running == 0 || load+weight(i) <= budget
+			})
+			if k < 0 {
+				break
+			}
+			i := pending[k]
+			pending = slices.Delete(pending, k, k+1)
+			running++
+			load += weight(i)
+			go run(i)
+		}
+		if running == 0 {
+			break
+		}
+		o := <-results
+		running--
+		load -= weight(o.i)
 		if o.panicked {
 			if failure == nil {
 				failure = &o

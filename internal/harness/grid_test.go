@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mallacc/internal/multicore"
 	"mallacc/internal/progress"
 )
 
@@ -70,6 +71,102 @@ func TestGridFanOutByteIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterGridFanOut runs the cluster-grid experiments through an
+// injected concurrent SubmitCluster at GOMAXPROCS 1 and 4. Reports and
+// progress streams must be identical; the 4-wide run must actually overlap
+// cells yet never hold more than widest + widest/2 simulated cores in
+// flight.
+func TestClusterGridFanOut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the cluster-grid experiments twice")
+	}
+	const widest = 8
+	for _, id := range []string{"scale", "designspace"} {
+		exp, _ := ByID(id)
+		type run struct {
+			report           []byte
+			progress         []progress.Snapshot
+			peakCells, peakC int32
+		}
+		render := func(procs int) run {
+			var r run
+			var cells, cores, peakCells, peakCores atomic.Int32
+			rec := &recordSnapshots{}
+			withGOMAXPROCS(procs, func() {
+				rep := exp.Run(ExpOptions{Calls: 800, Seed: 1, Metrics: true, Cores: widest, Progress: rec,
+					SubmitCluster: func(cfg multicore.Config) *multicore.Result {
+						raise(&peakCells, cells.Add(1))
+						raise(&peakCores, cores.Add(int32(cfg.Cores)))
+						defer cells.Add(-1)
+						defer cores.Add(-int32(cfg.Cores))
+						return multicore.Run(cfg)
+					}})
+				var err error
+				if r.report, err = rep.JSON(); err != nil {
+					t.Fatalf("%s: render: %v", id, err)
+				}
+			})
+			r.progress = rec.got
+			r.peakCells, r.peakC = peakCells.Load(), peakCores.Load()
+			return r
+		}
+		seq, par := render(1), render(4)
+		if !bytes.Equal(seq.report, par.report) {
+			t.Errorf("%s: report differs between GOMAXPROCS 1 and 4", id)
+		}
+		if len(seq.progress) == 0 || !reflect.DeepEqual(seq.progress, par.progress) {
+			t.Errorf("%s: progress streams differ between GOMAXPROCS 1 and 4 (%d vs %d snapshots)", id, len(seq.progress), len(par.progress))
+		}
+		if seq.peakCells != 1 {
+			t.Errorf("%s: %d cells in flight at GOMAXPROCS 1, want 1", id, seq.peakCells)
+		}
+		if par.peakCells < 2 {
+			t.Errorf("%s: the 4-wide run never overlapped cells", id)
+		}
+		if par.peakC > widest+widest/2 {
+			t.Errorf("%s: %d simulated cores in flight, budget %d", id, par.peakC, widest+widest/2)
+		}
+	}
+}
+
+// raise lifts *max to at least v.
+func raise(max *atomic.Int32, v int32) {
+	for m := max.Load(); v > m && !max.CompareAndSwap(m, v); m = max.Load() {
+	}
+}
+
+// TestForEachCellBudget checks the admission rule on a synthetic grid:
+// one at a time the cells start widest first; four wide they overlap, but
+// the cores in flight never exceed widest + widest/2.
+func TestForEachCellBudget(t *testing.T) {
+	cores := []int{1, 16, 2, 8, 16, 4, 8, 1, 16}
+	for _, width := range []int{1, 4} {
+		var mu sync.Mutex
+		var load, peak int
+		var started, order []int
+		forEachCell(len(cores), width, cores, func(i int) {
+			mu.Lock()
+			started = append(started, cores[i])
+			load += cores[i]
+			peak = max(peak, load)
+			mu.Unlock()
+			time.Sleep(2 * time.Millisecond)
+			mu.Lock()
+			load -= cores[i]
+			mu.Unlock()
+		}, func(i int) { order = append(order, i) })
+		if width == 1 && !reflect.DeepEqual(started, []int{16, 16, 16, 8, 8, 4, 2, 1, 1}) {
+			t.Fatalf("width 1 started cells of %v cores, want widest first", started)
+		}
+		if width == 4 && (peak <= 16 || peak > 24) {
+			t.Fatalf("width 4 peaked at %d cores in flight, want overlap within the budget of 24", peak)
+		}
+		if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}) {
+			t.Fatalf("width %d done order %v, want grid order", width, order)
+		}
+	}
+}
+
 // TestGridProgressCumulative checks the experiment progress contract: one
 // snapshot per cell, numbered from 0, with cumulative counters.
 func TestGridProgressCumulative(t *testing.T) {
@@ -113,7 +210,7 @@ func TestForEachCellOrder(t *testing.T) {
 	const n = 12
 	var order []int
 	var inDone atomic.Int32
-	forEachCell(n, 4, func(i int) {
+	forEachCell(n, 4, nil, func(i int) {
 		time.Sleep(time.Duration(n-i) * time.Millisecond)
 	}, func(i int) {
 		if inDone.Add(1) != 1 {
@@ -144,7 +241,7 @@ func TestForEachCellPanic(t *testing.T) {
 	var running atomic.Int32
 	got := func() (r any) {
 		defer func() { r = recover() }()
-		forEachCell(n, 4, func(i int) {
+		forEachCell(n, 4, nil, func(i int) {
 			running.Add(1)
 			defer running.Add(-1)
 			mu.Lock()

@@ -101,9 +101,11 @@ type Service struct {
 	runFlights     map[string]*flight[*harness.Result]
 	clusterFlights map[string]*flight[*multicore.Result]
 
-	// simulate executes one single-core run (harness.Run; tests wrap it
-	// to observe concurrency).
-	simulate func(harness.Options) *harness.Result
+	// simulate executes one single-core run (harness.Run) and
+	// simulateCluster one multi-core run (multicore.Run); tests wrap them
+	// to observe concurrency.
+	simulate        func(harness.Options) *harness.Result
+	simulateCluster func(multicore.Config) *multicore.Result
 
 	runHits, runMisses atomic.Uint64
 }
@@ -127,18 +129,19 @@ func New(cfg Config) (*Service, error) {
 		cfg.SSEHeartbeat = DefaultSSEHeartbeat
 	}
 	s := &Service{
-		reg:            reg,
-		cache:          cache,
-		breaker:        NewBreaker(cfg.Breaker),
-		traces:         traces,
-		progressEvery:  cfg.ProgressEvery,
-		sseHeartbeat:   cfg.SSEHeartbeat,
-		peerFill:       cfg.PeerFill,
-		runResults:     map[string]*harness.Result{},
-		clusterResults: map[string]*multicore.Result{},
-		runFlights:     map[string]*flight[*harness.Result]{},
-		clusterFlights: map[string]*flight[*multicore.Result]{},
-		simulate:       harness.Run,
+		reg:             reg,
+		cache:           cache,
+		breaker:         NewBreaker(cfg.Breaker),
+		traces:          traces,
+		progressEvery:   cfg.ProgressEvery,
+		sseHeartbeat:    cfg.SSEHeartbeat,
+		peerFill:        cfg.PeerFill,
+		runResults:      map[string]*harness.Result{},
+		clusterResults:  map[string]*multicore.Result{},
+		runFlights:      map[string]*flight[*harness.Result]{},
+		clusterFlights:  map[string]*flight[*multicore.Result]{},
+		simulate:        harness.Run,
+		simulateCluster: multicore.Run,
 	}
 	s.sched = NewScheduler(SchedulerConfig{
 		Workers:        cfg.Workers,
@@ -285,7 +288,7 @@ func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.R
 		cfg := spec.clusterConfig(w)
 		cfg.Progress = prog
 		cfg.ProgressEvery = s.progressEvery
-		return harness.ReportForCluster(s.cachedCluster(cfg), spec.Metrics), nil
+		return harness.ReportForCluster(s.cachedCluster(cfg, nil), spec.Metrics), nil
 	case KindExperiment:
 		exp, ok := harness.ByID(spec.Experiment)
 		if !ok {
@@ -294,8 +297,9 @@ func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.R
 		// The hooks below abort at the next run boundary once the job's
 		// context dies: experiments are long chains of runs, and the
 		// sentinel panic reaches the worker's isolation goroutine through
-		// the experiment's grid. Concurrent single-core cells run on the
-		// job's own worker or on idle workers it borrows (cellSlots).
+		// the experiment's grid. Concurrent cells, single- and multi-core,
+		// run on the job's own worker or on idle workers it borrows
+		// (cellSlots).
 		cells := s.sched.cellSlots(ctx)
 		return exp.Run(harness.ExpOptions{
 			Calls:    spec.Calls,
@@ -310,7 +314,7 @@ func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.R
 			},
 			SubmitCluster: func(cfg multicore.Config) *multicore.Result {
 				abortIfDone(ctx)
-				return s.cachedCluster(cfg)
+				return s.cachedCluster(cfg, cells)
 			},
 		}), nil
 	default:
@@ -343,15 +347,20 @@ func (s *Service) cachedRun(opt harness.Options, cells *cellSlots) *harness.Resu
 	return memoize(s, s.runResults, s.runFlights, key, sim)
 }
 
-// cachedCluster memoizes multi-core runs by full config fingerprint.
-func (s *Service) cachedCluster(cfg multicore.Config) *multicore.Result {
+// cachedCluster memoizes multi-core runs by full config fingerprint. cells
+// gates the simulation exactly as in cachedRun.
+func (s *Service) cachedCluster(cfg multicore.Config, cells *cellSlots) *multicore.Result {
+	sim := func() *multicore.Result {
+		if cells != nil {
+			defer cells.acquire()()
+		}
+		return s.simulateCluster(cfg)
+	}
 	key, ok := clusterKeyOf(cfg)
 	if !ok {
-		return multicore.Run(cfg)
+		return sim()
 	}
-	return memoize(s, s.clusterResults, s.clusterFlights, key, func() *multicore.Result {
-		return multicore.Run(cfg)
-	})
+	return memoize(s, s.clusterResults, s.clusterFlights, key, sim)
 }
 
 // flight is one simulation in progress under a run-level cache key.

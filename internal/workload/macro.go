@@ -40,7 +40,8 @@ type MacroConfig struct {
 	// Sized marks frees as sized deletes (-fsized-deallocation).
 	Sized bool
 	// Application model: uniform cycles of work between allocator calls,
-	// touching WorkLines random lines of a FootprintBytes working set.
+	// touching WorkLines random lines of a FootprintBytes working set
+	// (at most MaxFootprint).
 	WorkCyclesMin, WorkCyclesMax uint64
 	WorkLines                    int
 	FootprintBytes               uint64

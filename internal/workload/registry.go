@@ -1,6 +1,9 @@
 package workload
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Footprinter is implemented by workloads that model an application
 // working set; the driver sizes its between-calls cache touches from it.
@@ -10,15 +13,20 @@ type Footprinter interface {
 
 // FootprintOf returns a workload's application working-set size (0 when it
 // does not model one). Recorded traces carry their source workload's
-// footprint.
+// footprint. A footprint above MaxFootprint panics here, before any run
+// starts: ReadTrace rejects one from input, so only a workload built in
+// code can carry it.
 func FootprintOf(w Workload) uint64 {
+	var fp uint64
 	if t, ok := w.(*Trace); ok {
-		return t.Footprint
+		fp = t.Footprint
+	} else if f, ok := w.(Footprinter); ok {
+		fp = f.Footprint()
 	}
-	if f, ok := w.(Footprinter); ok {
-		return f.Footprint()
+	if fp > MaxFootprint {
+		panic(fmt.Sprintf("workload: %s footprint %d exceeds MaxFootprint (2^43)", w.Name(), fp))
 	}
-	return 0
+	return fp
 }
 
 // Micro returns the six paper microbenchmarks in the order of Figure 4.

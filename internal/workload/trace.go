@@ -44,6 +44,11 @@ type Event struct {
 	Lines int
 }
 
+// MaxFootprint bounds a parsed trace's application working set. Footprint
+// touches are simulated at 2^40 and up, so 8 TiB keeps every touch below
+// 2^44, the highest address whose line tag the cache models hold.
+const MaxFootprint = 1 << 43
+
 // Trace is a recorded event sequence; it implements Workload, so a trace
 // replays anywhere a generator runs.
 type Trace struct {
@@ -204,6 +209,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		case 't':
 			if _, err := fmt.Sscanf(text, "trace %s %d", &t.TName, &t.Footprint); err != nil {
 				return nil, fmt.Errorf("workload: bad trace header line %d: %q", line, text)
+			}
+			if t.Footprint > MaxFootprint {
+				return nil, fmt.Errorf("workload: trace footprint %d at line %d exceeds the %d-byte (2^43) limit", t.Footprint, line, uint64(MaxFootprint))
 			}
 		case 'm':
 			var size uint64

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -81,6 +82,28 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 			t.Errorf("ReadTrace(%q) accepted garbage", c)
 		}
 	}
+}
+
+// TestReadTraceBoundsFootprint: a footprint of exactly MaxFootprint parses,
+// one byte more is rejected with an error naming the limit, so no parsed
+// trace can place footprint touches beyond the cache models' tag range;
+// a workload built in code with a larger footprint panics in FootprintOf
+// before any run starts.
+func TestReadTraceBoundsFootprint(t *testing.T) {
+	tr, err := ReadTrace(strings.NewReader(fmt.Sprintf("trace t %d\nm 64\n", uint64(MaxFootprint))))
+	if err != nil || tr.Footprint != MaxFootprint {
+		t.Fatalf("footprint at the limit: %v, %v", tr, err)
+	}
+	_, err = ReadTrace(strings.NewReader(fmt.Sprintf("trace t %d\nm 64\n", uint64(MaxFootprint)+1)))
+	if err == nil || !strings.Contains(err.Error(), "2^43") {
+		t.Fatalf("footprint over the limit: error %v, want one naming the 2^43 limit", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FootprintOf accepted a footprint above MaxFootprint")
+		}
+	}()
+	FootprintOf(&Trace{TName: "big", Footprint: MaxFootprint + 1})
 }
 
 func TestReplayPanicsOnDoubleFree(t *testing.T) {

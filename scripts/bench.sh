@@ -11,8 +11,10 @@
 #     frozen pre-rewrite reference, and
 #   - gates on the core per-cycle microbenchmark (>=2x vs the reference and
 #     zero allocations per scheduled call) and on the multicore engine's
-#     allocations per fresh-built run (engine_gate: allocs/op may not exceed
-#     the recorded counts) (BENCH_NO_GATE=1 skips both).
+#     allocations per fresh-built run (engine_gate: allocs/op and bytes/op
+#     may not exceed the recorded ceilings) (BENCH_NO_GATE=1 skips both).
+#   - records the host's core count (nproc) and the GOMAXPROCS the
+#     benchmarks ran at.
 #
 # Smoke mode (--smoke, used by CI): one iteration of every benchmark, no
 # file writes, no gating — it only proves the benchmarks still compile and
@@ -60,6 +62,7 @@ echo "fig13 wall time: ${FIG13_SECS}s"
 
 awk -v out="$OUT" -v count="$COUNT" -v fig13="$FIG13_SECS" \
     -v gover="$(go version | awk '{print $3}')" \
+    -v nproc="$(nproc)" -v procs="${GOMAXPROCS:-$(nproc)}" \
     -v nogate="${BENCH_NO_GATE:-0}" '
 # The frozen reference: the same benchmark bodies run against the tree
 # before the zero-allocation scheduler rewrite (map-based reservation
@@ -90,6 +93,12 @@ BEGIN {
     max_allocs["BenchmarkEngine4CoreBaseline"] = 1310
     max_allocs["BenchmarkEngine4CoreMallacc"]  = 1491
     max_allocs["BenchmarkEngineRelay16Core"]   = 4384
+    # bytes/op ceilings for the same runs: the worst of 10 runs at
+    # GOMAXPROCS 2 after cache ways were packed into 8 bytes, plus 2%, so
+    # the halved cache footprint cannot silently come back.
+    max_bytes["BenchmarkEngine4CoreBaseline"] = 7980882
+    max_bytes["BenchmarkEngine4CoreMallacc"]  = 8047465
+    max_bytes["BenchmarkEngineRelay16Core"]   = 30569055
     fig13_before = 18.5
 }
 /^Benchmark/ {
@@ -108,8 +117,10 @@ END {
     printf "  \"schema\": \"mallacc-bench-baseline/v1\",\n" >> out
     printf "  \"generated_by\": \"scripts/bench.sh\",\n" >> out
     printf "  \"go_version\": \"%s\",\n", gover >> out
+    printf "  \"nproc\": %d,\n", nproc >> out
+    printf "  \"gomaxprocs\": %d,\n", procs >> out
     printf "  \"count\": %d,\n", count >> out
-    printf "  \"note\": \"before = pre-rewrite tree (cycle-keyed map scheduler, map branch predictor, unpooled uop emitters); after = this tree. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so sub-2x ratios on benchmarks whose code did not change (cachesim, trace generation, simsvc) are host noise, not signal; the gate benchmark exercises exactly the rewritten scheduler. engine_gate bounds allocs/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded counts and times nothing.\",\n" >> out
+    printf "  \"note\": \"before = pre-rewrite tree (cycle-keyed map scheduler, map branch predictor, unpooled uop emitters); after = this tree. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so sub-2x ratios on benchmarks whose code did not change (cachesim, trace generation, simsvc) are host noise, not signal; the gate benchmark exercises exactly the rewritten scheduler. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
     printf "  \"benchmarks\": {\n" >> out
     for (i = 1; i <= n; i++) {
         name = order[i]
@@ -131,17 +142,18 @@ END {
         core, sp, apo[core] + 0, pass >> out
 
     # Engine-lifecycle gate: a fresh-built engine run must not allocate
-    # more than its recorded ceiling.
+    # more objects or bytes than its recorded ceilings.
     eng_pass = "true"
     printf "  ,\"engine_gate\": {\"benchmarks\": {" >> out
     efirst = 1
     for (name in max_allocs) {
-        eok = (name in apo && apo[name] + 0 <= max_allocs[name]) ? "true" : "false"
+        eok = (name in apo && apo[name] + 0 <= max_allocs[name] && bpo[name] + 0 <= max_bytes[name]) ? "true" : "false"
         if (eok != "true") eng_pass = "false"
-        printf "%s\"%s\": {\"allocs_per_op\": %d, \"max_allocs_per_op\": %d, \"pass\": %s}", \
-            (efirst ? "" : ", "), name, apo[name] + 0, max_allocs[name], eok >> out
+        printf "%s\"%s\": {\"allocs_per_op\": %d, \"max_allocs_per_op\": %d, \"bytes_per_op\": %d, \"max_bytes_per_op\": %d, \"pass\": %s}", \
+            (efirst ? "" : ", "), name, apo[name] + 0, max_allocs[name], bpo[name] + 0, max_bytes[name], eok >> out
         efirst = 0
-        printf "engine gate: %s %d allocs/op (cap %d): %s\n", name, apo[name] + 0, max_allocs[name], eok
+        printf "engine gate: %s %d allocs/op (cap %d), %d B/op (cap %d): %s\n", \
+            name, apo[name] + 0, max_allocs[name], bpo[name] + 0, max_bytes[name], eok
     }
     printf "}, \"pass\": %s}\n", eng_pass >> out
 
