@@ -1,11 +1,11 @@
 package cachesim
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 func smallCache() *Cache {
@@ -75,16 +75,6 @@ func TestEvictLRUHalf(t *testing.T) {
 	}
 	if occ := c.Occupancy(); occ != 0.5 {
 		t.Errorf("occupancy = %v", occ)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := smallCache()
-	c.Insert(0)
-	c.Insert(64)
-	c.Flush()
-	if c.Occupancy() != 0 {
-		t.Fatal("flush left valid lines")
 	}
 }
 
@@ -169,15 +159,6 @@ func TestInclusiveBackInvalidate(t *testing.T) {
 	}
 }
 
-func TestFlushAll(t *testing.T) {
-	h := NewDefaultHierarchy()
-	h.Load(0x123400)
-	h.FlushAll()
-	if lat := h.Load(0x123400); lat != 230 {
-		t.Fatalf("post-flush latency %d, want 230", lat)
-	}
-}
-
 func TestBadGeometryPanics(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "odd", SizeBytes: 1000, Ways: 3, LineShift: 6, Latency: 1},
@@ -208,9 +189,19 @@ func TestStatsMissRate(t *testing.T) {
 	}
 }
 
-func TestWayIsEightBytes(t *testing.T) {
-	if got := unsafe.Sizeof(way{}); got != 8 {
-		t.Fatalf("sizeof(way) = %d, want 8", got)
+var cacheSink *Cache
+
+// TestMetadataIsOneAllocation: a cache's tags and per-set counts share one
+// allocation, because a multicore engine builds four caches per simulated
+// core and engine_gate caps its allocations; an 8 MiB, 16-way L3 holds
+// 544 KiB of metadata.
+func TestMetadataIsOneAllocation(t *testing.T) {
+	cfg := DefaultHierarchyConfig().L3
+	if got := testing.AllocsPerRun(10, func() { cacheSink = New(cfg) }); got != 2 {
+		t.Fatalf("New allocates %v times, want 2 (the Cache and its metadata)", got)
+	}
+	if got := 4 * (len(cacheSink.tags) + len(cacheSink.n)); got != 544<<10 {
+		t.Fatalf("L3 metadata is %d bytes, want %d", got, 544<<10)
 	}
 }
 
@@ -227,23 +218,6 @@ func TestTagBeyond32BitsPanics(t *testing.T) {
 	c.Lookup(1 << 44)
 }
 
-// TestRenumberKeepsLRUOrder wraps the clock of a one-set cache and checks
-// that the LRU line is still the one evicted afterwards.
-func TestRenumberKeepsLRUOrder(t *testing.T) {
-	c := New(Config{Name: "t", SizeBytes: 64 * 4, Ways: 4, LineShift: 6, Latency: 1})
-	c.clock, c.epoch = math.MaxUint32-4, math.MaxUint32-4
-	for i := uint64(0); i < 4; i++ {
-		c.Insert(i << 6)
-	}
-	c.Lookup(0) // wraps the clock: line 0 becomes MRU, line 1 is LRU
-	if c.clock != 5 || c.epoch != 0 {
-		t.Fatalf("clock %d epoch %d after the wrap, want 5 and 0", c.clock, c.epoch)
-	}
-	if ln, ok := c.Insert(4 << 6); !ok || ln != 1 {
-		t.Fatalf("evicted line %d (%v), want the LRU line 1", ln, ok)
-	}
-}
-
 // geometries are the default hierarchy's levels, the lockstep streams'
 // subjects.
 func geometries() []Config {
@@ -251,36 +225,25 @@ func geometries() []Config {
 	return []Config{h.L1D, h.L2, h.L3, h.DTLB}
 }
 
-// TestMatchesReference drives the packed Cache and the frozen 16-byte-way
-// reference in lockstep over seeded random operation streams for each
-// default geometry, and demands identical hits, evictions, stats and
-// occupancy. The "wrap" runs start the packed cache's clock 1000 below
-// MaxUint32, so stamps are renumbered mid-stream with stale and flushed
-// lines present.
+// TestMatchesReference drives the recency-ordered Cache and the frozen
+// stamped reference in lockstep over seeded random operation streams for
+// each default geometry, and demands identical hits, evictions, stats and
+// occupancy.
 func TestMatchesReference(t *testing.T) {
 	for _, cfg := range geometries() {
-		for _, wrap := range []bool{false, true} {
-			name := cfg.Name
-			if wrap {
-				name += "/wrap"
-			}
-			t.Run(name, func(t *testing.T) {
-				lockstep(t, cfg, wrap, 1+uint64(len(name)))
-			})
-		}
+		t.Run(cfg.Name, func(t *testing.T) {
+			lockstep(t, cfg, 1+uint64(len(cfg.Name)))
+		})
 	}
 }
 
-func lockstep(t *testing.T, cfg Config, wrap bool, seed uint64) {
+func lockstep(t *testing.T, cfg Config, seed uint64) {
 	const steps = 20000
 	c, ref := New(cfg), newRefCache(cfg)
-	if wrap {
-		c.clock, c.epoch = math.MaxUint32-1000, math.MaxUint32-1000
-	}
 	rng := rand.New(rand.NewPCG(seed, 0x5eed))
 	// Concentrate the stream on a few sets, each with a pool of 3*Ways
 	// tags, so hits, evictions and invalidations of present lines are all
-	// common. Tags span the full 32-bit range the packed layout allows.
+	// common. Tags span the full 32-bit range the layout allows.
 	sets := []uint64{0, 1, uint64(c.sets - 1), uint64(c.sets / 2)}
 	tags := make([]uint64, 3*cfg.Ways)
 	for i := range tags {
@@ -314,12 +277,9 @@ func lockstep(t *testing.T, cfg Config, wrap bool, seed uint64) {
 			if got, want := c.Contains(a), ref.Contains(a); got != want {
 				t.Fatalf("step %d: Contains(%#x) = %v, reference %v", step, a, got, want)
 			}
-		case r < 995:
+		default:
 			c.EvictLRUHalf()
 			ref.EvictLRUHalf()
-		default:
-			c.Flush()
-			ref.Flush()
 		}
 		if c.Stats != ref.Stats {
 			t.Fatalf("step %d: stats %+v, reference %+v", step, c.Stats, ref.Stats)
@@ -330,7 +290,74 @@ func lockstep(t *testing.T, cfg Config, wrap bool, seed uint64) {
 			}
 		}
 	}
-	if wrap && c.clock >= math.MaxUint32-1000 {
-		t.Fatalf("clock %d never wrapped", c.clock)
+}
+
+// TestHierarchyMatchesReference drives Hierarchy.Load and the frozen
+// Lookup/Insert cascade in lockstep over seeded streams and demands
+// identical latencies, per-level stats and occupancy. The stream mixes
+// repeats of the previous line (the most-recent-line shortcut), hot lines,
+// which sit in L1D while aging out of L3, lines that conflict with them in
+// every level's set, random lines over a 16 MiB footprint (twice the L3)
+// and Antagonize, so L3 victims are often still held by L1D and L2 when
+// they are back-invalidated.
+func TestHierarchyMatchesReference(t *testing.T) {
+	steps := 400_000
+	if testing.Short() {
+		steps = 50_000
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			hierarchyLockstep(t, seed, steps)
+		})
+	}
+}
+
+func hierarchyLockstep(t *testing.T, seed uint64, steps int) {
+	cfg := DefaultHierarchyConfig()
+	h, ref := NewHierarchy(cfg), newRefHierarchy(cfg)
+	rng := rand.New(rand.NewPCG(seed, 0x41e7))
+	const (
+		base      = uint64(1) << 40 // where driver.Work's footprint starts
+		footLines = 16 << 20 >> 6
+		l3Stride  = uint64(8<<20) / 16 // one L3 way: same set at every level
+	)
+	hot := make([]uint64, 64)
+	for i := range hot {
+		hot[i] = base + rng.Uint64N(footLines)<<6
+	}
+	levels := func(h *Hierarchy) [4]*Cache { return [4]*Cache{h.L1D, h.L2, h.L3, h.DTLB} }
+	refLevels := func(h *refHierarchy) [4]*refCache { return [4]*refCache{h.L1D, h.L2, h.L3, h.DTLB} }
+	var a uint64
+	for step := 0; step < steps; step++ {
+		switch r := rng.IntN(1000); {
+		case r < 100:
+			a = a&^63 + rng.Uint64N(64) // the previous line again
+		case r < 400:
+			a = hot[rng.IntN(len(hot))] + rng.Uint64N(64)
+		case r < 500:
+			a = hot[rng.IntN(len(hot))] + (1+rng.Uint64N(24))*l3Stride
+		case r < 999:
+			a = base + rng.Uint64N(footLines)<<6 + rng.Uint64N(64)
+		default:
+			h.Antagonize()
+			ref.Antagonize()
+			continue
+		}
+		if got, want := h.Load(a), ref.Load(a); got != want {
+			t.Fatalf("step %d: Load(%#x) = %d cycles, reference %d", step, a, got, want)
+		}
+		got, want := levels(h), refLevels(ref)
+		for i := range got {
+			if got[i].Stats != want[i].Stats {
+				t.Fatalf("step %d: %s stats %+v, reference %+v", step, got[i].cfg.Name, got[i].Stats, want[i].Stats)
+			}
+			// L1D is small enough to compare on every step; a wrongly ordered
+			// back-invalidation shows there first, as a set one line fuller.
+			if i == 0 || step%20000 == 0 || step == steps-1 {
+				if g, w := got[i].Occupancy(), want[i].Occupancy(); g != w {
+					t.Fatalf("step %d: %s occupancy %v, reference %v", step, got[i].cfg.Name, g, w)
+				}
+			}
+		}
 	}
 }

@@ -54,24 +54,39 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 func NewDefaultHierarchy() *Hierarchy { return NewHierarchy(DefaultHierarchyConfig()) }
 
 // Load accesses addr and returns the latency in cycles, updating all cache
-// state (fills on miss, inclusive).
+// state. Each level is probed and, on a miss, filled in one scan before
+// the next level is tried; after an L3 fill, the L3 victim is
+// back-invalidated in L2 and L1D (the hierarchy is inclusive).
 func (h *Hierarchy) Load(addr uint64) uint64 {
-	lat := h.tlb(addr)
-	switch {
-	case h.L1D.Lookup(addr):
-		lat += h.L1D.Latency()
-	case h.L2.Lookup(addr):
-		lat += h.L2.Latency()
-		h.fill1(addr)
-	case h.L3.Lookup(addr):
-		lat += h.L3.Latency()
-		h.fill1(addr)
-		h.L2.Insert(addr)
-	default:
-		lat += h.cfg.MemLatency
-		h.fillAll(addr)
+	// Most loads (two thirds in fig13) touch the most recent line of their
+	// L1D set on the most recent page of their dTLB set, where both
+	// accesses would only count a hit.
+	if h.L1D.mru(addr) && h.DTLB.mru(addr) {
+		h.DTLB.Stats.Hits++
+		h.L1D.Stats.Hits++
+		return h.L1D.cfg.Latency
 	}
-	return lat
+	var lat uint64
+	if hit, _, _ := h.DTLB.access(addr); !hit {
+		lat = h.cfg.TLBWalkLatency
+	}
+	if hit, _, _ := h.L1D.access(addr); hit {
+		return lat + h.L1D.cfg.Latency
+	}
+	if hit, _, _ := h.L2.access(addr); hit {
+		return lat + h.L2.cfg.Latency
+	}
+	hit, evicted, wasEvicted := h.L3.access(addr)
+	if hit {
+		return lat + h.L3.cfg.Latency
+	}
+	if wasEvicted {
+		// Line numbers differ per level only if line sizes differ; all
+		// levels use 64-byte lines here.
+		h.L2.InvalidateLine(evicted)
+		h.L1D.InvalidateLine(evicted)
+	}
+	return lat + h.cfg.MemLatency
 }
 
 // Store performs a write-allocate access; the returned latency is the time
@@ -85,31 +100,6 @@ func (h *Hierarchy) Prefetch(addr uint64) uint64 { return h.Load(addr) }
 // Touch simulates an application access for cache-pressure purposes without
 // caring about latency.
 func (h *Hierarchy) Touch(addr uint64) { h.Load(addr) }
-
-// tlb returns the translation penalty for addr (0 on a dTLB hit).
-func (h *Hierarchy) tlb(addr uint64) uint64 {
-	if h.DTLB.Lookup(addr) {
-		return 0
-	}
-	h.DTLB.Insert(addr)
-	return h.cfg.TLBWalkLatency
-}
-
-func (h *Hierarchy) fill1(addr uint64) {
-	h.L1D.Insert(addr)
-}
-
-func (h *Hierarchy) fillAll(addr uint64) {
-	h.L1D.Insert(addr)
-	h.L2.Insert(addr)
-	if evicted, ok := h.L3.Insert(addr); ok {
-		// Inclusive L3: back-invalidate inner copies of the victim.
-		// Line numbers differ per level only if line sizes differ; all
-		// levels use 64-byte lines here.
-		h.L2.InvalidateLine(evicted)
-		h.L1D.InvalidateLine(evicted)
-	}
-}
 
 // RegisterMetrics adds every level's hit/miss counters and miss-rate gauge
 // to reg, prefixed by the lowercased level name ("l1d.hits", "dtlb.miss_rate").
@@ -128,12 +118,4 @@ func (h *Hierarchy) RegisterMetrics(reg *telemetry.Registry) {
 func (h *Hierarchy) Antagonize() {
 	h.L1D.EvictLRUHalf()
 	h.L2.EvictLRUHalf()
-}
-
-// FlushAll invalidates every level including the TLB (context switch).
-func (h *Hierarchy) FlushAll() {
-	h.L1D.Flush()
-	h.L2.Flush()
-	h.L3.Flush()
-	h.DTLB.Flush()
 }

@@ -1,12 +1,22 @@
 package cachesim
 
-// This file keeps a frozen copy of the cache as it was before ways were
-// packed into 8 bytes — a full 64-bit line number as the tag and a 64-bit
-// LRU clock that never wraps — as an executable reference model. The
-// lockstep test in cachesim_test.go drives it and the production Cache with
-// identical operation streams and demands identical answers, which is what
-// licenses the packed layout (implied set bits, 32-bit stamps renumbered on
-// wrap) to claim byte-identical pinned metrics.
+// This file keeps frozen copies of the cache and the hierarchy as they were
+// before each set was kept in recency order, as executable reference
+// models:
+//
+//   - refCache keeps 16-byte ways with a full 64-bit line number as the tag
+//     and a 64-bit LRU stamp from a clock that never wraps; the victim is an
+//     invalid way if one exists, else the set's minimum stamp.
+//   - refHierarchy's Load probes each level with Lookup and fills the
+//     missed levels afterwards with separate Insert calls, back-invalidating
+//     the L3 victim in L2 and L1D last.
+//
+// The lockstep tests in cachesim_test.go drive them and the production
+// Cache and Hierarchy with identical operation streams and demand identical
+// answers, which is what licenses the recency-ordered sets and the one-scan
+// cascade to claim byte-identical pinned metrics. The reference's Flush
+// went with the production one (no simulation path flushed the data
+// caches), so its epoch watermark now stays 0.
 //
 // Do not "optimize" this file: its value is that it is structurally the old
 // implementation.
@@ -172,12 +182,6 @@ func (c *refCache) EvictLRUHalf() {
 	}
 }
 
-// Flush invalidates the whole cache in O(1): the epoch watermark rises to
-// the current clock, invalidating every line at once. Statistics survive.
-func (c *refCache) Flush() {
-	c.epoch = c.clock
-}
-
 // Occupancy returns the fraction of valid lines, for tests and reports.
 func (c *refCache) Occupancy() float64 {
 	n := 0
@@ -187,4 +191,74 @@ func (c *refCache) Occupancy() float64 {
 		}
 	}
 	return float64(n) / float64(len(c.ways))
+}
+
+// refHierarchy is the inclusive hierarchy over refCaches.
+type refHierarchy struct {
+	L1D, L2, L3 *refCache
+	DTLB        *refCache
+	cfg         HierarchyConfig
+}
+
+func newRefHierarchy(cfg HierarchyConfig) *refHierarchy {
+	return &refHierarchy{
+		L1D:  newRefCache(cfg.L1D),
+		L2:   newRefCache(cfg.L2),
+		L3:   newRefCache(cfg.L3),
+		DTLB: newRefCache(cfg.DTLB),
+		cfg:  cfg,
+	}
+}
+
+// Load accesses addr and returns the latency in cycles, updating all cache
+// state (fills on miss, inclusive).
+func (h *refHierarchy) Load(addr uint64) uint64 {
+	lat := h.tlb(addr)
+	switch {
+	case h.L1D.Lookup(addr):
+		lat += h.L1D.cfg.Latency
+	case h.L2.Lookup(addr):
+		lat += h.L2.cfg.Latency
+		h.fill1(addr)
+	case h.L3.Lookup(addr):
+		lat += h.L3.cfg.Latency
+		h.fill1(addr)
+		h.L2.Insert(addr)
+	default:
+		lat += h.cfg.MemLatency
+		h.fillAll(addr)
+	}
+	return lat
+}
+
+// tlb returns the translation penalty for addr (0 on a dTLB hit).
+func (h *refHierarchy) tlb(addr uint64) uint64 {
+	if h.DTLB.Lookup(addr) {
+		return 0
+	}
+	h.DTLB.Insert(addr)
+	return h.cfg.TLBWalkLatency
+}
+
+func (h *refHierarchy) fill1(addr uint64) {
+	h.L1D.Insert(addr)
+}
+
+func (h *refHierarchy) fillAll(addr uint64) {
+	h.L1D.Insert(addr)
+	h.L2.Insert(addr)
+	if evicted, ok := h.L3.Insert(addr); ok {
+		// Inclusive L3: back-invalidate inner copies of the victim.
+		// Line numbers differ per level only if line sizes differ; all
+		// levels use 64-byte lines here.
+		h.L2.InvalidateLine(evicted)
+		h.L1D.InvalidateLine(evicted)
+	}
+}
+
+// Antagonize evicts the LRU half of each L1D and L2 set, emulating a
+// cache-hungry application region between allocator calls.
+func (h *refHierarchy) Antagonize() {
+	h.L1D.EvictLRUHalf()
+	h.L2.EvictLRUHalf()
 }

@@ -10,9 +10,11 @@
 #   - writes BENCH_baseline.json with the measured numbers next to the
 #     frozen pre-rewrite reference, and
 #   - gates on the core per-cycle microbenchmark (>=2x vs the reference and
-#     zero allocations per scheduled call) and on the multicore engine's
-#     allocations per fresh-built run (engine_gate: allocs/op and bytes/op
-#     may not exceed the recorded ceilings) (BENCH_NO_GATE=1 skips both).
+#     zero allocations per scheduled call), on the cache hierarchy's random
+#     footprint touch (cachesim_gate: >=1.5x vs its frozen reference twin,
+#     both measured in this run) and on the multicore engine's allocations
+#     per fresh-built run (engine_gate: allocs/op and bytes/op may not
+#     exceed the recorded ceilings) (BENCH_NO_GATE=1 skips all three).
 #   - records the host's core count (nproc) and the GOMAXPROCS the
 #     benchmarks ran at.
 #
@@ -68,15 +70,15 @@ awk -v out="$OUT" -v count="$COUNT" -v fig13="$FIG13_SECS" \
 # before the zero-allocation scheduler rewrite (map-based reservation
 # tables, map branch predictor, unpooled emitters). ns/op, best of 5 on the
 # machine that produced the checked-in baseline. Re-measuring them requires
-# checking out the pre-rewrite commit, so they are constants here.
+# checking out the pre-rewrite commit, so they are constants here. A
+# benchmark with a <name>Reference twin in this run (the cachesim ones,
+# whose twins run the frozen model in internal/cachesim/reference_test.go)
+# takes the twin ns/op as its before figure instead.
 BEGIN {
     before["BenchmarkRunTraceFastPath"]    = 3481
     before["BenchmarkRunTraceColdMisses"]  = 5183
     before["BenchmarkRunTraceMallacc"]     = 1014
     before["BenchmarkBranchPredictor"]     = 16.07
-    before["BenchmarkHierarchyLoadL1Hit"]  = 18.87
-    before["BenchmarkHierarchyLoadStream"] = 136.5
-    before["BenchmarkCacheLookupHit"]      = 9.106
     before["BenchmarkFastAllocFree"]       = 508.4
     before["BenchmarkFastAllocFreeMallacc"] = 588.1
     before["BenchmarkFastAllocFreeNoEmit"] = 100.1
@@ -94,11 +96,12 @@ BEGIN {
     max_allocs["BenchmarkEngine4CoreMallacc"]  = 1491
     max_allocs["BenchmarkEngineRelay16Core"]   = 4384
     # bytes/op ceilings for the same runs: the worst of 10 runs at
-    # GOMAXPROCS 2 after cache ways were packed into 8 bytes, plus 2%, so
-    # the halved cache footprint cannot silently come back.
-    max_bytes["BenchmarkEngine4CoreBaseline"] = 7980882
-    max_bytes["BenchmarkEngine4CoreMallacc"]  = 8047465
-    max_bytes["BenchmarkEngineRelay16Core"]   = 30569055
+    # GOMAXPROCS 2 after cache sets were kept in recency order (4 bytes a
+    # line), plus 2%, so the smaller cache footprint cannot silently come
+    # back.
+    max_bytes["BenchmarkEngine4CoreBaseline"] = 5909126
+    max_bytes["BenchmarkEngine4CoreMallacc"]  = 5975765
+    max_bytes["BenchmarkEngineRelay16Core"]   = 22282461
     fig13_before = 18.5
 }
 /^Benchmark/ {
@@ -113,6 +116,10 @@ BEGIN {
     }
 }
 END {
+    for (i = 1; i <= n; i++) {
+        twin = order[i] "Reference"
+        if (twin in ns) before[order[i]] = ns[twin]
+    }
     printf "{\n" > out
     printf "  \"schema\": \"mallacc-bench-baseline/v1\",\n" >> out
     printf "  \"generated_by\": \"scripts/bench.sh\",\n" >> out
@@ -120,7 +127,7 @@ END {
     printf "  \"nproc\": %d,\n", nproc >> out
     printf "  \"gomaxprocs\": %d,\n", procs >> out
     printf "  \"count\": %d,\n", count >> out
-    printf "  \"note\": \"before = pre-rewrite tree (cycle-keyed map scheduler, map branch predictor, unpooled uop emitters); after = this tree. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so sub-2x ratios on benchmarks whose code did not change (cachesim, trace generation, simsvc) are host noise, not signal; the gate benchmark exercises exactly the rewritten scheduler. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
+    printf "  \"note\": \"before = pre-rewrite tree (cycle-keyed map scheduler, map branch predictor, unpooled uop emitters), or for a benchmark with a ...Reference twin the twin measured in the same run; after = this tree. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so sub-2x ratios against the fixed pre-rewrite figures on benchmarks whose code did not change (trace generation, simsvc) are host noise, not signal; the gate benchmark exercises exactly the rewritten scheduler. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
     printf "  \"benchmarks\": {\n" >> out
     for (i = 1; i <= n; i++) {
         name = order[i]
@@ -140,6 +147,14 @@ END {
     pass = (sp >= 2.0 && apo[core] + 0 == 0) ? "true" : "false"
     printf "  \"gate\": {\"benchmark\": \"%s\", \"min_speedup\": 2.0, \"speedup\": %.2f, \"allocs_per_op\": %d, \"pass\": %s}\n", \
         core, sp, apo[core] + 0, pass >> out
+
+    # Cache-hierarchy gate: a driver-style random footprint touch must stay
+    # >=1.5x faster than the frozen stamped model, both timed in this run.
+    touch = "BenchmarkHierarchyTouchRandom"
+    tsp = (touch in ns && (touch "Reference") in ns) ? ns[touch "Reference"] / ns[touch] : 0
+    cache_pass = (tsp >= 1.5) ? "true" : "false"
+    printf "  ,\"cachesim_gate\": {\"benchmark\": \"%s\", \"reference\": \"%sReference\", \"min_speedup\": 1.5, \"speedup\": %.2f, \"pass\": %s}\n", \
+        touch, touch, tsp, cache_pass >> out
 
     # Engine-lifecycle gate: a fresh-built engine run must not allocate
     # more objects or bytes than its recorded ceilings.
@@ -161,7 +176,8 @@ END {
     close(out)
     printf "\nwrote %s\n", out
     printf "gate: %s speedup %.2fx (floor 2.0x), %d allocs/op\n", core, sp, apo[core] + 0
-    if ((pass != "true" || eng_pass != "true") && nogate != "1") {
+    printf "cachesim gate: %s speedup %.2fx over its reference (floor 1.5x)\n", touch, tsp
+    if ((pass != "true" || cache_pass != "true" || eng_pass != "true") && nogate != "1") {
         print "BENCH GATE FAILED (set BENCH_NO_GATE=1 to bypass)" > "/dev/stderr"
         exit 1
     }
