@@ -13,15 +13,15 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-check everything; internal/multicore runs one goroutine per
-# simulated core, so the whole tree must be race-clean.
+# Race-check everything; the whole tree must be race-clean.
 race:
 	$(GO) test -race ./...
 
 # Full performance baseline: every microbenchmark suite at -count=5 with a
 # benchstat summary (when installed), one timed end-to-end fig13 sweep, and
 # a refreshed BENCH_baseline.json — gated on the core scheduler bench
-# staying >=2x over the pre-rewrite reference with 0 allocs/op.
+# staying >=3.5x over its frozen reference twin (timed in the same run)
+# with 0 allocs/op, plus the cachesim and engine gates.
 bench:
 	./scripts/bench.sh
 

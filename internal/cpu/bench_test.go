@@ -1,12 +1,15 @@
-package cpu_test
+package cpu
 
 import (
 	"testing"
 
 	"mallacc/internal/cachesim"
-	"mallacc/internal/cpu"
 	"mallacc/internal/uop"
 )
+
+// Each RunTrace benchmark has a ...Reference twin that runs the identical
+// body through the frozen map-based scheduler in reference_test.go, so
+// scripts/bench.sh can gate on a speedup measured in the same run.
 
 // fastPathTrace builds a malloc-fast-path-shaped trace: a short ALU address
 // computation, the sampling check, the free-list pop chain (two dependent
@@ -41,28 +44,45 @@ func fastPathTrace(addrBase uint64) uop.Trace {
 	return uop.Trace{Ops: ops}
 }
 
+// newBenchCore and newBenchRefCore return the RunTrace of a fresh
+// production core and of a fresh reference core, each over a default
+// hierarchy.
+func newBenchCore() func(uop.Trace) uint64 {
+	return New(DefaultConfig(), cachesim.NewDefaultHierarchy()).RunTrace
+}
+
+func newBenchRefCore() func(uop.Trace) uint64 {
+	return newRefCore(DefaultConfig(), cachesim.NewDefaultHierarchy()).runTrace
+}
+
 // BenchmarkRunTraceFastPath is the core per-cycle microbenchmark: steady-
 // state replay of a warm ~40-uop fast-path trace. This is the number the
-// perf baseline (BENCH_baseline.json) gates on.
-func BenchmarkRunTraceFastPath(b *testing.B) {
-	c := cpu.New(cpu.DefaultConfig(), cachesim.NewDefaultHierarchy())
+// perf baseline (BENCH_baseline.json) gates on, against its twin.
+func BenchmarkRunTraceFastPath(b *testing.B) { benchFastPath(b, newBenchCore()) }
+
+func BenchmarkRunTraceFastPathReference(b *testing.B) { benchFastPath(b, newBenchRefCore()) }
+
+func benchFastPath(b *testing.B, run func(uop.Trace) uint64) {
 	tr := fastPathTrace(1 << 20)
 	// Warm caches and predictor.
 	for i := 0; i < 64; i++ {
-		c.RunTrace(tr)
+		run(tr)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.RunTrace(tr)
+		run(tr)
 	}
 	b.ReportMetric(float64(len(tr.Ops)), "uops/call")
 }
 
 // BenchmarkRunTraceColdMisses replays a trace whose loads stream through
 // memory, exercising the MSHR and line-fill paths.
-func BenchmarkRunTraceColdMisses(b *testing.B) {
-	c := cpu.New(cpu.DefaultConfig(), cachesim.NewDefaultHierarchy())
+func BenchmarkRunTraceColdMisses(b *testing.B) { benchColdMisses(b, newBenchCore()) }
+
+func BenchmarkRunTraceColdMissesReference(b *testing.B) { benchColdMisses(b, newBenchRefCore()) }
+
+func benchColdMisses(b *testing.B, run func(uop.Trace) uint64) {
 	e := uop.NewEmitter()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -74,14 +94,17 @@ func BenchmarkRunTraceColdMisses(b *testing.B) {
 			v = e.Load(base+uint64(j)*256, v)
 		}
 		e.ALUChain(4, v)
-		c.RunTrace(e.Trace())
+		run(e.Trace())
 	}
 }
 
 // BenchmarkRunTraceMallacc exercises the accelerator ops including the
 // entry-blocking prefetch path.
-func BenchmarkRunTraceMallacc(b *testing.B) {
-	c := cpu.New(cpu.DefaultConfig(), cachesim.NewDefaultHierarchy())
+func BenchmarkRunTraceMallacc(b *testing.B) { benchMallacc(b, newBenchCore()) }
+
+func BenchmarkRunTraceMallaccReference(b *testing.B) { benchMallacc(b, newBenchRefCore()) }
+
+func benchMallacc(b *testing.B, run func(uop.Trace) uint64) {
 	e := uop.NewEmitter()
 	e.Reset()
 	e.Step(uop.StepSizeClass)
@@ -97,18 +120,18 @@ func BenchmarkRunTraceMallacc(b *testing.B) {
 	copy(ops, e.Trace().Ops)
 	tr := uop.Trace{Ops: ops}
 	for i := 0; i < 64; i++ {
-		c.RunTrace(tr)
+		run(tr)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.RunTrace(tr)
+		run(tr)
 	}
 }
 
 // BenchmarkBranchPredictor measures the predictor table in isolation.
 func BenchmarkBranchPredictor(b *testing.B) {
-	bp := cpu.NewBranchPredictor()
+	bp := NewBranchPredictor()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -178,26 +178,31 @@ type Core struct {
 
 	// Per-call scratch, reused across calls.
 	fetchC, doneC, commitC []uint64
-	// Port bandwidth reservations: fixed-window rings indexed by cycle %
-	// window (see ring.go), validated by resGen so no per-call clearing
-	// is needed. These replace the old cycle-keyed maps, which both
-	// allocated on growth and retained every cycle ever reserved. Commit
-	// bandwidth needs no ring at all: its request cycles are clamped to
-	// lastCommit and therefore monotone within a call, so a scalar
-	// (cycle, count) pair tracks it exactly (see bwTracker). Fetch wants
-	// are monotone too — except when DropSteps is active: a dropped
+	// Fetch and port bandwidth reservations: one call-relative table
+	// indexed by cycle-start (see ring.go), validated by resGen so no
+	// per-call clearing is needed. It replaces the old cycle-keyed maps,
+	// which both allocated on growth and retained every cycle ever
+	// reserved. Commit bandwidth needs no table at all: its request cycles
+	// are clamped to lastCommit and therefore monotone within a call, so a
+	// scalar (cycle, count) pair tracks it exactly (see bwTracker). Fetch
+	// wants are monotone too — except when DropSteps is active: a dropped
 	// micro-op records the bare redirect cycle, so the next real fetch
 	// want can fall behind the previous reservation and first-fit may
 	// land in a partially filled earlier cycle. Fetch therefore uses the
-	// scalar only on the no-drop path and keeps the ring otherwise.
-	portRes  [numPortClasses]resRing
-	fetchRes resRing
-	resGen   uint32
+	// scalar only on the no-drop path and the table's portNone count
+	// otherwise.
+	res    resTable
+	resGen uint32
+	// limit is the per-cycle reservation cap of each port class, with
+	// FetchWidth in the portNone entry.
+	limit [numPortClasses]uint8
 	// missEnd is the analytic model's fill-buffer scratch.
 	missEnd []uint64
 }
 
-// New builds a core over the given cache hierarchy.
+// New builds a core over the given cache hierarchy. It panics if
+// FetchWidth or a port count exceeds 255, the reservation table's
+// per-cycle count range.
 func New(cfg Config, mem *cachesim.Hierarchy) *Core {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 10
@@ -208,12 +213,20 @@ func New(cfg Config, mem *cachesim.Hierarchy) *Core {
 		bp:         NewBranchPredictor(),
 		entryReady: make([]uint64, 64),
 		mshr:       make([]uint64, cfg.MSHRs),
-		fetchRes:   newResRing(),
+		res:        newResTable(),
 	}
-	for i := range c.portRes {
-		if portClass(i) != portNone {
-			c.portRes[i] = newResRing()
+	for p, n := range [numPortClasses]int{
+		portALU:     cfg.ALUPorts,
+		portLoad:    cfg.LoadPorts,
+		portStore:   cfg.StorePorts,
+		portBranch:  cfg.BranchPorts,
+		portMallacc: cfg.MallaccPorts,
+		portNone:    cfg.FetchWidth,
+	} {
+		if n > 255 {
+			panic("cpu: FetchWidth and port counts must be at most 255")
 		}
+		c.limit[p] = uint8(n)
 	}
 	return c
 }
@@ -312,23 +325,6 @@ func (c *Core) setEntryReady(entry int16, cy uint64) {
 		c.entryReady = grown
 	}
 	c.entryReady[entry] = cy
-}
-
-func (c *Core) portCount(p portClass) int {
-	switch p {
-	case portALU:
-		return c.cfg.ALUPorts
-	case portLoad:
-		return c.cfg.LoadPorts
-	case portStore:
-		return c.cfg.StorePorts
-	case portBranch:
-		return c.cfg.BranchPorts
-	case portMallacc:
-		return c.cfg.MallaccPorts
-	default:
-		return 1 << 30
-	}
 }
 
 // mshrFind returns the earliest cycle >= want at which a line-fill buffer
@@ -498,9 +494,14 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 	fetchC := c.fetchC[:n]
 	doneC := c.doneC[:n]
 	commitC := c.commitC[:n]
-	// A new generation invalidates every ring slot of earlier calls in
-	// O(1) — the replacement for clearing eight maps per call.
+	// A new generation invalidates every table slot of earlier calls in
+	// O(1) — the replacement for clearing eight maps per call. Generation
+	// 0 is never live: on wrap the table is cleared (see ring.go).
 	c.resGen++
+	if c.resGen == 0 {
+		clear(c.res.s)
+		c.resGen = 1
+	}
 	gen := c.resGen
 
 	start := c.cycle
@@ -508,7 +509,7 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 	lastCommit := start
 	var fetchBW, commitBW bwTracker
 	// Dropped micro-ops break fetch-want monotonicity (see the field
-	// comment on fetchRes); only drop-free cores take the scalar path.
+	// comment on res); only drop-free cores take the scalar path.
 	fetchScalar := c.cfg.DropSteps == [uop.NumSteps]bool{}
 
 	for i := 0; i < n; i++ {
@@ -548,7 +549,7 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 		if fetchScalar {
 			fCy = fetchBW.reserve(fWant, c.cfg.FetchWidth)
 		} else {
-			fCy = c.fetchRes.reserve(fWant, c.cfg.FetchWidth, gen, start)
+			fCy = c.res.reserve(portNone, fWant, c.limit[portNone], gen, start)
 		}
 		fetchC[i] = fCy
 
@@ -589,7 +590,7 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 		pc := classOf(op.Kind)
 		issue := ready
 		if pc != portNone {
-			issue = c.portRes[pc].reserve(ready, c.portCount(pc), gen, start)
+			issue = c.res.reserve(pc, ready, c.limit[pc], gen, start)
 		}
 		if isMiss {
 			c.mshr[mshrSlot] = issue + memLat

@@ -339,3 +339,31 @@ func TestAnalyticDeterminism(t *testing.T) {
 		t.Fatal("analytic model not deterministic")
 	}
 }
+
+// TestNewRejectsWidthsAbove255 pins the reservation table's count range:
+// 255 per cycle is accepted, and a FetchWidth or port count of 256 panics
+// instead of wrapping its 8-bit count.
+func TestNewRejectsWidthsAbove255(t *testing.T) {
+	widths := map[string]func(*Config) *int{
+		"FetchWidth":   func(c *Config) *int { return &c.FetchWidth },
+		"ALUPorts":     func(c *Config) *int { return &c.ALUPorts },
+		"LoadPorts":    func(c *Config) *int { return &c.LoadPorts },
+		"StorePorts":   func(c *Config) *int { return &c.StorePorts },
+		"BranchPorts":  func(c *Config) *int { return &c.BranchPorts },
+		"MallaccPorts": func(c *Config) *int { return &c.MallaccPorts },
+	}
+	for name, field := range widths {
+		for _, n := range []int{255, 256} {
+			cfg := DefaultConfig()
+			*field(&cfg) = n
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				New(cfg, cachesim.NewDefaultHierarchy())
+				return false
+			}()
+			if panicked != (n > 255) {
+				t.Errorf("%s = %d: panicked %v", name, n, panicked)
+			}
+		}
+	}
+}

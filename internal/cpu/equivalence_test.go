@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"mallacc/internal/cachesim"
@@ -14,7 +16,7 @@ import (
 // through the production Core and the map-based reference shim in lockstep,
 // asserting identical per-call durations, clocks and final Stats. Context
 // switches and application advance phases are interleaved so the persistent
-// state (predictor, caches, entry blocking, rings vs maps) is exercised
+// state (predictor, caches, entry blocking, table vs maps) is exercised
 // across call boundaries, not just within one call.
 func runEquivalence(t *testing.T, mallacc, limit, analytic bool, calls int) {
 	t.Helper()
@@ -89,7 +91,7 @@ func runEquivalence(t *testing.T, mallacc, limit, analytic bool, calls int) {
 }
 
 // TestSchedulerMatchesMapReference is the tentpole's correctness guard: the
-// ring-buffer fast path must be observationally identical to the original
+// reservation-table fast path must be observationally identical to the original
 // map-based scheduler on real seed-1 allocator traces in every variant.
 func TestSchedulerMatchesMapReference(t *testing.T) {
 	cases := []struct {
@@ -115,9 +117,9 @@ func TestSchedulerMatchesMapReference(t *testing.T) {
 }
 
 // TestSchedulerMatchesReferenceOnLongSpans forces call spans far past the
-// rings' initial 1024-cycle window, so reservation-table growth and rehash
-// are exercised against the reference, then verifies short calls still agree
-// after the grow.
+// reservation table's initial 1024-cycle window, so its growth is exercised
+// against the reference, then verifies short calls still agree after the
+// grow.
 func TestSchedulerMatchesReferenceOnLongSpans(t *testing.T) {
 	cfg := DefaultConfig()
 	fast := New(cfg, cachesim.NewDefaultHierarchy())
@@ -141,7 +143,7 @@ func TestSchedulerMatchesReferenceOnLongSpans(t *testing.T) {
 			t.Fatalf("long-span iter %d: fast=%d ref=%d", iter, d1, d2)
 		}
 		// A short well-predicted trace right after, to catch stale slots
-		// surviving the growth rehash.
+		// surviving the growth copy.
 		em.Reset()
 		s := em.ALUChain(6, uop.NoDep)
 		em.Branch(10, true, s)
@@ -151,10 +153,83 @@ func TestSchedulerMatchesReferenceOnLongSpans(t *testing.T) {
 			t.Fatalf("post-span iter %d: fast=%d ref=%d", iter, d1, d2)
 		}
 	}
-	if w := fast.portRes[portALU].window(); w <= ringInitWindow {
-		t.Fatalf("ALU port ring never grew: window=%d", w)
+	if w := fast.res.window(); w <= resInitWindow {
+		t.Fatalf("reservation table never grew: window=%d", w)
 	}
 	if fast.Stats != ref.stats {
 		t.Fatalf("stats diverge:\nfast %+v\nref  %+v", fast.Stats, ref.stats)
+	}
+}
+
+// busyTrace builds n groups of independent ALU, load, store and
+// well-predicted branch micro-ops across every step tag, so a call keeps
+// fetch saturated and fills port slots of every class for about n/2
+// cycles.
+func busyTrace(em *uop.Emitter, n int) uop.Trace {
+	steps := []uop.Step{uop.StepCallOverhead, uop.StepSizeClass, uop.StepSampling, uop.StepPushPop, uop.StepOther}
+	em.Reset()
+	for i := 0; i < n; i++ {
+		em.Step(steps[i%len(steps)])
+		v := em.ALU(uop.NoDep, uop.NoDep)
+		switch i % 4 {
+		case 1:
+			em.Load((1<<22)+uint64(i%64)*64, uop.NoDep)
+		case 2:
+			em.Store((1<<22)+uint64(i%32)*64, uop.NoDep, v)
+		case 3:
+			em.Branch(uint32(20+i%8), true, v)
+		}
+	}
+	return em.Trace()
+}
+
+// TestSchedulerMatchesReferenceAcrossGenerationWrap fills the reservation
+// table at generation 1 with one long call, then jumps the generation to
+// just below its wrap and runs calls across it in lockstep with the
+// reference. The table's slots carry no cycle number, so only the clear
+// on wrap keeps the first calls of the new generation 1 from reading the
+// long call's counts as live.
+func TestSchedulerMatchesReferenceAcrossGenerationWrap(t *testing.T) {
+	for _, limit := range []bool{false, true} {
+		t.Run(map[bool]string{false: "baseline", true: "limit"}[limit], func(t *testing.T) {
+			cfg := DefaultConfig()
+			if limit {
+				cfg.DropSteps[uop.StepSizeClass] = true
+				cfg.DropSteps[uop.StepSampling] = true
+				cfg.DropSteps[uop.StepPushPop] = true
+			}
+			fast := New(cfg, cachesim.NewDefaultHierarchy())
+			ref := newRefCore(cfg, cachesim.NewDefaultHierarchy())
+			em := uop.NewEmitter()
+			defer em.Recycle()
+			run := func(what string, tr uop.Trace) {
+				t.Helper()
+				d1, d2 := fast.RunTrace(tr), ref.runTrace(tr)
+				if d1 != d2 || fast.Cycle() != ref.cycle {
+					t.Fatalf("%s (generation %d): duration fast=%d ref=%d, clock fast=%d ref=%d",
+						what, fast.resGen, d1, d2, fast.Cycle(), ref.cycle)
+				}
+				if fast.Stats != ref.stats {
+					t.Fatalf("%s (generation %d): stats diverge:\nfast %+v\nref  %+v", what, fast.resGen, fast.Stats, ref.stats)
+				}
+			}
+
+			run("long call", busyTrace(em, 4000))
+			if fast.resGen != 1 {
+				t.Fatalf("long call ran at generation %d, want 1", fast.resGen)
+			}
+			fast.resGen = math.MaxUint32 - 2
+			run("pre-wrap short call", warmTrace(em))
+			run("pre-wrap short call", warmTrace(em))
+			// Each post-wrap call reaches further than the one before, into
+			// slots the long call wrote at generation 1.
+			for n := 200; n <= 1600; n *= 2 {
+				run(fmt.Sprintf("post-wrap %d-group call", n), busyTrace(em, n))
+			}
+			run("post-wrap short call", warmTrace(em))
+			if fast.resGen != 5 {
+				t.Fatalf("generation %d after the wrap, want 5", fast.resGen)
+			}
+		})
 	}
 }

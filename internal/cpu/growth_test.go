@@ -29,7 +29,7 @@ func warmTrace(em *uop.Emitter) uop.Trace {
 // reservation maps, which retained every cycle ever reserved: after warmup,
 // scheduling must allocate nothing per call, and none of the core's
 // persistent structures may grow with the simulated cycle count. The clock
-// is pushed millions of cycles past the ring window to prove the bound is
+// is pushed millions of cycles past the table window to prove the bound is
 // in call-relative cycles, not absolute ones.
 func TestSteadyStateMemoryBounded(t *testing.T) {
 	c := New(DefaultConfig(), cachesim.NewDefaultHierarchy())
@@ -42,15 +42,8 @@ func TestSteadyStateMemoryBounded(t *testing.T) {
 		c.AdvanceApp(1000, nil)
 	}
 
-	snapshot := func() [numPortClasses + 3]int {
-		var s [numPortClasses + 3]int
-		for i := range c.portRes {
-			s[i] = c.portRes[i].window()
-		}
-		s[numPortClasses] = c.fetchRes.window()
-		s[numPortClasses+1] = len(c.entryReady)
-		s[numPortClasses+2] = cap(c.fetchC)
-		return s
+	snapshot := func() [3]int {
+		return [3]int{c.res.window(), len(c.entryReady), cap(c.fetchC)}
 	}
 	before := snapshot()
 	startCycle := c.Cycle()

@@ -1,78 +1,78 @@
 package cpu
 
-// resRing is the zero-allocation replacement for the cycle-keyed
-// reservation maps (map[uint64]int) the scheduler used for fetch, commit
-// and per-port bandwidth accounting. It is a power-of-two ring of
-// per-cycle counters indexed by cycle % window.
+// resTable is the zero-allocation replacement for the cycle-keyed
+// reservation maps (map[uint64]int) the scheduler used for fetch and
+// per-port bandwidth accounting. It is one call-relative table per core:
+// slot i holds cycle start+i of the current call, with one reservation
+// count per port class. portNone is never reserved as a port, so its
+// count holds the call's fetch slots.
 //
-// Window invariant: every reservation of one call lies in [start, end]
-// where start is the call's first cycle and end its last commit, so the
-// ring only has to span the call's duration. Slots are validated lazily by
-// (generation, cycle) tags instead of being cleared between calls: the
-// core bumps its generation at every RunTrace, so a slot left over from an
-// earlier call can never be read as live — exactly the semantics of
-// clearing the old maps, without the per-call O(window) clear.
+// Window invariant: every reservation of one call lies at or after start,
+// the call's first cycle, so indexing by cycle-start needs no wrap-around
+// and a short call touches only the first few slots, which stay hot in
+// the host's cache from call to call.
+//
+// Slots are validated lazily by generation instead of being cleared
+// between calls: the core bumps its generation at every RunTrace, and a
+// slot whose generation differs is stale and is zeroed on first touch —
+// exactly the semantics of clearing the old maps, without the per-call
+// O(window) clear. Generation 0 is never live, so slots added by growth
+// (zero-valued) read as stale.
+//
+// Generation wrap: a slot carries no cycle number that could tell a
+// recurring generation's stale counts from live ones — slot i means
+// "offset i of whichever call wrote it". So when the uint32 generation
+// wraps to 0, the core clears the whole table and restarts at generation
+// 1; without that a slot last written 2^32 calls earlier would be read as
+// live.
 //
 // If a call outlives the window (a long lock spin or a deep miss chain),
-// the ring doubles and re-places the call's live reservations at their new
-// slots; cycle numbers are stored absolutely, so growth is observationally
-// transparent and results stay byte-identical to the map implementation.
+// the table doubles by a plain copy: slot offsets are call-relative, so
+// every live slot keeps its index.
 //
-// Generation wrap (uint32) is harmless: a stale slot is read as live only
-// if both its generation and its absolute cycle match, and every nonempty
-// call advances the clock, so by the time a generation value recurs the
-// clock has long since passed the stale slot's cycle.
-//
-// Slots are a single struct slice rather than parallel cyc/gen/cnt slices:
-// count and add touch exactly one 16-byte slot, so a probe costs one cache
-// line instead of three — reserve/add dominate the trace-replay profile.
+// A slot is 12 bytes (a generation and six 8-bit counts), so a probe
+// touches one cache line for all classes; New rejects widths and port
+// counts above 255.
 type resSlot struct {
-	cyc uint64 // absolute cycle this slot holds
-	gen uint32 // call generation that wrote the slot
-	cnt int32  // reservations at that cycle
+	gen uint32
+	cnt [numPortClasses]uint8
 }
 
-type resRing struct {
+type resTable struct {
 	s []resSlot
 }
 
-// ringInitWindow is the starting window. Fast-path calls span tens to a
+// resInitWindow is the starting window. Fast-path calls span tens to a
 // few hundred cycles; slow-path calls with lock spins or span carving can
 // exceed it, triggering growth that then persists for the core's lifetime.
-const ringInitWindow = 1024
+const resInitWindow = 1024
 
-func newResRing() resRing {
-	return resRing{s: make([]resSlot, ringInitWindow)}
+func newResTable() resTable {
+	return resTable{s: make([]resSlot, resInitWindow)}
 }
 
-// window returns the current ring capacity in cycles (for growth tests).
-func (r *resRing) window() int { return len(r.s) }
+// window returns the current table capacity in cycles (for growth tests).
+func (r *resTable) window() int { return len(r.s) }
 
-// grow doubles the window until cy fits and re-places the current call's
-// live reservations. Live cycles all lie within the old window of start,
-// so they cannot collide in the larger ring.
-func (r *resRing) grow(cy uint64, g uint32, start uint64) {
+// grow doubles the window until offset i fits.
+func (r *resTable) grow(i uint64) {
 	n := uint64(len(r.s))
-	for cy-start >= n {
+	for i >= n {
 		n *= 2
 	}
 	ns := make([]resSlot, n)
-	for i := range r.s {
-		if r.s[i].gen == g && r.s[i].cnt > 0 {
-			ns[r.s[i].cyc&(n-1)] = r.s[i]
-		}
-	}
+	copy(ns, r.s)
 	r.s = ns
 }
 
 // bwTracker tracks bandwidth for an in-order resource whose request
 // cycles never decrease within a call (fetch behind fetchC[i-1], commit
-// behind lastCommit). Under monotone wants the first-fit ring scan
-// degenerates to exactly three cases — same cycle with room, same cycle
-// full, later cycle — so a (cycle, count) scalar pair replaces the ring:
-// every cycle before the current one is frozen and can never be probed
-// again, and every cycle after it has no reservations yet. The zero value
-// is an empty tracker; one lives on the stack per RunTrace call.
+// behind lastCommit). Under monotone wants the first-fit scan degenerates
+// to exactly three cases — same cycle with room, same cycle full, later
+// cycle — so a (cycle, count) scalar pair replaces the table: every cycle
+// before the current one is frozen and can never be probed again, and
+// every cycle after it has no reservations yet. The zero value is an
+// empty tracker; one lives on the stack per RunTrace call.
 type bwTracker struct {
 	cyc uint64
 	cnt int
@@ -80,7 +80,7 @@ type bwTracker struct {
 
 // reserve returns the first cycle >= want with a free slot (limit
 // reservations per cycle) and records the reservation. want must be
-// monotone non-decreasing across calls; equivalent to resRing.reserve
+// monotone non-decreasing across calls; equivalent to resTable.reserve
 // under that precondition.
 func (t *bwTracker) reserve(want uint64, limit int) uint64 {
 	if want > t.cyc {
@@ -96,34 +96,28 @@ func (t *bwTracker) reserve(want uint64, limit int) uint64 {
 	return t.cyc
 }
 
-// reserve finds the first cycle >= want with a free slot (limit
-// reservations per cycle) and records the reservation there — the ring
-// equivalent of the old map walk. The write is fused into the scan's
-// terminating probe: the slot that ends the scan is exactly the slot the
-// reservation lands in, so probing it again after the loop (the former
-// separate add step) would cost a second index computation and load on
-// every reservation. Growth fires at the same condition the old add used
-// (cy outside the window of start); pre-grow scan iterations could only
-// ever break on aliased slots whose stored cycle differs, so growing at
-// the probe site leaves the chosen cycle — and the simulation — unchanged.
-func (r *resRing) reserve(want uint64, limit int, g uint32, start uint64) uint64 {
-	cy := want
-	lim := int32(limit)
-	mask := uint64(len(r.s) - 1)
+// reserve finds the first cycle >= want with a free slot of class p
+// (limit reservations per cycle) and records the reservation there — the
+// table equivalent of the old map walk. want must not precede start. The
+// slot that ends the scan is the slot the reservation lands in, so the
+// write is fused into the terminating probe.
+func (r *resTable) reserve(p portClass, want uint64, limit uint8, g uint32, start uint64) uint64 {
+	i := want - start
 	for {
-		if cy-start > mask {
-			r.grow(cy, g, start)
-			mask = uint64(len(r.s) - 1)
+		if i >= uint64(len(r.s)) {
+			r.grow(i)
 		}
-		s := &r.s[cy&mask]
-		if s.gen != g || s.cyc != cy {
-			s.gen, s.cyc, s.cnt = g, cy, 1
-			return cy
+		s := &r.s[i]
+		if s.gen != g {
+			s.gen = g
+			s.cnt = [numPortClasses]uint8{}
+			s.cnt[p] = 1
+			return start + i
 		}
-		if s.cnt < lim {
-			s.cnt++
-			return cy
+		if s.cnt[p] < limit {
+			s.cnt[p]++
+			return start + i
 		}
-		cy++
+		i++
 	}
 }

@@ -45,7 +45,7 @@ func BenchmarkEngine4CoreMallacc(b *testing.B) { benchEngine(b, multicore.Mallac
 
 // BenchmarkEngineRelay16Core measures the relay scheduler at the design-space
 // study's widest cluster: 16 cores on the default config, where every
-// epoch boundary passes the token through all sixteen core goroutines. Each
+// epoch boundary passes the token through all sixteen core coroutines. Each
 // iteration builds a fresh engine, as an uncached designspace cell does.
 func BenchmarkEngineRelay16Core(b *testing.B) {
 	w, ok := workload.ByName("xapian.abstracts")

@@ -49,9 +49,12 @@ type coreState struct {
 	em  *uop.Emitter          // core-local trace emitter (tcmalloc substrate)
 	rng *stats.RNG
 
-	// wake is the core's one-slot token channel under the relay
-	// scheduler: the token holder sends on it to hand this core the turn.
-	wake     chan struct{}
+	// resume runs the core's shard coroutine until it yields the token or
+	// retires; stop unwinds it; yield, called from inside the shard,
+	// hands the token back to Run (see relay.go).
+	resume   func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
 	budget   int
 	epochEnd uint64
 	done     bool

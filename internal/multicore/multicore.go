@@ -1,7 +1,7 @@
 // Package multicore is the N-core concurrent simulation engine: each
 // simulated core owns a private cpu.Core, cache hierarchy, thread cache and
-// (in the Mallacc variant) malloc cache, runs its workload shard in its own
-// goroutine, and shares one tcmalloc.Heap whose central free lists, transfer
+// (in the Mallacc variant) malloc cache, runs its workload shard as its own
+// coroutine, and shares one tcmalloc.Heap whose central free lists, transfer
 // cache and page heap are guarded by a contention-aware spinlock model
 // (spinlock.go). The paper's macro evaluation is multithreaded server code —
 // masstree, xapian — where TCMalloc's whole design is per-thread caches in
@@ -16,14 +16,14 @@
 // visits the runnable cores in ID order; the holder executes until its own
 // cpu.Core clock reaches the epoch boundary (epoch+1)*EpochCycles, then
 // passes the token on; the epoch counter advances when the token wraps.
-// Execution is therefore fully serialized: the holder hands the token over
-// by a send on the next core's one-slot wake channel and then blocks on its
-// own, so only the core that runs next is woken. The send/receive pair gives
-// every cross-core interaction a happens-before edge (race-free), and the
-// interleaving is a pure function of the simulated cycle counts
-// (repeatable).
-// Goroutines model the per-core control flow — each shard keeps its natural
-// call stack — not host parallelism.
+// Execution is therefore fully serialized: each shard is an iter.Pull
+// coroutine, and Run, on the caller's goroutine, resumes only the token
+// holder, which runs until it yields the token at a checkpoint or retires
+// (relay.go). A hand-off is a coroutine switch, which orders every
+// cross-core interaction (race-free), and the interleaving is a pure
+// function of the simulated cycle counts (repeatable). Coroutines model
+// the per-core control flow — each shard keeps its natural call stack —
+// not host parallelism.
 //
 // # Cross-core traffic
 //
@@ -36,7 +36,6 @@ package multicore
 
 import (
 	"fmt"
-	"sync"
 
 	"mallacc/internal/cachesim"
 	"mallacc/internal/catalog"
@@ -251,11 +250,10 @@ func New(cfg Config) *Engine {
 
 	for i := 0; i < cfg.Cores; i++ {
 		cs := &coreState{
-			eng:  eng,
-			id:   i,
-			wake: make(chan struct{}, 1),
-			cpu:  cpu.New(cCfg, cachesim.NewDefaultHierarchy()),
-			rng:  stats.NewRNG(cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77 + 0xc2b2),
+			eng: eng,
+			id:  i,
+			cpu: cpu.New(cCfg, cachesim.NewDefaultHierarchy()),
+			rng: stats.NewRNG(cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77 + 0xc2b2),
 		}
 		switch {
 		case eng.heap != nil:
@@ -309,32 +307,12 @@ func (cs *coreState) beginQuantum() {
 	cs.epochEnd = (cs.eng.epoch + 1) * cs.eng.cfg.EpochCycles
 }
 
-// checkpoint is called at every App entry point: while the core's logical
-// clock has crossed the epoch boundary, hand the token to the next runnable
-// core and wait for it to come back. A core that overshot several epochs (a
-// long span refill or simulated syscall) keeps yielding until the global
-// epoch catches up, so the cores stay aligned on logical time. When it is
-// the only runnable core the token comes straight back, and it continues
-// without blocking.
-func (cs *coreState) checkpoint() {
-	eng := cs.eng
-	for cs.cpu.Cycle() >= cs.epochEnd {
-		eng.yields++
-		cs.res.Yields++
-		if next := eng.advanceTurn(); next != cs {
-			next.wake <- struct{}{}
-			<-cs.wake
-		}
-		cs.beginQuantum()
-	}
-}
-
 // advanceTurn moves the token to the next runnable core in cyclic ID order
 // and returns that core, bumping the epoch when the token wraps (including
 // the single-runnable-core case, where the wrap is what lets its deadline
 // advance). With no runnable cores the token parks at -1 and it returns
-// nil. The caller holds the token and wakes the returned core unless it is
-// itself.
+// nil. The caller holds the token; unless the returned core is itself, it
+// then yields or retires, and Run resumes the returned core.
 func (eng *Engine) advanceTurn() *coreState {
 	n := len(eng.cores)
 	for i := 1; i <= n; i++ {
@@ -346,7 +324,7 @@ func (eng *Engine) advanceTurn() *coreState {
 			eng.epoch++
 			// Epoch count and cycle counts are deterministic, so the
 			// snapshot stream is too. The reporter runs on the token
-			// holder's goroutine and must not call back into the engine.
+			// holder's coroutine and must not call back into the engine.
 			eng.track.Observe(eng.epoch*eng.cfg.EpochCycles, eng.fillSnapshot)
 		}
 		eng.setActive(next)
@@ -385,42 +363,6 @@ func (eng *Engine) setActive(id int) {
 	}
 }
 
-// Run executes every core's shard to completion and returns the collected
-// result. An engine runs once.
-func (eng *Engine) Run() *Result {
-	eng.setActive(0)
-	eng.cores[0].wake <- struct{}{}
-
-	var wg sync.WaitGroup
-	for _, cs := range eng.cores {
-		wg.Add(1)
-		go func(cs *coreState) {
-			defer wg.Done()
-			eng.runCore(cs)
-		}(cs)
-	}
-	wg.Wait()
-
-	// Frees posted to cores that finished before draining them execute
-	// now, sequentially in ID order, on their owning core.
-	for _, cs := range eng.cores {
-		if cs.inboxPos < len(cs.inbox) {
-			eng.setActive(cs.id)
-			cs.drainInbox()
-		}
-	}
-	var wall uint64
-	for _, cs := range eng.cores {
-		if c := cs.cpu.Cycle(); c > wall {
-			wall = c
-		}
-	}
-	eng.track.Finish(wall, eng.fillSnapshot)
-	res := eng.collect()
-	eng.recycleEmitters()
-	return res
-}
-
 // recycleEmitters returns every emitter's trace slabs once the run is over.
 func (eng *Engine) recycleEmitters() {
 	switch {
@@ -436,21 +378,6 @@ func (eng *Engine) recycleEmitters() {
 		if cs.em != nil {
 			cs.em.Recycle()
 		}
-	}
-}
-
-// runCore is one core's goroutine body: wait for the token, run the shard
-// (checkpoint hands the token on at epoch boundaries), then retire from the
-// rotation and pass the token to the next runnable core, if any.
-func (eng *Engine) runCore(cs *coreState) {
-	<-cs.wake
-	cs.beginQuantum()
-	eng.cfg.Workload.Run(cs, cs.budget, stats.NewRNG(eng.cfg.Seed+1+uint64(cs.id)*0x9e37))
-	cs.drainInbox()
-	cs.done = true
-	cs.res.DoneEpoch = eng.epoch
-	if next := eng.advanceTurn(); next != nil {
-		next.wake <- struct{}{}
 	}
 }
 

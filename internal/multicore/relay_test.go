@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mallacc/internal/stats"
@@ -14,7 +15,7 @@ import (
 
 // Relay scheduler edge cases. Each test pins its run's telemetry snapshot
 // byte-for-byte to a golden in testdata, so a change to how the token moves
-// cannot shift the interleaving unnoticed. A lost wake-up shows up as a
+// cannot shift the interleaving unnoticed. A lost token shows up as a
 // hang; run the package with -timeout to turn that into a failure.
 //
 // Regenerate with UPDATE_GOLDEN=1 go test ./internal/multicore -run 'TestRelay|TestLockstep'
@@ -129,8 +130,8 @@ func TestRelayRetireWithPostedFrees(t *testing.T) {
 }
 
 // TestRelaySixteenCores runs designspace's widest cluster at GOMAXPROCS 1
-// and 2: the hand-off must neither deadlock when every core goroutine
-// shares one P nor depend on how many Ps there are.
+// and 2: the hand-off must neither deadlock on one P nor depend on how
+// many Ps there are.
 func TestRelaySixteenCores(t *testing.T) {
 	var snaps [][]byte
 	for _, procs := range []int{1, 2} {
@@ -205,5 +206,77 @@ func TestLockstepEquivalence(t *testing.T) {
 				checkGolden(t, fmt.Sprintf("lockstep_%s_%s", variant, wlName), snapshotJSON(t, r))
 			})
 		}
+	}
+}
+
+// corePanic is the value panicAfter's shard panics with.
+type corePanic struct{ core, calls int }
+
+// panicAfter is a workload whose shard on core `core` panics once it has
+// issued `after` allocator calls. At that moment it records how many calls
+// every core has simulated, so the test can check that none runs another.
+type panicAfter struct {
+	core, after int
+	atPanic     []uint64
+}
+
+func (p *panicAfter) Name() string { return "test.panic_after" }
+
+func (p *panicAfter) Run(app workload.App, budget int, rng *stats.RNG) {
+	cs := app.(*coreState)
+	for i := 0; i < budget; i += 2 {
+		if cs.id == p.core && i >= p.after {
+			p.atPanic = simulatedCalls(cs.eng)
+			panic(corePanic{p.core, i})
+		}
+		app.Work(400, 0)
+		app.Free(app.Malloc(64+rng.Uint64n(256)), 0)
+	}
+}
+
+// simulatedCalls returns each core's scheduled allocator calls so far.
+func simulatedCalls(eng *Engine) []uint64 {
+	calls := make([]uint64, len(eng.cores))
+	for i, cs := range eng.cores {
+		calls[i] = cs.cpu.Stats.Calls
+	}
+	return calls
+}
+
+// TestRelayPanicUnwinds panics on core 2 mid-run: Engine.Run must re-raise
+// that value on its caller's goroutine, unwind every other core's shard
+// without simulating another call, and leave no coroutine behind.
+func TestRelayPanicUnwinds(t *testing.T) {
+	w := &panicAfter{core: 2, after: 300}
+	eng := New(Config{
+		Cores:        4,
+		Variant:      Mallacc,
+		Workload:     w,
+		CallsPerCore: 3000,
+		Seed:         1,
+	})
+	before := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		eng.Run()
+	}()
+	if want := (corePanic{2, 300}); got != want {
+		t.Fatalf("Run panicked with %v, want %v", got, want)
+	}
+	if after := simulatedCalls(eng); !slices.Equal(after, w.atPanic) {
+		t.Fatalf("cores simulated calls after the panic: %v at the panic, %v after Run", w.atPanic, after)
+	}
+	suspended := 0
+	for _, cs := range eng.cores {
+		if !cs.done && cs.cpu.Stats.Calls > 0 {
+			suspended++
+		}
+	}
+	if suspended < 2 {
+		t.Fatalf("only %d cores were mid-shard at the panic; the test does not exercise the unwind", suspended)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Run, %d before: a core coroutine leaked", n, before)
 	}
 }

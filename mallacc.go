@@ -554,7 +554,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}}
 }
 
-// Run executes every core's shard (one goroutine per core, interleaved in
+// Run executes every core's shard (one coroutine per core, interleaved in
 // deterministic lockstep epochs) and returns the collected result. Repeated
 // Runs are byte-identical.
 func (c *Cluster) Run() *ClusterResult { return multicore.Run(c.cfg) }

@@ -2,14 +2,14 @@
 # scale_smoke.sh — determinism smoke test of the multicore relay
 # scheduler.
 #
-# The multicore engine runs one goroutine per simulated core and hands a
-# turn token between them at epoch boundaries; its determinism contract is
-# that telemetry is a pure function of (seed, core count) no matter how the
-# Go runtime schedules those goroutines. This script stresses exactly that
-# axis:
+# The multicore engine runs each simulated core's shard as a coroutine and
+# hands a turn token between them at epoch boundaries; its determinism
+# contract is that telemetry is a pure function of (seed, core count) no
+# matter how the Go runtime schedules the experiment's concurrent cluster
+# cells. This script stresses exactly that axis:
 #
 #   1. runs the seed-1 scale experiment (1..16 cores) at GOMAXPROCS=1 —
-#      every core goroutine on a single P — and at the host's full
+#      every cell on a single P — and at the host's full
 #      GOMAXPROCS, and requires the two JSON reports to be byte-identical,
 #   2. when the pinned digest results/metrics/multicore.json exists,
 #      requires both reports to match it byte-for-byte (regenerate with
