@@ -1,9 +1,12 @@
 // Command mallacc-coord fronts a fleet of mallacc-serve nodes. It speaks
 // the same /v1/jobs API as a single node, so every existing client works
 // unchanged; behind it, each job is routed to its owning shard by
-// consistent hashing on the job key, with bounded-load overflow, failover
-// past dead or open nodes, per-node circuit breakers fed by health probes
-// and proxy outcomes, and SSE progress fan-out.
+// consistent hashing on the job key. A job starts on the owner if it has a
+// free worker, else on the owner's ring successor, else it queues at
+// whichever of the two has the shorter backlog — the nodes decide, so
+// placement never waits on a probe. Around that sit failover past dead or
+// open nodes, per-node circuit breakers fed by health probes and proxy
+// outcomes, and SSE progress fan-out.
 //
 // Membership is dynamic: nodes may be seeded statically with -nodes, join
 // at runtime via POST /v1/fleet/join (mallacc-serve -coord does this
@@ -54,7 +57,6 @@ func main() {
 		deadAfter    = flag.Duration("dead-after", fleet.DefaultDeadAfter, "further silence before a suspect member is declared dead (ring rebuild)")
 		peersSpec    = flag.String("peers", "", "sibling coordinator base URLs, comma separated — membership is gossiped to them")
 		gossipEvery  = flag.Duration("gossip-every", fleet.DefaultGossipEvery, "membership gossip cadence to -peers")
-		loadFactor   = flag.Float64("load-factor", fleet.DefaultLoadFactor, "bounded-load c: a node past c x mean load overflows to the next candidate")
 		faultSpec    = flag.String("faults", "", "fault-injection spec for chaos testing (e.g. \"seed=7;fleet.proxy,prob=0.2\"); overrides $"+faults.EnvVar)
 	)
 	flag.Parse()
@@ -82,7 +84,6 @@ func main() {
 		DeadAfter:    *deadAfter,
 		Peers:        peers,
 		GossipEvery:  *gossipEvery,
-		LoadFactor:   *loadFactor,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

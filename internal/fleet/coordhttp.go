@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"mallacc/internal/faults"
@@ -22,8 +23,10 @@ const maxProxyBytes = 16 << 20
 // fleet control surface:
 //
 //	POST   /v1/jobs      route a JobSpec to its owning shard (consistent
-//	                     hash on the job key) with bounded-load overflow
-//	                     and failover; job ids come back "<node>.<id>"
+//	                     hash on the job key): start it on the owner or its
+//	                     successor, whichever has a free worker, else queue
+//	                     it at the shorter backlog; fail over past dead
+//	                     nodes. Job ids come back "<node>.<id>"
 //	GET    /v1/jobs/{id} proxied status from the id's node
 //	GET    /v1/jobs/{id}/events
 //	                     SSE progress fan-out through the coordinator
@@ -86,7 +89,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // proxy performs one coordinator→node hop through the fleet.proxy fault
 // point, so the chaos harness can fail hops without touching the nodes.
-func (c *Coordinator) proxy(client *http.Client, r *http.Request, ns *nodeState, method, path string, body []byte) (*http.Response, error) {
+// admit marks a job submission admit-now (simsvc.AdmitHeader).
+func (c *Coordinator) proxy(client *http.Client, r *http.Request, ns *nodeState, method, path string, body []byte, admit bool) (*http.Response, error) {
 	if err := faults.Inject(faults.PointFleetProxy); err != nil {
 		return nil, err
 	}
@@ -100,6 +104,9 @@ func (c *Coordinator) proxy(client *http.Client, r *http.Request, ns *nodeState,
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if admit {
+		req.Header.Set(simsvc.AdmitHeader, simsvc.AdmitNow)
 	}
 	return client.Do(req)
 }
@@ -170,38 +177,37 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	for _, ns := range c.candidates(canon.Key()) {
-		// Allow meters half-open probe slots; every Allow is paired with
-		// exactly one Record below.
-		if !ns.breaker.Allow() {
-			continue
+	// Admit-now at the first two candidates — normally the owner, then
+	// its successor — and the first with a free worker starts the job.
+	// The owner's peer fill asks the ring's next DefaultFillPeers nodes, so
+	// a job placed within the ring's first 1+DefaultFillPeers nodes is
+	// found by a warm resubmit with no placement table. The first two
+	// candidates lie there unless two of those nodes are ineligible, or one
+	// is a suspect sorted behind a healthy node further round; then
+	// placement degrades to plain failover. If both refuse, the job queues
+	// at the shorter backlog (ring order on a tie); failures fall through
+	// to the remaining candidates, which take it queued.
+	cands := c.candidates(canon.Key())
+	admit := min(DefaultFillPeers, len(cands))
+	var refused []*nodeState
+	var backlog [DefaultFillPeers]int
+	for _, ns := range cands[:admit] {
+		switch b, res := c.offer(w, r, ns, canonBody, true); res {
+		case offerRelayed:
+			if len(refused) > 0 {
+				c.spills.Add(1)
+			}
+			return
+		case offerRefused:
+			backlog[len(refused)] = b
+			refused = append(refused, ns)
 		}
-		resp, err := c.proxy(c.client, r, ns, http.MethodPost, "/v1/jobs", canonBody)
-		if err != nil {
-			ns.breaker.Record(simsvc.OutcomeFailure)
-			ns.markUnreachable(err)
-			c.failovers.Add(1)
-			continue
-		}
-		switch {
-		case resp.StatusCode == http.StatusTooManyRequests:
-			// The node is alive but full — bounded-load overflow to the
-			// next candidate, no strike against the breaker.
-			drain(resp)
-			ns.breaker.Record(simsvc.OutcomeSuccess)
-			c.redirects.Add(1)
-		case resp.StatusCode >= 500:
-			// 503 draining / breaker-open / 5xx: the node cannot take the
-			// job; count it as a failure and fail over.
-			drain(resp)
-			ns.breaker.Record(simsvc.OutcomeFailure)
-			c.failovers.Add(1)
-		default:
-			ns.breaker.Record(simsvc.OutcomeSuccess)
-			ns.proxied.Add(1)
-			// A successful proxy hop is liveness evidence, same as a probe.
-			c.mem.MarkAlive(ns.name)
-			c.relayJobStatus(w, resp, ns.name)
+	}
+	if len(refused) == 2 && backlog[1] < backlog[0] {
+		refused[0], refused[1] = refused[1], refused[0]
+	}
+	for _, ns := range append(refused, cands[admit:]...) {
+		if _, res := c.offer(w, r, ns, canonBody, false); res == offerRelayed {
 			return
 		}
 	}
@@ -209,6 +215,58 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusServiceUnavailable,
 		errors.New("fleet: no node can accept the job (all draining, open, or unreachable)"))
+}
+
+// offerResult is how one node answered a submission: it failed
+// (transport error, 5xx, breaker shedding), refused (429: alive but busy
+// or full), or took the job, whose document went to the client.
+type offerResult int
+
+const (
+	offerFailed offerResult = iota
+	offerRefused
+	offerRelayed
+)
+
+// offer proxies one submission to ns (admit-now when admit is set) and
+// feeds the outcome to the node's breaker and the router counters. A
+// refusal returns the node's backlog.
+func (c *Coordinator) offer(w http.ResponseWriter, r *http.Request, ns *nodeState, body []byte, admit bool) (backlog int, res offerResult) {
+	// Allow meters half-open probe slots; every Allow is paired with
+	// exactly one Record below.
+	if !ns.breaker.Allow() {
+		return 0, offerFailed
+	}
+	resp, err := c.proxy(c.client, r, ns, http.MethodPost, "/v1/jobs", body, admit)
+	if err != nil {
+		ns.breaker.Record(simsvc.OutcomeFailure)
+		ns.markUnreachable(err)
+		c.failovers.Add(1)
+		return 0, offerFailed
+	}
+	switch {
+	case resp.StatusCode == http.StatusTooManyRequests:
+		// The node is alive but busy or full: try the next candidate, no
+		// strike against the breaker.
+		drain(resp)
+		ns.breaker.Record(simsvc.OutcomeSuccess)
+		c.redirects.Add(1)
+		backlog, _ = strconv.Atoi(resp.Header.Get(simsvc.BacklogHeader))
+		return backlog, offerRefused
+	case resp.StatusCode >= 500:
+		// 503 draining / breaker-open / 5xx: the node cannot take the
+		// job; count it as a failure and fail over.
+		drain(resp)
+		ns.breaker.Record(simsvc.OutcomeFailure)
+		c.failovers.Add(1)
+		return 0, offerFailed
+	}
+	ns.breaker.Record(simsvc.OutcomeSuccess)
+	ns.proxied.Add(1)
+	// A successful proxy hop is liveness evidence, same as a probe.
+	c.mem.MarkAlive(ns.name)
+	c.relayJobStatus(w, resp, ns.name)
+	return 0, offerRelayed
 }
 
 // markUnreachable flips a node unhealthy on a failed proxy hop, without
@@ -247,7 +305,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := c.proxy(c.client, r, ns, http.MethodGet, "/v1/jobs/"+rest, nil)
+	resp, err := c.proxy(c.client, r, ns, http.MethodGet, "/v1/jobs/"+rest, nil, false)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: node %s: %v", ns.name, err))
 		return
@@ -260,7 +318,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := c.proxy(c.client, r, ns, http.MethodDelete, "/v1/jobs/"+rest, nil)
+	resp, err := c.proxy(c.client, r, ns, http.MethodDelete, "/v1/jobs/"+rest, nil, false)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: node %s: %v", ns.name, err))
 		return
@@ -278,7 +336,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := c.proxy(c.sseClient, r, ns, http.MethodGet, "/v1/jobs/"+rest+"/events", nil)
+	resp, err := c.proxy(c.sseClient, r, ns, http.MethodGet, "/v1/jobs/"+rest+"/events", nil, false)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: node %s: %v", ns.name, err))
 		return

@@ -23,12 +23,6 @@ const DefaultProbeEvery = 2 * time.Second
 // DefaultGossipEvery is the coordinator-to-coordinator gossip cadence.
 const DefaultGossipEvery = 1 * time.Second
 
-// DefaultLoadFactor is the bounded-load c: a node is "over" when its load
-// (queued + busy) exceeds c times the eligible-fleet mean (plus one of
-// slack, so an idle fleet never reads as over). 1.25 is the classic
-// consistent-hashing-with-bounded-loads choice.
-const DefaultLoadFactor = 1.25
-
 // gossipFullEvery forces a full-state snapshot every Nth gossip round per
 // peer; rounds in between send deltas cut at the last acknowledged epoch.
 // Merges are record-wise idempotent, so the periodic full view bounds any
@@ -56,8 +50,6 @@ type CoordinatorConfig struct {
 	Peers []string
 	// GossipEvery is the gossip cadence (DefaultGossipEvery when <= 0).
 	GossipEvery time.Duration
-	// LoadFactor is the bounded-load c (DefaultLoadFactor when <= 0).
-	LoadFactor float64
 	// Breaker sizes each node's circuit breaker; zero fields take the
 	// simsvc defaults.
 	Breaker simsvc.BreakerConfig
@@ -71,7 +63,8 @@ type CoordinatorConfig struct {
 
 // nodeState is the coordinator's live transport-level view of one member
 // node: instant reachability fed by probes and proxy outcomes, the node's
-// last reported occupancy, and its circuit breaker. The slower, gossiped
+// last reported occupancy (for status and gauges; routing asks the node
+// itself), and its circuit breaker. The slower, gossiped
 // verdict (healthy/suspect/dead/left, draining) lives in the Membership.
 type nodeState struct {
 	name string
@@ -103,13 +96,6 @@ func (ns *nodeState) baseURL() string {
 	return ns.url
 }
 
-// load is the bounded-load measure: work the node holds right now.
-func (ns *nodeState) load() int {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.health.QueueDepth + ns.health.Busy
-}
-
 // peerState tracks gossip bookkeeping for one sibling coordinator.
 type peerState struct {
 	url       string
@@ -123,15 +109,14 @@ type peerState struct {
 // single node — clients cannot tell the difference beyond the node-prefixed
 // job ids — and layers on dynamic membership (join/heartbeat/leave with a
 // suspicion-based failure detector driving automatic ring rebuilds),
-// per-node health probing, circuit breaking, bounded-load overflow,
-// failover, drain with cache hand-off, SSE fan-out, and a gossiped
-// membership view shared with sibling coordinators.
+// per-node health probing, circuit breaking, admit-now placement within
+// the peer-fill set, failover, drain with cache hand-off, SSE fan-out, and
+// a gossiped membership view shared with sibling coordinators.
 type Coordinator struct {
 	mem        *Membership
 	reg        *telemetry.Registry
 	client     *http.Client
 	sseClient  *http.Client
-	loadFactor float64
 	probeEvery time.Duration
 	replicas   int
 
@@ -149,7 +134,8 @@ type Coordinator struct {
 
 	requests  atomic.Uint64 // submissions entering the router
 	failovers atomic.Uint64 // candidate skipped after transport/5xx failure
-	redirects atomic.Uint64 // candidate skipped on 429 (bounded-load overflow)
+	redirects atomic.Uint64 // candidate skipped on 429 (admit-now refusal or queue full)
+	spills    atomic.Uint64 // jobs started on the successor because the owner refused
 	exhausted atomic.Uint64 // submissions that ran out of candidates (503)
 	probes    atomic.Uint64
 	probeErrs atomic.Uint64
@@ -172,9 +158,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.GossipEvery <= 0 {
 		cfg.GossipEvery = DefaultGossipEvery
 	}
-	if cfg.LoadFactor <= 0 {
-		cfg.LoadFactor = DefaultLoadFactor
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -192,7 +175,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		reg:         reg,
 		client:      client,
 		sseClient:   &http.Client{},
-		loadFactor:  cfg.LoadFactor,
 		probeEvery:  cfg.ProbeEvery,
 		replicas:    cfg.Replicas,
 		nodes:       map[string]*nodeState{},
@@ -280,6 +262,7 @@ func (c *Coordinator) registerMetrics() {
 	c.reg.Counter("fleet.proxy.requests", c.requests.Load)
 	c.reg.Counter("fleet.proxy.failovers", c.failovers.Load)
 	c.reg.Counter("fleet.proxy.redirects", c.redirects.Load)
+	c.reg.Counter("fleet.proxy.spills", c.spills.Load)
 	c.reg.Counter("fleet.proxy.exhausted", c.exhausted.Load)
 	c.reg.Counter("fleet.probes", c.probes.Load)
 	c.reg.Counter("fleet.probe.failures", c.probeErrs.Load)
@@ -480,23 +463,14 @@ func (c *Coordinator) eligible(m Member, ns *nodeState) bool {
 }
 
 // candidates returns the submission order for a key: eligible nodes in
-// ring order, healthy-state members before suspects, and within each
-// class nodes past the bounded-load capacity after the under-capacity
-// ones (never dropped — when the whole fleet is hot the owner is still
-// the right first try).
+// ring order, healthy-state members before suspects.
 func (c *Coordinator) candidates(key string) []*nodeState {
 	ring := c.mem.Ring()
 	if ring == nil {
 		return nil
 	}
-	names := ring.Candidates(key, 0)
-	type cand struct {
-		ns      *nodeState
-		suspect bool
-	}
-	elig := make([]cand, 0, len(names))
-	var total, n int
-	for _, name := range names {
+	var healthy, suspect []*nodeState
+	for _, name := range ring.Candidates(key, 0) {
 		m, ok := c.mem.Member(name)
 		if !ok {
 			continue
@@ -505,26 +479,13 @@ func (c *Coordinator) candidates(key string) []*nodeState {
 		if ns == nil || !c.eligible(m, ns) {
 			continue
 		}
-		elig = append(elig, cand{ns: ns, suspect: m.State == StateMemberSuspect})
-		total += ns.load()
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	capacity := c.loadFactor*(float64(total)/float64(n)) + 1
-	var under, over, suspect []*nodeState
-	for _, cd := range elig {
-		switch {
-		case cd.suspect:
-			suspect = append(suspect, cd.ns)
-		case float64(cd.ns.load()) > capacity:
-			over = append(over, cd.ns)
-		default:
-			under = append(under, cd.ns)
+		if m.State == StateMemberSuspect {
+			suspect = append(suspect, ns)
+		} else {
+			healthy = append(healthy, ns)
 		}
 	}
-	return append(append(under, over...), suspect...)
+	return append(healthy, suspect...)
 }
 
 // Drain marks a node as draining (operator action via mallacc-ctl): no new

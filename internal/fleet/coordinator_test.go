@@ -488,7 +488,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 		t.Fatalf("metrics not JSON: %v", err)
 	}
 	for _, name := range []string{
-		"fleet.proxy.requests", "fleet.proxy.failovers", "fleet.proxy.redirects",
+		"fleet.proxy.requests", "fleet.proxy.failovers", "fleet.proxy.redirects", "fleet.proxy.spills",
 		"fleet.proxy.exhausted", "fleet.nodes.live", "fleet.nodes.total",
 		"fleet.node.n1.ownership", "fleet.node.n2.queue_depth", "fleet.node.n1.breaker",
 	} {

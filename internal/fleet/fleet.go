@@ -6,9 +6,10 @@
 //     node churn moves only the keys it must (~K/N on join/leave).
 //   - Coordinator: an HTTP daemon (cmd/mallacc-coord) speaking the same
 //     /v1/jobs API as a single node, so existing clients work unchanged.
-//     It routes each submission to the job key's owning shard with
-//     bounded-load overflow and failover, probes node health on an
-//     interval, feeds a per-node circuit breaker with proxy outcomes
+//     It starts each submission on the job key's owning shard or its ring
+//     successor, whichever has a free worker (else it queues at the
+//     shorter backlog), fails over past dead nodes, probes node health on
+//     an interval, feeds a per-node circuit breaker with proxy outcomes
 //     (drain/redirect on open), and fans SSE progress streams out through
 //     itself.
 //   - PeerFiller: the node-side peer-to-peer cache fill. Before simulating

@@ -143,21 +143,6 @@ func (r *Ring) LookupLive(key string, live func(string) bool) string {
 	return ""
 }
 
-// LookupBounded is the bounded-load lookup: it returns the first candidate
-// in ring order that over does not report as past capacity, falling back to
-// the plain owner when every node is over (the ring never fails a lookup
-// the plain ring could answer). over is typically "queue depth beyond
-// c × mean" fed from the coordinator's health probes.
-func (r *Ring) LookupBounded(key string, over func(string) bool) string {
-	if over == nil {
-		return r.Lookup(key)
-	}
-	if n := r.LookupLive(key, func(node string) bool { return !over(node) }); n != "" {
-		return n
-	}
-	return r.Lookup(key)
-}
-
 // Ownership returns the fraction of the hash space each node owns — the
 // distribution the coordinator exposes as fleet.node.<name>.ownership.
 // Fractions sum to 1.

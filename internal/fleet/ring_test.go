@@ -129,12 +129,6 @@ func TestRingLookupLiveAndBounded(t *testing.T) {
 	if got := r.LookupLive("fig13", func(string) bool { return false }); got != "" {
 		t.Errorf("LookupLive with no live nodes = %q, want \"\"", got)
 	}
-	if got := r.LookupBounded("fig13", func(string) bool { return true }); got != owner {
-		t.Errorf("LookupBounded with every node over = %q, want owner %q", got, owner)
-	}
-	if got := r.LookupBounded("fig13", nil); got != owner {
-		t.Errorf("LookupBounded(nil) = %q, want %q", got, owner)
-	}
 }
 
 func TestNewRingRejectsBadInput(t *testing.T) {
@@ -188,9 +182,6 @@ func FuzzRingLookup(f *testing.F) {
 			t.Fatalf("LookupLive(%q) = %q with live nodes available", key, got)
 		case !anyLive && got != "":
 			t.Fatalf("LookupLive(%q) = %q with no live nodes", key, got)
-		}
-		if got := r.LookupBounded(key, func(node string) bool { return !live(node) }); !member[got] {
-			t.Fatalf("LookupBounded(%q) = %q, not a ring member", key, got)
 		}
 		for _, c := range r.Candidates(key, 0) {
 			if !member[c] {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -18,7 +19,10 @@ import (
 //
 //	POST   /v1/jobs      submit a JobSpec; 200 done (cache hit), 202 queued,
 //	                     400 invalid spec, 429 queue full, 503 draining or
-//	                     circuit breaker open (Retry-After set)
+//	                     circuit breaker open (Retry-After set). With
+//	                     "X-Mallacc-Admit: now" a miss is admitted only if a
+//	                     worker can start it at once; otherwise 429 with
+//	                     X-Mallacc-Backlog, the jobs that would be ahead
 //	GET    /v1/jobs/{id} job status, report included once done
 //	GET    /v1/jobs/{id}/events
 //	                     live progress stream over Server-Sent Events;
@@ -73,6 +77,14 @@ func faultsMiddleware(next http.Handler) http.Handler {
 	})
 }
 
+// AdmitHeader set to AdmitNow on POST /v1/jobs asks for admit-now
+// submission; a refusal carries the node's backlog in BacklogHeader.
+const (
+	AdmitHeader   = "X-Mallacc-Admit"
+	AdmitNow      = "now"
+	BacklogHeader = "X-Mallacc-Backlog"
+)
+
 // httpError is the error document every non-2xx response carries.
 type httpError struct {
 	Error string `json:"error"`
@@ -106,11 +118,16 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	st, err := s.Submit(spec)
+	st, err := s.submit(spec, r.Header.Get(AdmitHeader) == AdmitNow)
+	var busy *busyError
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrInvalidSpec):
 		writeError(w, http.StatusBadRequest, err)
+		return
+	case errors.As(err, &busy):
+		w.Header().Set(BacklogHeader, strconv.Itoa(busy.Backlog))
+		writeError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")

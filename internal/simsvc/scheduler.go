@@ -239,13 +239,32 @@ func (j *job) statusLocked() JobStatus {
 	return st
 }
 
+// busyError refuses an admit-now submission (HTTP 429): no worker can
+// start the job at once. Backlog counts the jobs that would be ahead of
+// it — queued jobs plus running simulations, borrowed cells included.
+type busyError struct{ Backlog int }
+
+func (e *busyError) Error() string {
+	return fmt.Sprintf("no free worker: %d jobs ahead", e.Backlog)
+}
+
 // Enqueue admits a new job at the tail of the FIFO queue. It returns
 // ErrDraining during shutdown and ErrQueueFull past the high-water mark.
 func (s *Scheduler) Enqueue(spec JobSpec, key string) (JobStatus, error) {
+	return s.enqueue(spec, key, false)
+}
+
+// enqueue is Enqueue; with now set it admits the job only if a worker can
+// start it at once — the queue is empty and busy < Workers — and otherwise
+// returns a *busyError without recording the job.
+func (s *Scheduler) enqueue(spec JobSpec, key string, now bool) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return JobStatus{}, ErrDraining
+	}
+	if now && (len(s.queue) > 0 || s.busy >= s.cfg.Workers) {
+		return JobStatus{}, &busyError{Backlog: len(s.queue) + s.busy}
 	}
 	if len(s.queue) >= s.cfg.QueueHighWater {
 		s.rejected.Add(1)

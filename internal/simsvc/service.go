@@ -55,7 +55,8 @@ type Config struct {
 	// PeerFill, when set, is consulted on a local cache miss before the
 	// job is enqueued: it may return the report bytes another fleet node
 	// already computed (see internal/fleet.PeerFiller). A successful fill
-	// is stored locally and behaves exactly like a cache hit.
+	// goes into the memory tier only — the node that computed the report
+	// holds the durable copy — and behaves exactly like a cache hit.
 	PeerFill func(key string) ([]byte, bool)
 }
 
@@ -177,6 +178,13 @@ func (s *Service) Cache() *Cache { return s.cache }
 // consults the circuit breaker (cached results are always served — shedding
 // protects the workers, not the cache) and enqueues the job for the pool.
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
+	return s.submit(spec, false)
+}
+
+// submit is Submit; with now set a miss is admitted only if a worker can
+// start it at once, so a fleet coordinator can try the next node instead
+// of queueing behind a busy one. Hits are served either way.
+func (s *Service) submit(spec JobSpec, now bool) (JobStatus, error) {
 	c, err := spec.Canonicalize()
 	if err != nil {
 		return JobStatus{}, err
@@ -187,14 +195,14 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	if s.peerFill != nil {
 		if b, ok := s.peerFill(key); ok {
-			s.cache.Put(key, b)
+			s.cache.insert(key, b)
 			return s.sched.Completed(c, key, b)
 		}
 	}
 	if !s.breaker.Allow() {
 		return JobStatus{}, ErrBreakerOpen
 	}
-	st, err := s.sched.Enqueue(c, key)
+	st, err := s.sched.enqueue(c, key, now)
 	if err != nil {
 		// The admission never reached a worker; release any probe slot.
 		s.breaker.Record(OutcomeAbandoned)

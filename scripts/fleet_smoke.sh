@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # fleet_smoke.sh — end-to-end smoke test for the sharded simulation fleet.
 #
-# Boots three memory-only mallacc-serve nodes plus a mallacc-coord fronting
-# them, then drives the whole fleet surface through mallacc-ctl and curl:
+# Boots three one-worker mallacc-serve nodes, each with its own disk cache,
+# plus a mallacc-coord fronting them, then drives the whole fleet surface
+# through mallacc-ctl and curl:
 #   1. membership: ctl status reports 3/3 nodes live,
 #   2. an uncached job routes to its owning shard and the report is
 #      byte-identical to a standalone single-node run of the same spec,
@@ -11,10 +12,16 @@
 #      fleet.* router families,
 #   5. kill the owning node: a resubmission fails over and recomputes a
 #      byte-identical report on another shard,
-#   6. restart the owner cold (memory-only cache died with it): the next
-#      submission peer-fills from the shard that recomputed, observed via
-#      fleet.peerfill.hits on the owner's own metrics,
-#   7. drain/undrain through ctl redirects new work and restores it.
+#   6. restart the owner cold (its disk cache wiped, its memory gone with
+#      the process): the next submission peer-fills from the shard that
+#      recomputed, observed via fleet.peerfill.hits on the owner's own
+#      metrics,
+#   7. drain/undrain through ctl redirects new work and restores it,
+#   8. spill: two long jobs with the same owner and successor (picked with
+#      scripts/ringorder), submitted back to back, run concurrently — the
+#      busy owner refuses the second's admit-now and it starts on the
+#      successor. The disk caches gain exactly one report per job, and
+#      warm resubmits of both are cached, byte-identical, and add no file.
 #
 # Needs: go, curl, jq.
 set -euo pipefail
@@ -67,12 +74,13 @@ node_port[n2]=$((base_port+2))
 node_port[n3]=$((base_port+3))
 fleet_spec="n1=127.0.0.1:${node_port[n1]},n2=127.0.0.1:${node_port[n2]},n3=127.0.0.1:${node_port[n3]}"
 
-# Memory-only nodes (no -cache-dir): killing one provably loses its cache,
-# which is what makes the peer-fill leg meaningful.
+# Each node has one worker, so one running job makes it busy, and persists
+# reports under its own cache dir; the spill leg counts the files. The peer-fill leg wipes the killed owner's dir before the
+# restart, so the restarted node provably holds nothing.
 start_node() {
     local name=$1
     "$workdir/mallacc-serve" -addr "127.0.0.1:${node_port[$name]}" \
-        -fleet "$fleet_spec" -self "$name" \
+        -fleet "$fleet_spec" -self "$name" -workers 1 -cache-dir "$workdir/cache_$name" \
         >>"$workdir/$name.log" 2>&1 &
     node_pid[$name]=$!
 }
@@ -150,7 +158,7 @@ echo "fleet-smoke: cached resubmission byte-identical on $owner"
 
 # --- 4. coordinator OpenMetrics scrape lints clean ----------------------
 curl -fsS "$coord/v1/metrics?format=openmetrics" \
-    | go run ./scripts/promlint -require mallacc_fleet_proxy_requests \
+    | go run ./scripts/promlint -require mallacc_fleet_proxy_requests,mallacc_fleet_proxy_spills \
     || fail "coordinator openmetrics failed promlint"
 reqs=$(curl -fsS "$coord/v1/metrics" | jq '."fleet.proxy.requests"')
 [ "$reqs" -ge 2 ] || fail "fleet.proxy.requests = $reqs, want >= 2"
@@ -175,6 +183,7 @@ cmp -s "$workdir/report_fleet.json" "$workdir/report_failover.json" \
 echo "fleet-smoke: owner $owner killed, $node3 recomputed byte-identically"
 
 # --- 6. restart the owner cold: peer fill from the recomputing shard -----
+rm -rf "$workdir/cache_$owner"
 start_node "$owner"
 for _ in $(seq 1 100); do
     ok=$(curl -fsS "$coord/v1/healthz" \
@@ -215,5 +224,54 @@ done
 [ "$live" = 3 ] || fail "fleet not 3/3 live after undrain (live=$live)"
 ctl status | grep -q "3/3 nodes live" || fail "ctl status not 3/3 live after undrain"
 echo "fleet-smoke: drain redirected work off $owner, undrain restored it"
+
+# --- 8. spill: the busy owner's second job starts on its successor -------
+long='{"workload":"ubench.gauss","variant":"mallacc","calls":600000,"seed":%d}'
+read -r seed_a seed_b spill_owner spill_succ < <(
+    for s in $(seq 100 160); do printf "$long\n" "$s"; done \
+        | go run ./scripts/ringorder n1 n2 n3 \
+        | awk '{ k = $2 " " $3; if (k in first) { print first[k], NR + 99, $2, $3; exit } first[k] = NR + 99 }'
+) || fail "no two seeds share an owner and successor"
+cache_files() { find "$workdir"/cache_* -maxdepth 1 -name '*.json' | wc -l; }
+await_done() {
+    local id=$1 job state
+    for _ in $(seq 1 300); do
+        job=$(curl -fsS "$coord/v1/jobs/$id") || fail "poll of $id failed"
+        state=$(echo "$job" | jq -r .state)
+        case "$state" in
+            done) echo "$job"; return 0 ;;
+            failed|canceled) fail "job $id finished $state: $(echo "$job" | jq -r .error)" ;;
+        esac
+        sleep 0.1
+    done
+    fail "job $id never finished (last state: $state)"
+}
+files0=$(cache_files)
+seeds=("$seed_a" "$seed_b")
+spill_ids=()
+for seed in "${seeds[@]}"; do
+    j=$(curl -fsS -X POST -d "$(printf "$long" "$seed")" "$coord/v1/jobs") || fail "spill submit failed"
+    spill_ids+=("$(echo "$j" | jq -r .id)")
+done
+echo "${spill_ids[0]}" | grep -q "^$spill_owner\." \
+    || fail "first job ${spill_ids[0]} did not start on owner $spill_owner"
+echo "${spill_ids[1]}" | grep -q "^$spill_succ\." \
+    || fail "second job ${spill_ids[1]} did not spill to successor $spill_succ"
+for i in 0 1; do
+    await_done "${spill_ids[$i]}" | jq -S .report >"$workdir/spill_$i.json"
+done
+[ "$(cache_files)" -eq "$((files0 + 2))" ] \
+    || fail "disk caches went from $files0 to $(cache_files) reports for 2 jobs"
+for i in 0 1; do
+    j=$(curl -fsS -X POST -d "$(printf "$long" "${seeds[$i]}")" "$coord/v1/jobs") || fail "warm resubmit failed"
+    [ "$(echo "$j" | jq -r .cached)" = true ] || fail "warm resubmit of seed ${seeds[$i]} not cached"
+    echo "$j" | jq -S .report | cmp -s - "$workdir/spill_$i.json" \
+        || fail "warm resubmit of seed ${seeds[$i]} not byte-identical"
+done
+[ "$(cache_files)" -eq "$((files0 + 2))" ] \
+    || fail "warm resubmits changed the disk caches to $(cache_files) reports, want $((files0 + 2))"
+spills=$(curl -fsS "$coord/v1/metrics" | jq '."fleet.proxy.spills"')
+[ "$spills" -ge 1 ] || fail "fleet.proxy.spills = $spills, want >= 1"
+echo "fleet-smoke: ${spill_ids[1]} spilled from busy $spill_owner to $spill_succ; warm resubmits cached, one disk report per job"
 
 echo "fleet-smoke: PASS"
