@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke baseline serve-smoke chaos-smoke obs-smoke fleet-smoke fleet-chaos membership-chaos designspace-smoke scale-smoke baseline-smoke clean
+.PHONY: all build vet unreached test race bench bench-smoke baseline serve-smoke chaos-smoke obs-smoke fleet-smoke fleet-chaos membership-chaos designspace-smoke scale-smoke baseline-smoke clean
 
 all: build vet test
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail on any function or method that no binary links (every main package
+# plus perfbench/, built with inlining off) and on stale allowlist entries
+# (scripts/unreached/allowlist.txt).
+unreached:
+	$(GO) run ./scripts/unreached
 
 test:
 	$(GO) test ./...
@@ -63,7 +69,9 @@ obs-smoke:
 # Fleet smoke test: three sharded mallacc-serve nodes behind mallacc-coord,
 # driven by mallacc-ctl; asserts owner routing, byte-identical reports vs a
 # standalone node, cache hits, failover recompute, peer cache fill after a
-# cold restart, drain/undrain, and a clean fleet.* OpenMetrics scrape.
+# cold restart, drain/undrain, a clean fleet.* OpenMetrics scrape, and the
+# spill of a busy owner's second job to its ring successor with one cached
+# report per job.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 

@@ -87,7 +87,8 @@ func main() {
 
 // client talks to the coordinator with the same retry discipline as the
 // mallacc-sim remote client: transport errors and retryable statuses back
-// off with jitter, 4xx surfaces immediately.
+// off with jitter, honoring the server's Retry-After hints, and 4xx
+// surfaces immediately.
 type client struct {
 	base   string
 	http   *http.Client
@@ -135,24 +136,9 @@ func (c *client) doJSON(ctx context.Context, method, path string, body []byte, o
 		if err != nil {
 			return retry.Transient(err)
 		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+		b, err := retry.ReadResponse(resp, 16<<20)
 		if err != nil {
-			return retry.Transient(err)
-		}
-		if resp.StatusCode >= 300 {
-			var e struct {
-				Error string `json:"error"`
-			}
-			msg := resp.Status
-			if json.Unmarshal(b, &e) == nil && e.Error != "" {
-				msg = resp.Status + ": " + e.Error
-			}
-			serr := errors.New(msg)
-			if !retry.TransientHTTPStatus(resp.StatusCode) {
-				return retry.Permanent(serr)
-			}
-			return retry.Transient(serr)
+			return err
 		}
 		if out == nil {
 			return nil

@@ -5,12 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -244,24 +242,9 @@ func recordRemote(base string, spec simsvc.TraceSpec) error {
 		if err != nil {
 			return retry.Transient(err)
 		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		b, err := retry.ReadResponse(resp, 1<<20)
 		if err != nil {
-			return retry.Transient(err)
-		}
-		if resp.StatusCode >= 300 {
-			var e struct {
-				Error string `json:"error"`
-			}
-			msg := resp.Status
-			if json.Unmarshal(b, &e) == nil && e.Error != "" {
-				msg = resp.Status + ": " + e.Error
-			}
-			serr := errors.New(msg)
-			if !retry.TransientHTTPStatus(resp.StatusCode) {
-				return retry.Permanent(serr)
-			}
-			return retry.Transient(serr)
+			return err
 		}
 		if err := json.Unmarshal(b, &out); err != nil {
 			return retry.Transient(err)
@@ -276,32 +259,12 @@ func recordRemote(base string, spec simsvc.TraceSpec) error {
 	return nil
 }
 
-// decodeStatus reads one API response, surfacing the server's error
-// document on non-2xx statuses and classifying the failure for the retry
-// loop: retryable statuses come back transient (with the Retry-After
-// hint attached when present), everything else permanent.
+// decodeStatus reads one API response into a job status; ReadResponse
+// classifies a failed one for the retry loop.
 func decodeStatus(resp *http.Response) (mallacc.JobStatus, error) {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := retry.ReadResponse(resp, 16<<20)
 	if err != nil {
-		return mallacc.JobStatus{}, retry.Transient(err)
-	}
-	if resp.StatusCode >= 300 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := resp.Status
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			msg = resp.Status + ": " + e.Error
-		}
-		serr := errors.New(msg)
-		if !retry.TransientHTTPStatus(resp.StatusCode) {
-			return mallacc.JobStatus{}, retry.Permanent(serr)
-		}
-		if after := parseRetryAfter(resp.Header.Get("Retry-After")); after > 0 {
-			return mallacc.JobStatus{}, &retry.AfterError{Err: serr, After: after}
-		}
-		return mallacc.JobStatus{}, retry.Transient(serr)
+		return mallacc.JobStatus{}, err
 	}
 	var st mallacc.JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
@@ -309,17 +272,4 @@ func decodeStatus(resp *http.Response) (mallacc.JobStatus, error) {
 		return mallacc.JobStatus{}, retry.Transient(err)
 	}
 	return st, nil
-}
-
-// parseRetryAfter parses the delay-seconds form of Retry-After (the only
-// form this API emits); 0 means absent or unparseable.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }

@@ -69,7 +69,6 @@ type Cache struct {
 	nw      int      // cfg.Ways
 	Stats   Stats
 	cfg     Config
-	sets    int
 }
 
 // New builds a cache from cfg, validating the geometry.
@@ -94,15 +93,8 @@ func New(cfg Config) *Cache {
 		setMask: uint64(sets - 1),
 		nw:      cfg.Ways,
 		cfg:     cfg,
-		sets:    sets,
 	}
 }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.cfg.Ways }
 
 // Latency returns the hit latency.
 func (c *Cache) Latency() uint64 { return c.cfg.Latency }
@@ -172,29 +164,8 @@ func (c *Cache) fill(tag uint32, set int) (evicted uint64, wasEvicted bool) {
 	return evicted, wasEvicted
 }
 
-// Lookup probes for addr without modifying contents, updating LRU and stats
-// on a hit.
-func (c *Cache) Lookup(addr uint64) bool {
-	if c.touch(c.line(addr)) {
-		c.Stats.Hits++
-		return true
-	}
-	c.Stats.Misses++
-	return false
-}
-
-// Insert fills addr's line, evicting LRU if needed. It returns the evicted
-// line number and whether an eviction occurred (for inclusive back-
-// invalidation). A line already present only becomes most recent.
-func (c *Cache) Insert(addr uint64) (evicted uint64, wasEvicted bool) {
-	tag, set := c.line(addr)
-	if c.touch(tag, set) {
-		return 0, false
-	}
-	return c.fill(tag, set)
-}
-
-// access is Lookup followed, on a miss, by Insert, in one probe.
+// access probes addr's set, counting a hit or miss, and on a miss fills
+// the line, evicting the least recent one if the set is full.
 func (c *Cache) access(addr uint64) (hit bool, evicted uint64, wasEvicted bool) {
 	tag, set := c.line(addr)
 	if c.touch(tag, set) {
@@ -223,17 +194,6 @@ func (c *Cache) InvalidateLine(ln uint64) {
 	}
 }
 
-// Contains probes without any side effects (no LRU or stats update).
-func (c *Cache) Contains(addr uint64) bool {
-	tag, set := c.line(addr)
-	for _, t := range c.live(set) {
-		if t == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // EvictLRUHalf invalidates the least-recently-used half of every set. This
 // is the simulator callback the antagonist microbenchmark invokes after
 // each allocation (Sec. 5).
@@ -242,13 +202,4 @@ func (c *Cache) EvictLRUHalf() {
 	for i, n := range c.n {
 		c.n[i] = n - min(n, half)
 	}
-}
-
-// Occupancy returns the fraction of valid lines, for tests and reports.
-func (c *Cache) Occupancy() float64 {
-	live := 0
-	for _, n := range c.n {
-		live += int(n)
-	}
-	return float64(live) / float64(len(c.tags))
 }

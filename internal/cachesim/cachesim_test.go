@@ -244,7 +244,7 @@ func lockstep(t *testing.T, cfg Config, seed uint64) {
 	// Concentrate the stream on a few sets, each with a pool of 3*Ways
 	// tags, so hits, evictions and invalidations of present lines are all
 	// common. Tags span the full 32-bit range the layout allows.
-	sets := []uint64{0, 1, uint64(c.sets - 1), uint64(c.sets / 2)}
+	sets := []uint64{0, 1, uint64(len(c.n) - 1), uint64(len(c.n) / 2)}
 	tags := make([]uint64, 3*cfg.Ways)
 	for i := range tags {
 		tags[i] = rng.Uint64N(1 << 32)

@@ -107,13 +107,6 @@ func New(cfg Config) *MallocCache {
 // Config returns the configuration.
 func (m *MallocCache) Config() Config { return m.cfg }
 
-// Entries exposes a copy of the current contents for inspection and tests.
-func (m *MallocCache) Entries() []Entry {
-	out := make([]Entry, len(m.entries))
-	copy(out, m.entries)
-	return out
-}
-
 func (m *MallocCache) touch(i int) {
 	m.clock++
 	m.entries[i].lru = m.clock

@@ -29,7 +29,7 @@ func TestSzLookupLearnsRanges(t *testing.T) {
 	}
 	// A single entry per class.
 	used := 0
-	for _, e := range m.Entries() {
+	for _, e := range m.entries {
 		if e.Valid {
 			used++
 		}
@@ -68,7 +68,7 @@ func TestHdPopSemantics(t *testing.T) {
 	if _, _, _, ok := m.HdPop(3); ok {
 		t.Fatal("pop hit with only Head")
 	}
-	if e := m.Entries()[m.findByClass(3)]; e.Head != 0 || e.Next != 0 {
+	if e := m.entries[m.findByClass(3)]; e.Head != 0 || e.Next != 0 {
 		t.Fatalf("miss did not invalidate: %+v", e)
 	}
 	// Both present: hit promotes Next.
@@ -78,7 +78,7 @@ func TestHdPopSemantics(t *testing.T) {
 	if !ok || head != 0x300 || next != 0x200 {
 		t.Fatalf("pop: entry=%d head=%#x next=%#x ok=%v", entry, head, next, ok)
 	}
-	e := m.Entries()[entry]
+	e := m.entries[entry]
 	if e.Head != 0x200 || e.Next != 0 {
 		t.Fatalf("post-pop state: %+v", e)
 	}
@@ -93,7 +93,7 @@ func TestHdPushShifts(t *testing.T) {
 	m.SzUpdate(2, 2, 32, 2)
 	m.HdPush(2, 0xa0)
 	m.HdPush(2, 0xb0)
-	e := m.Entries()[m.findByClass(2)]
+	e := m.entries[m.findByClass(2)]
 	if e.Head != 0xb0 || e.Next != 0xa0 {
 		t.Fatalf("push state: %+v", e)
 	}
@@ -109,21 +109,21 @@ func TestNxtPrefetchStateMachine(t *testing.T) {
 	// Empty Head: install the full (addr, value) pair — the
 	// restore-after-miss path.
 	m.NxtPrefetch(4, 0x500, 0x600)
-	e := m.Entries()[m.findByClass(4)]
+	e := m.entries[m.findByClass(4)]
 	if e.Head != 0x500 || e.Next != 0x600 {
 		t.Fatalf("restore install: %+v", e)
 	}
 	// Head present, Next empty, matching address: fill Next.
 	m.HdPop(4) // Head=0x600, Next=0
 	m.NxtPrefetch(4, 0x600, 0x700)
-	e = m.Entries()[m.findByClass(4)]
+	e = m.entries[m.findByClass(4)]
 	if e.Next != 0x700 {
 		t.Fatalf("next fill: %+v", e)
 	}
 	// Mismatched address must not corrupt the pair.
 	m.HdPop(4) // Head=0x700, Next=0
 	m.NxtPrefetch(4, 0xbad, 0xbad2)
-	e = m.Entries()[m.findByClass(4)]
+	e = m.entries[m.findByClass(4)]
 	if e.Next != 0 || e.Head != 0x700 {
 		t.Fatalf("mismatched prefetch corrupted: %+v", e)
 	}
@@ -138,7 +138,7 @@ func TestFlushAndInvalidate(t *testing.T) {
 	m.SzUpdate(1, 1, 16, 1)
 	m.HdPush(1, 0x10)
 	m.InvalidateClass(1)
-	e := m.Entries()[m.findByClass(1)]
+	e := m.entries[m.findByClass(1)]
 	if e.Head != 0 || e.Next != 0 {
 		t.Fatal("InvalidateClass left copies")
 	}
@@ -146,7 +146,7 @@ func TestFlushAndInvalidate(t *testing.T) {
 		t.Fatal("InvalidateClass dropped the size-class mapping")
 	}
 	m.Flush()
-	for _, e := range m.Entries() {
+	for _, e := range m.entries {
 		if e.Valid {
 			t.Fatal("flush left a valid entry")
 		}
@@ -253,7 +253,7 @@ func TestPopPushPrefetchAgainstReference(t *testing.T) {
 			if i < 0 {
 				return false
 			}
-			e := m.Entries()[i]
+			e := m.entries[i]
 			if e.Head != pair[0] || e.Next != pair[1] {
 				return false
 			}
@@ -262,29 +262,6 @@ func TestPopPushPrefetchAgainstReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSampleCounterDisarmedByDefault(t *testing.T) {
-	var c SampleCounter
-	if c.Add(1000) {
-		t.Fatal("disarmed counter fired")
-	}
-	c.Arm(100)
-	if !c.Armed() {
-		t.Fatal("not armed")
-	}
-	if c.Add(50) {
-		t.Fatal("fired early")
-	}
-	if !c.Add(50) {
-		t.Fatal("did not fire at threshold")
-	}
-	if c.Armed() {
-		t.Fatal("still armed after interrupt")
-	}
-	if c.Interrupts != 1 || c.BytesAccumulated != 100 {
-		t.Fatalf("stats: %+v", c)
 	}
 }
 
@@ -328,7 +305,7 @@ func TestNoRestoreOnMiss(t *testing.T) {
 	m.SzUpdate(5, 5, 48, 3)
 	// Empty entry: prefetch must NOT install the pair.
 	m.NxtPrefetch(3, 0x500, 0x600)
-	e := m.Entries()[m.findByClass(3)]
+	e := m.entries[m.findByClass(3)]
 	if e.Head != 0 || e.Next != 0 {
 		t.Fatalf("restore-on-miss disabled but installed: %+v", e)
 	}
@@ -337,7 +314,7 @@ func TestNoRestoreOnMiss(t *testing.T) {
 	m.HdPush(3, 0x800)
 	m.HdPop(3) // Head=0x700, Next=0
 	m.NxtPrefetch(3, 0x700, 0x900)
-	e = m.Entries()[m.findByClass(3)]
+	e = m.entries[m.findByClass(3)]
 	if e.Next != 0x900 {
 		t.Fatalf("next-fill broken: %+v", e)
 	}
@@ -350,7 +327,7 @@ func TestPrefetchValueGenericForm(t *testing.T) {
 	if m.PrefetchValue(3, 0xaa) < 0 {
 		t.Fatal("entry exists, should return its index")
 	}
-	if e := m.Entries()[m.findByClass(3)]; e.Head != 0 || e.Next != 0 {
+	if e := m.entries[m.findByClass(3)]; e.Head != 0 || e.Next != 0 {
 		t.Fatalf("generic prefetch installed into empty entry: %+v", e)
 	}
 	// Head present, Next empty: fill regardless of address relationships.
@@ -358,7 +335,7 @@ func TestPrefetchValueGenericForm(t *testing.T) {
 	m.HdPush(3, 0x20)
 	m.HdPop(3) // Head=0x10, Next=0
 	m.PrefetchValue(3, 0x30)
-	if e := m.Entries()[m.findByClass(3)]; e.Next != 0x30 {
+	if e := m.entries[m.findByClass(3)]; e.Next != 0x30 {
 		t.Fatalf("generic fill failed: %+v", e)
 	}
 	// Unknown class / zero value: no-ops.

@@ -57,7 +57,7 @@ type Config struct {
 	// slowdown the rule causes).
 	NoPrefetchBlocking bool
 	// Latencies per kind; loads are dynamic through the cache hierarchy.
-	ALULat, IMulLat, BranchLat     uint64
+	ALULat, BranchLat              uint64
 	McLookupLat, McUpdateLat       uint64
 	McPopLat, McPushLat, McPrefLat uint64
 	// McPrefTransferLat is the extra time for a prefetched value to make
@@ -83,7 +83,6 @@ func DefaultConfig() Config {
 		MallaccPorts:      1,
 		MSHRs:             10,
 		ALULat:            1,
-		IMulLat:           3,
 		BranchLat:         1,
 		McLookupLat:       1,
 		McUpdateLat:       1,
@@ -130,9 +129,9 @@ const (
 
 func classOf(k uop.Kind) portClass {
 	switch k {
-	case uop.ALU, uop.IMul:
+	case uop.ALU:
 		return portALU
-	case uop.Load, uop.SWPrefetch:
+	case uop.Load:
 		return portLoad
 	case uop.Store:
 		return portStore
@@ -281,12 +280,6 @@ func (c *Core) finishCallAttribution() {
 	}
 }
 
-// Config returns the active configuration.
-func (c *Core) Config() Config { return c.cfg }
-
-// SetDropSteps replaces the dropped-step set (ablation control).
-func (c *Core) SetDropSteps(drop [uop.NumSteps]bool) { c.cfg.DropSteps = drop }
-
 // Cycle returns the global clock.
 func (c *Core) Cycle() uint64 { return c.cycle }
 
@@ -350,8 +343,6 @@ func (c *Core) fixedLatency(op *uop.UOp) uint64 {
 	switch op.Kind {
 	case uop.ALU:
 		return c.cfg.ALULat
-	case uop.IMul:
-		return c.cfg.IMulLat
 	case uop.Branch:
 		return c.cfg.BranchLat
 	case uop.McSzLookup:
@@ -413,7 +404,7 @@ func (c *Core) runAnalytic(ops []uop.UOp) uint64 {
 		slot++
 		// Per-kind memory bandwidth bounds (load/store pipes).
 		switch op.Kind {
-		case uop.Load, uop.SWPrefetch:
+		case uop.Load:
 			if f := start + uint64(loadSlot/c.cfg.LoadPorts) + 1; f > ready {
 				ready = f
 			}
@@ -431,9 +422,6 @@ func (c *Core) runAnalytic(ops []uop.UOp) uint64 {
 			fill = lat
 		case uop.Store:
 			fill = c.mem.Store(op.Addr)
-			lat = 1
-		case uop.SWPrefetch:
-			fill = c.mem.Prefetch(op.Addr)
 			lat = 1
 		case uop.McNxtPrefetch:
 			if op.Addr != 0 {
@@ -574,8 +562,6 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 			memLat = c.mem.Load(op.Addr)
 		case uop.Store:
 			memLat = c.mem.Store(op.Addr)
-		case uop.SWPrefetch:
-			memLat = c.mem.Prefetch(op.Addr)
 		case uop.McNxtPrefetch:
 			if op.MCEntry >= 0 && op.Addr != 0 {
 				memLat = c.mem.Prefetch(op.Addr)
@@ -605,8 +591,6 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 			// Senior store queue: completes immediately; the fill happens
 			// in the background (it holds its MSHR until done).
 			done = issue + 1
-		case uop.SWPrefetch:
-			done = issue + 1
 		case uop.McNxtPrefetch:
 			done = issue + c.fixedLatency(op)
 			if op.MCEntry >= 0 {
@@ -635,7 +619,7 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 
 		// Commit: in order, CommitWidth per cycle.
 		cWant := done + 1
-		if op.Kind == uop.Store || op.Kind == uop.SWPrefetch || op.Kind == uop.McNxtPrefetch {
+		if op.Kind == uop.Store || op.Kind == uop.McNxtPrefetch {
 			cWant = done // already marked complete at issue+1
 		}
 		if lastCommit > cWant {

@@ -100,7 +100,7 @@ func TestMispredictPenalty(t *testing.T) {
 	mk(false)
 	base := mk(false)
 	flipped := mk(true) // mispredict
-	if flipped < base+c.Config().MispredictPenalty-2 {
+	if flipped < base+c.cfg.MispredictPenalty-2 {
 		t.Fatalf("mispredict cost: trained=%d flipped=%d", base, flipped)
 	}
 	if c.Stats.Mispredicts == 0 {
@@ -239,7 +239,7 @@ func TestAnalyticTracksDetailedProperty(t *testing.T) {
 			case 2:
 				e.Branch(uint32(rng.Intn(8)), rng.Bernoulli(0.5), dep)
 			case 3:
-				e.IMul(dep, uop.NoDep)
+				e.ALUWithLat(3, dep, uop.NoDep)
 			default:
 				e.ALU(dep, uop.NoDep)
 			}

@@ -153,7 +153,7 @@ func TestSchedulerMatchesReferenceOnLongSpans(t *testing.T) {
 			t.Fatalf("post-span iter %d: fast=%d ref=%d", iter, d1, d2)
 		}
 	}
-	if w := fast.res.window(); w <= resInitWindow {
+	if w := len(fast.res.s); w <= resInitWindow {
 		t.Fatalf("reservation table never grew: window=%d", w)
 	}
 	if fast.Stats != ref.stats {

@@ -43,7 +43,7 @@ func TestSteadyStateMemoryBounded(t *testing.T) {
 	}
 
 	snapshot := func() [3]int {
-		return [3]int{c.res.window(), len(c.entryReady), cap(c.fetchC)}
+		return [3]int{len(c.res.s), len(c.entryReady), cap(c.fetchC)}
 	}
 	before := snapshot()
 	startCycle := c.Cycle()

@@ -122,8 +122,6 @@ func (c *refCore) fixedLatency(op *uop.UOp) uint64 {
 	switch op.Kind {
 	case uop.ALU:
 		return c.cfg.ALULat
-	case uop.IMul:
-		return c.cfg.IMulLat
 	case uop.Branch:
 		return c.cfg.BranchLat
 	case uop.McSzLookup:
@@ -175,7 +173,7 @@ func (c *refCore) runAnalytic(ops []uop.UOp) uint64 {
 		}
 		slot++
 		switch op.Kind {
-		case uop.Load, uop.SWPrefetch:
+		case uop.Load:
 			if f := start + uint64(loadSlot/c.cfg.LoadPorts) + 1; f > ready {
 				ready = f
 			}
@@ -193,9 +191,6 @@ func (c *refCore) runAnalytic(ops []uop.UOp) uint64 {
 			fill = lat
 		case uop.Store:
 			fill = c.mem.Store(op.Addr)
-			lat = 1
-		case uop.SWPrefetch:
-			fill = c.mem.Prefetch(op.Addr)
 			lat = 1
 		case uop.McNxtPrefetch:
 			if op.Addr != 0 {
@@ -311,8 +306,6 @@ func (c *refCore) runTrace(t uop.Trace) uint64 {
 			memLat = c.mem.Load(op.Addr)
 		case uop.Store:
 			memLat = c.mem.Store(op.Addr)
-		case uop.SWPrefetch:
-			memLat = c.mem.Prefetch(op.Addr)
 		case uop.McNxtPrefetch:
 			if op.MCEntry >= 0 && op.Addr != 0 {
 				memLat = c.mem.Prefetch(op.Addr)
@@ -338,8 +331,6 @@ func (c *refCore) runTrace(t uop.Trace) uint64 {
 		case uop.Load:
 			done = issue + memLat
 		case uop.Store:
-			done = issue + 1
-		case uop.SWPrefetch:
 			done = issue + 1
 		case uop.McNxtPrefetch:
 			done = issue + c.fixedLatency(op)
@@ -368,7 +359,7 @@ func (c *refCore) runTrace(t uop.Trace) uint64 {
 		c.stepUops[op.Step]++
 
 		cWant := done + 1
-		if op.Kind == uop.Store || op.Kind == uop.SWPrefetch || op.Kind == uop.McNxtPrefetch {
+		if op.Kind == uop.Store || op.Kind == uop.McNxtPrefetch {
 			cWant = done
 		}
 		if lastCommit > cWant {

@@ -51,9 +51,6 @@ func newResTable() resTable {
 	return resTable{s: make([]resSlot, resInitWindow)}
 }
 
-// window returns the current table capacity in cycles (for growth tests).
-func (r *resTable) window() int { return len(r.s) }
-
 // grow doubles the window until offset i fits.
 func (r *resTable) grow(i uint64) {
 	n := uint64(len(r.s))

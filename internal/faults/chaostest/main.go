@@ -33,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"mallacc/internal/faults"
@@ -162,20 +161,9 @@ func (c *chaosClient) do(method, path string, body []byte) (simsvc.JobStatus, er
 		if err != nil {
 			return retry.Transient(err)
 		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
+		b, err := retry.ReadResponse(resp, 16<<20)
 		if err != nil {
-			return retry.Transient(err)
-		}
-		if resp.StatusCode >= 300 {
-			serr := fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(b)))
-			if !retry.TransientHTTPStatus(resp.StatusCode) {
-				return retry.Permanent(serr)
-			}
-			if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
-				return &retry.AfterError{Err: serr, After: time.Duration(secs) * time.Second}
-			}
-			return retry.Transient(serr)
+			return err
 		}
 		if err := json.Unmarshal(b, &st); err != nil {
 			return retry.Transient(err)

@@ -287,14 +287,6 @@ func (r *Registry) Points() []string {
 	return names
 }
 
-// Injected returns how many times a point has fired.
-func (r *Registry) Injected(point string) uint64 {
-	if ps := r.points[point]; ps != nil {
-		return ps.injected.Load()
-	}
-	return 0
-}
-
 // RegisterMetrics publishes faults.checked.<point> and
 // faults.injected.<point> counters for every configured point.
 func (r *Registry) RegisterMetrics(reg *telemetry.Registry) {
@@ -314,12 +306,6 @@ func Activate(r *Registry) { active.Store(r) }
 
 // Deactivate disables injection process-wide.
 func Deactivate() { active.Store(nil) }
-
-// Active returns the installed registry, or nil.
-func Active() *Registry { return active.Load() }
-
-// Enabled reports whether a registry is installed.
-func Enabled() bool { return active.Load() != nil }
 
 // Inject checks point against the process-wide registry. With no
 // registry installed it returns nil immediately.

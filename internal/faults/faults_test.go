@@ -16,7 +16,7 @@ func prob(p float64) *float64 { return &p }
 
 func TestDisabledInjectIsNil(t *testing.T) {
 	Deactivate()
-	if Enabled() {
+	if active.Load() != nil {
 		t.Fatal("no registry should be active")
 	}
 	for i := 0; i < 1000; i++ {
@@ -44,7 +44,7 @@ func TestAlwaysFireAndCounters(t *testing.T) {
 			t.Fatal("default class must be transient")
 		}
 	}
-	if got := r.Injected("p"); got != 5 {
+	if got := r.points["p"].injected.Load(); got != 5 {
 		t.Fatalf("injected = %d, want 5", got)
 	}
 	if err := r.Inject("other.point"); err != nil {
@@ -144,7 +144,7 @@ func TestLatencyMode(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("latency rule slept only %v", elapsed)
 	}
-	if r.Injected("p") != 1 {
+	if r.points["p"].injected.Load() != 1 {
 		t.Fatal("latency fire not counted as injected")
 	}
 }
@@ -242,7 +242,7 @@ func TestGlobalActivation(t *testing.T) {
 	r, _ := New(Spec{Rules: []RuleSpec{{Point: "p", Msg: "global"}}})
 	Activate(r)
 	defer Deactivate()
-	if !Enabled() || Active() != r {
+	if active.Load() != r {
 		t.Fatal("activation not visible")
 	}
 	if err := Inject("p"); err == nil || !strings.Contains(err.Error(), "global") {

@@ -66,7 +66,7 @@ func startAdmitFleet(t *testing.T) *admitFleet {
 		f.nodes = append(f.nodes, Node{Name: name, URL: srv.URL})
 	}
 	for _, filler := range f.fillers {
-		filler.SetMembers(f.nodes)
+		filler.SetView(healthyView(f.nodes))
 	}
 	coord, err := NewCoordinator(CoordinatorConfig{Nodes: f.nodes, ProbeEvery: 50 * time.Millisecond})
 	if err != nil {
@@ -107,7 +107,7 @@ func (f *admitFleet) diskReports(t *testing.T) int {
 // owner through peer fill without writing another.
 func TestCoordinatorAdmitsWhereWorkerFree(t *testing.T) {
 	f := startAdmitFleet(t)
-	ring := f.coord.Ring()
+	ring := f.coord.mem.Ring()
 	var bodies []string
 	var order []string
 	for seed := 1; len(bodies) < 4; seed++ {
@@ -172,4 +172,14 @@ func TestCoordinatorAdmitsWhereWorkerFree(t *testing.T) {
 	if got := f.admits[third].Load(); got != 0 {
 		t.Errorf("third node %s received %d admit-now submissions, want 0", third, got)
 	}
+}
+
+// healthyView is the membership view an Agent would hand a node's peer
+// filler once every listed node has joined.
+func healthyView(nodes []Node) View {
+	v := View{Members: make([]Member, len(nodes))}
+	for i, n := range nodes {
+		v.Members[i] = Member{Node: n, State: StateMemberHealthy}
+	}
+	return v
 }

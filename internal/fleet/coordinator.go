@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,13 +246,6 @@ func (c *Coordinator) Close() {
 
 // Registry returns the coordinator's metric registry.
 func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
-
-// Ring returns the current hash ring (tests and status endpoints); nil
-// while the membership is empty.
-func (c *Coordinator) Ring() *Ring { return c.mem.Ring() }
-
-// Membership returns the coordinator's membership table.
-func (c *Coordinator) Membership() *Membership { return c.mem }
 
 // registerMetrics exposes the fleet.* telemetry: router counters, the
 // membership state machine, and (per node, registered at adoption) queue
@@ -678,14 +670,4 @@ func (c *Coordinator) mergeView(v View) bool {
 		}
 	}
 	return changed
-}
-
-// sortedNames returns the member names of a view, sorted (test helper).
-func sortedNames(v View) []string {
-	names := make([]string, 0, len(v.Members))
-	for _, m := range v.Members {
-		names = append(names, m.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -147,7 +147,7 @@ func TestFleetJoinHeartbeatLeaveHTTP(t *testing.T) {
 	if jr.View == nil || len(jr.View.Members) != 1 || jr.View.Members[0].Name != "n1" {
 		t.Fatalf("join response view = %+v", jr.View)
 	}
-	if c.Ring() == nil || c.Ring().Lookup("anything") != "n1" {
+	if c.mem.Ring() == nil || c.mem.Ring().Lookup("anything") != "n1" {
 		t.Fatal("joined node does not own the ring")
 	}
 
@@ -182,8 +182,8 @@ func TestFleetJoinHeartbeatLeaveHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("post-leave heartbeat status = %d, want 404", resp.StatusCode)
 	}
-	if c.Ring() != nil {
-		t.Errorf("ring not empty after the only member left: %v", c.Ring().Nodes())
+	if c.mem.Ring() != nil {
+		t.Errorf("ring not empty after the only member left: %v", c.mem.Ring().nodes)
 	}
 }
 
@@ -278,11 +278,11 @@ func TestGossipSpreadsMembership(t *testing.T) {
 		a.adoptNode(name, node.URL)
 	}
 	waitFor(t, "gossip to spread joins", 5*time.Second, func() bool {
-		return b.Ring() != nil && len(b.Ring().Nodes()) == 3
+		return b.mem.Ring() != nil && len(b.mem.Ring().nodes) == 3
 	})
 	for i := 0; i < 64; i++ {
 		key := strings.Repeat("k", i+1)
-		if a.Ring().Lookup(key) != b.Ring().Lookup(key) {
+		if a.mem.Ring().Lookup(key) != b.mem.Ring().Lookup(key) {
 			t.Fatalf("coordinators route key %q differently", key)
 		}
 	}
@@ -294,7 +294,7 @@ func TestGossipSpreadsMembership(t *testing.T) {
 		m, ok := b.mem.Member("g2")
 		return ok && m.State == StateMemberLeft
 	})
-	if got := len(b.Ring().Nodes()); got != 2 {
+	if got := len(b.mem.Ring().nodes); got != 2 {
 		t.Errorf("peer ring still has %d nodes after leave", got)
 	}
 	if b.mem.Epoch() == 0 {
@@ -341,7 +341,7 @@ func TestDrainHandoffMovesCacheAndDeregisters(t *testing.T) {
 
 	body := `{"workload":"ubench.tp_small","calls":2000,"seed":41}`
 	key := specKey(t, body)
-	owner := coord.Ring().Lookup(key)
+	owner := coord.mem.Ring().Lookup(key)
 	survivor := "h1"
 	if owner == "h1" {
 		survivor = "h2"
@@ -413,7 +413,7 @@ func TestDrainHandoffMovesCacheAndDeregisters(t *testing.T) {
 	if m, ok := coord.mem.Member(owner); !ok || m.State != StateMemberLeft {
 		t.Fatalf("departed node state = %+v", m)
 	}
-	if nodes := coord.Ring().Nodes(); len(nodes) != 1 || nodes[0] != survivor {
+	if nodes := coord.mem.Ring().nodes; len(nodes) != 1 || nodes[0] != survivor {
 		t.Fatalf("ring after departure = %v", nodes)
 	}
 	if coord.handoffs.Load() != 1 || coord.handoffKeys.Load() == 0 {

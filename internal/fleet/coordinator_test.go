@@ -165,7 +165,7 @@ func compactEqual(t *testing.T, a, b json.RawMessage) bool {
 func TestCoordinatorRoutesToOwnerAndRelays(t *testing.T) {
 	f := startFleet(t, "n1", "n2", "n3")
 	body := `{"workload":"ubench.tp_small","calls":2000,"seed":21}`
-	owner := f.coord.Ring().Lookup(specKey(t, body))
+	owner := f.coord.mem.Ring().Lookup(specKey(t, body))
 
 	resp, st := f.post(t, body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -230,7 +230,7 @@ func TestCoordinatorFailover(t *testing.T) {
 
 	body := `{"workload":"ubench.tp_small","calls":2000,"seed":22}`
 	key := specKey(t, body)
-	owner := slow.Ring().Lookup(key)
+	owner := slow.mem.Ring().Lookup(key)
 	f.servers[owner].Close()
 
 	resp, err := http.Post(sts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -247,7 +247,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	if st.Node == owner {
 		t.Fatalf("job routed to the dead owner %s", owner)
 	}
-	want := slow.Ring().Candidates(key, 2)[1]
+	want := slow.mem.Ring().Candidates(key, 2)[1]
 	if st.Node != want {
 		t.Errorf("job failed over to %s, want next candidate %s", st.Node, want)
 	}
@@ -281,7 +281,7 @@ func TestCoordinatorFailover(t *testing.T) {
 func TestCoordinatorDrainRedirects(t *testing.T) {
 	f := startFleet(t, "n1", "n2", "n3")
 	body := `{"workload":"ubench.tp_small","calls":2000,"seed":23}`
-	owner := f.coord.Ring().Lookup(specKey(t, body))
+	owner := f.coord.mem.Ring().Lookup(specKey(t, body))
 
 	resp, err := http.Post(f.ts.URL+"/v1/fleet/"+owner+"/drain", "", nil)
 	if err != nil {
@@ -308,7 +308,7 @@ func TestCoordinatorDrainRedirects(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	body2 := `{"workload":"ubench.tp_small","calls":2000,"seed":24}`
-	owner2 := f.coord.Ring().Lookup(specKey(t, body2))
+	owner2 := f.coord.mem.Ring().Lookup(specKey(t, body2))
 	_, st2 := f.post(t, body2)
 	if st2.Node != owner2 {
 		t.Errorf("after undrain, job routed to %s, want owner %s", st2.Node, owner2)
@@ -418,8 +418,8 @@ func TestPeerFillAcrossNodes(t *testing.T) {
 		servers[name] = srv
 	}
 	live := []Node{{Name: "a", URL: servers["a"].URL}, {Name: "b", URL: servers["b"].URL}}
-	fillers["a"].SetMembers(live)
-	fillers["b"].SetMembers(live)
+	fillers["a"].SetView(healthyView(live))
+	fillers["b"].SetView(healthyView(live))
 
 	body := `{"workload":"ubench.tp_small","calls":2000,"seed":26}`
 	spec, err := simsvc.DecodeSpec([]byte(body))

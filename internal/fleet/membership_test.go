@@ -84,7 +84,7 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatalf("n1 state = %s, want healthy", got)
 	}
 	expectEpochAbove("suspect")
-	if nodes := m.Ring().Nodes(); len(nodes) != 2 {
+	if nodes := m.Ring().nodes; len(nodes) != 2 {
 		t.Fatalf("suspect member fell off the ring: %v", nodes)
 	}
 
@@ -107,7 +107,7 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatalf("n2 state = %s, want dead", got)
 	}
 	expectEpochAbove("death")
-	if nodes := m.Ring().Nodes(); len(nodes) != 1 || nodes[0] != "n1" {
+	if nodes := m.Ring().nodes; len(nodes) != 1 || nodes[0] != "n1" {
 		t.Fatalf("dead member still on ring: %v", nodes)
 	}
 	// Dead members cannot heartbeat back in — they must re-join.
@@ -120,7 +120,7 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatalf("n2 state after MarkAlive = %s, want healthy", got)
 	}
 	expectEpochAbove("probe revival")
-	if nodes := m.Ring().Nodes(); len(nodes) != 2 {
+	if nodes := m.Ring().nodes; len(nodes) != 2 {
 		t.Fatalf("revived member not back on ring: %v", nodes)
 	}
 
@@ -132,7 +132,7 @@ func TestMembershipLifecycle(t *testing.T) {
 	if got := memberState(t, m, "n2"); got != StateMemberLeft {
 		t.Fatalf("n2 state = %s, want left", got)
 	}
-	if nodes := m.Ring().Nodes(); len(nodes) != 1 {
+	if nodes := m.Ring().nodes; len(nodes) != 1 {
 		t.Fatalf("left member still on ring: %v", nodes)
 	}
 	if _, ok := m.Heartbeat("n2"); ok {
@@ -198,7 +198,7 @@ func TestMembershipChurnConvergesToFreshRing(t *testing.T) {
 
 	// Final ring-eligible set: n1, n3, n4, n5, n8.
 	want := []string{"n1", "n3", "n4", "n5", "n8"}
-	if got := churned.Ring().Nodes(); !reflect.DeepEqual(got, want) {
+	if got := churned.Ring().nodes; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ring nodes = %v, want %v", got, want)
 	}
 
@@ -305,8 +305,8 @@ func TestMembershipMergeConverges(t *testing.T) {
 			t.Errorf("diverged on %s: A=%+v B=%+v", ma.Name, ma, mb)
 		}
 	}
-	if !reflect.DeepEqual(a.Ring().Nodes(), b.Ring().Nodes()) {
-		t.Fatalf("rings differ: %v vs %v", a.Ring().Nodes(), b.Ring().Nodes())
+	if !reflect.DeepEqual(a.Ring().nodes, b.Ring().nodes) {
+		t.Fatalf("rings differ: %v vs %v", a.Ring().nodes, b.Ring().nodes)
 	}
 	// B joined n2 one second later: its URL must have won everywhere.
 	if m, _ := a.Member("n2"); m.URL != "http://b/n2" {

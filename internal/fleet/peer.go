@@ -73,17 +73,6 @@ func NewDynamicPeerFiller(self string, replicas int) (*PeerFiller, error) {
 	return NewPeerFiller(self, []Node{{Name: self, URL: "self"}}, replicas)
 }
 
-// SetMembers replaces the peer URL table (tests wire httptest servers here).
-// Unknown ring nodes are skipped at fill time, not an error here.
-func (p *PeerFiller) SetMembers(nodes []Node) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.urls = make(map[string]string, len(nodes))
-	for _, n := range nodes {
-		p.urls[n.Name] = n.URL
-	}
-}
-
 // SetView adopts a membership view: the ring is rebuilt from the view's
 // ring-eligible members and the URL table from every non-departed record,
 // so fills route exactly like the coordinator that emitted the view. A

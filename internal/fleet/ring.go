@@ -81,9 +81,6 @@ func NewRing(replicas int, nodes []string) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes returns the ring's node names, sorted.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // start returns the index of the first ring point clockwise from key.
 func (r *Ring) start(key string) int {
 	h := hash64(key)
@@ -117,30 +114,6 @@ func (r *Ring) Candidates(key string, max int) []string {
 		}
 	}
 	return out
-}
-
-// LookupLive returns the first candidate in ring order that live admits,
-// or "" when live rejects every node. A nil live means Lookup.
-func (r *Ring) LookupLive(key string, live func(string) bool) string {
-	if live == nil {
-		return r.Lookup(key)
-	}
-	start := r.start(key)
-	seen := map[string]bool{}
-	for i := 0; i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if seen[p.node] {
-			continue
-		}
-		seen[p.node] = true
-		if live(p.node) {
-			return p.node
-		}
-		if len(seen) == len(r.nodes) {
-			break
-		}
-	}
-	return ""
 }
 
 // Ownership returns the fraction of the hash space each node owns — the

@@ -117,20 +117,6 @@ func TestRingRebalanceBound(t *testing.T) {
 	}
 }
 
-func TestRingLookupLiveAndBounded(t *testing.T) {
-	r, err := NewRing(0, []string{"n1", "n2", "n3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := r.Lookup("fig13") // n3 per golden test
-	if got := r.LookupLive("fig13", func(n string) bool { return n != owner }); got == owner || got == "" {
-		t.Errorf("LookupLive skipping the owner returned %q", got)
-	}
-	if got := r.LookupLive("fig13", func(string) bool { return false }); got != "" {
-		t.Errorf("LookupLive with no live nodes = %q, want \"\"", got)
-	}
-}
-
 func TestNewRingRejectsBadInput(t *testing.T) {
 	if _, err := NewRing(0, nil); err == nil {
 		t.Error("empty ring accepted")
@@ -143,13 +129,14 @@ func TestNewRingRejectsBadInput(t *testing.T) {
 	}
 }
 
-// FuzzRingLookup asserts the ring never panics and always answers from the
-// live set when one exists, for arbitrary keys and live masks.
+// FuzzRingLookup asserts the ring never panics, that Lookup answers a ring
+// member, and that Candidates lists distinct members starting at the owner
+// (all of them when max <= 0), for arbitrary keys and limits.
 func FuzzRingLookup(f *testing.F) {
 	f.Add("fig13", uint8(0b111), uint8(3))
 	f.Add("", uint8(0), uint8(1))
 	f.Add("0c43d69b5e9eb6f20fa4ee4fd10d95ba", uint8(0b101), uint8(5))
-	f.Fuzz(func(t *testing.T, key string, liveMask uint8, n uint8) {
+	f.Fuzz(func(t *testing.T, key string, max uint8, n uint8) {
 		nodes := ringNodes(int(n%7) + 1)
 		r, err := NewRing(16, nodes)
 		if err != nil {
@@ -159,34 +146,25 @@ func FuzzRingLookup(f *testing.F) {
 		for _, node := range nodes {
 			member[node] = true
 		}
-		if got := r.Lookup(key); !member[got] {
-			t.Fatalf("Lookup(%q) = %q, not a ring member", key, got)
+		owner := r.Lookup(key)
+		if !member[owner] {
+			t.Fatalf("Lookup(%q) = %q, not a ring member", key, owner)
 		}
-		live := func(node string) bool {
-			for i, nn := range nodes {
-				if nn == node {
-					return liveMask&(1<<uint(i%8)) != 0
-				}
+		limit := int(max % 9)
+		want := len(nodes)
+		if limit > 0 && limit < want {
+			want = limit
+		}
+		got := r.Candidates(key, limit)
+		if len(got) != want || got[0] != owner {
+			t.Fatalf("Candidates(%q, %d) = %v, want %d nodes starting at owner %q", key, limit, got, want, owner)
+		}
+		seen := map[string]bool{}
+		for _, c := range got {
+			if !member[c] || seen[c] {
+				t.Fatalf("Candidates(%q) = %v: non-member or repeated %q", key, got, c)
 			}
-			return false
-		}
-		anyLive := false
-		for i := range nodes {
-			if liveMask&(1<<uint(i%8)) != 0 {
-				anyLive = true
-			}
-		}
-		got := r.LookupLive(key, live)
-		switch {
-		case anyLive && (got == "" || !live(got)):
-			t.Fatalf("LookupLive(%q) = %q with live nodes available", key, got)
-		case !anyLive && got != "":
-			t.Fatalf("LookupLive(%q) = %q with no live nodes", key, got)
-		}
-		for _, c := range r.Candidates(key, 0) {
-			if !member[c] {
-				t.Fatalf("Candidates(%q) contains non-member %q", key, c)
-			}
+			seen[c] = true
 		}
 	})
 }

@@ -270,13 +270,6 @@ func (h *Heap) NewThread() *ThreadHeap {
 	return t
 }
 
-// FlushMallocCache invalidates accelerator state.
-func (h *Heap) FlushMallocCache() {
-	if h.MC != nil {
-		h.MC.Flush()
-	}
-}
-
 // RegisterMetrics adds the allocator's event counters to reg under
 // "heap.*" (and "mc.*" in accelerated mode).
 func (h *Heap) RegisterMetrics(reg *telemetry.Registry) {

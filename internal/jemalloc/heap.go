@@ -205,13 +205,6 @@ func (h *Heap) NewThread() *ThreadCache {
 	return tc
 }
 
-// FlushMallocCache invalidates accelerator state (context switch).
-func (h *Heap) FlushMallocCache() {
-	if h.MC != nil {
-		h.MC.Flush()
-	}
-}
-
 // RegisterMetrics adds the allocator's event counters to reg under
 // "heap.*" (and "mc.*" in accelerated mode).
 func (h *Heap) RegisterMetrics(reg *telemetry.Registry) {

@@ -260,7 +260,7 @@ func TestContextSwitchFlush(t *testing.T) {
 		a, _ := d.malloc(64)
 		d.free(a, 64)
 	}
-	d.h.FlushMallocCache()
+	d.h.MC.Flush()
 	if d.h.MC.Stats.Flushes != 1 {
 		t.Fatal("flush not recorded")
 	}

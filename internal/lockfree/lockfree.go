@@ -118,7 +118,6 @@ type classState struct {
 // Unlike a TCMalloc ThreadCache it owns no allocator state: all state is
 // shared and lock-free.
 type Thread struct {
-	id        int
 	stackAddr uint64
 	tlsAddr   uint64
 }
@@ -138,7 +137,6 @@ type Heap struct {
 	Stats      Stats
 
 	classes []classState
-	threads []*Thread
 }
 
 // New builds a heap. The size map is TCMalloc's, so both backends agree on
@@ -174,21 +172,10 @@ func New(cfg Config) *Heap {
 
 // NewThread registers a new thread.
 func (h *Heap) NewThread() *Thread {
-	t := &Thread{id: len(h.threads)}
+	t := &Thread{}
 	t.stackAddr = h.Arena.Alloc(4096, 64)
 	t.tlsAddr = h.Arena.Alloc(8, 8)
-	h.threads = append(h.threads, t)
 	return t
-}
-
-// Threads returns the registered threads.
-func (h *Heap) Threads() []*Thread { return h.threads }
-
-// FlushMallocCache invalidates the accelerator state (context switch).
-func (h *Heap) FlushMallocCache() {
-	if h.MC != nil {
-		h.MC.Flush()
-	}
 }
 
 // Alloc allocates size bytes for thread t and returns the payload address.

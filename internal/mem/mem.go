@@ -36,7 +36,7 @@ const wordShardCount = 64
 const wordShardInitSlots = 256
 
 // wordShard is one open-addressed uint64->uint64 table with linear probing.
-// Key 0 marks an empty slot (heap addresses start at Space.base, never 0).
+// Key 0 marks an empty slot (WriteWord refuses address 0).
 // Keys are never removed: writing value 0 zeroes the slot's value in place
 // (the word stops counting as live), and zero-valued keys are dropped at the
 // next rehash.
@@ -138,7 +138,6 @@ func (sh *wordShard) rehash() {
 // Space is a simulated flat address space with an sbrk-style growth pointer
 // and a sparse 8-byte word store.
 type Space struct {
-	base  uint64
 	brk   uint64
 	limit uint64
 
@@ -161,7 +160,7 @@ func NewSpace(base, limit uint64) *Space {
 	if limit <= base || limit > 1<<AddressBits {
 		panic("mem: bad limit")
 	}
-	return &Space{base: base, brk: base, limit: limit}
+	return &Space{brk: base, limit: limit}
 }
 
 // NewDefaultSpace returns a space with the layout used throughout the
@@ -169,12 +168,6 @@ func NewSpace(base, limit uint64) *Space {
 func NewDefaultSpace() *Space {
 	return NewSpace(1<<28, 1<<36)
 }
-
-// Base returns the first heap address.
-func (s *Space) Base() uint64 { return s.base }
-
-// Brk returns the current end of the grown heap.
-func (s *Space) Brk() uint64 { return s.brk }
 
 // Sbrk grows the heap by n bytes (rounded up to a page) and returns the
 // start address of the new region, mimicking an OS memory request.
@@ -214,26 +207,10 @@ func (s *Space) WriteWord(addr, val uint64) {
 	s.shards[h>>(64-6)].set(h, addr, val)
 }
 
-// WordsLive returns how many distinct words are materialized; used by tests
-// to check the simulation does not leak per-allocation state.
-func (s *Space) WordsLive() int {
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].live
-	}
-	return n
-}
-
 // RoundUp rounds n up to a multiple of align (a power of two).
 func RoundUp(n, align uint64) uint64 {
 	return (n + align - 1) &^ (align - 1)
 }
-
-// PageFloor returns the page-aligned address containing addr.
-func PageFloor(addr uint64) uint64 { return addr &^ (PageSize - 1) }
-
-// PageID returns the allocator page number of addr.
-func PageID(addr uint64) uint64 { return addr >> PageShift }
 
 // Arena is a bump allocator carved out of a Space, used for allocator
 // metadata (size-class tables, thread-cache structs, central list headers,

@@ -220,22 +220,6 @@ func (eng *Engine) Free(e *uop.Emitter, reqNow uint64, ptr, size uint64) {
 	eng.pending = append(eng.pending, eng.freeAt)
 }
 
-// Occupancy returns the mean queue depth observed by malloc arrivals.
-func (eng *Engine) Occupancy() float64 {
-	if eng.Stats.Mallocs == 0 {
-		return 0
-	}
-	return float64(eng.Stats.DepthSum) / float64(eng.Stats.Mallocs)
-}
-
-// MeanRoundTrip returns the mean requester-visible malloc latency.
-func (eng *Engine) MeanRoundTrip() float64 {
-	if eng.Stats.Mallocs == 0 {
-		return 0
-	}
-	return float64(eng.Stats.RoundTripCycles) / float64(eng.Stats.Mallocs)
-}
-
 // RegisterMetrics adds the engine's counters to reg under "offload.*" with
 // OpenMetrics help text, plus the allocation core's own cpu/cache metrics
 // under "alloccore.*" and the owned heap's allocator tiers.

@@ -53,8 +53,8 @@ func TestBackToBackQueues(t *testing.T) {
 	if eng.Stats.MaxDepth == 0 {
 		t.Fatal("queue depth never observed above 0")
 	}
-	if eng.Occupancy() <= 0 {
-		t.Fatalf("Occupancy = %v", eng.Occupancy())
+	if eng.Stats.DepthSum == 0 {
+		t.Fatal("no malloc arrival saw a queued request")
 	}
 }
 

@@ -1,17 +1,26 @@
 // Package retry is the shared failure-handling vocabulary of the service
 // stack: error classification (transient errors are worth retrying,
 // permanent ones are not), exponential backoff with full jitter, and a
-// budgeted retry loop that honors server Retry-After hints. The scheduler
-// uses the classification to decide whether a failed job attempt is
-// requeued; the remote client in cmd/mallacc-sim uses the full loop.
+// budgeted retry loop that honors server Retry-After hints. The simsvc
+// scheduler uses the classification and the backoff to decide whether and
+// when a failed job attempt is requeued, and its HTTP layer to pick the
+// status of a refused submission. Three HTTP clients run the full loop and
+// classify every response with ReadResponse: the remote client of
+// cmd/mallacc-sim, cmd/mallacc-ctl's coordinator client, and the chaostest
+// driver.
 package retry
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -91,6 +100,39 @@ func TransientHTTPStatus(code int) bool {
 		return false
 	}
 	return code >= 500 && code <= 599
+}
+
+// ReadResponse reads and closes resp's body (at most limit bytes) and
+// classifies the outcome for the Do loop. A failed read is transient. A
+// status of 300 or more becomes an error naming the status and the
+// server's {"error": ...} message: permanent unless TransientHTTPStatus
+// says otherwise, and an *AfterError when the server sent a Retry-After
+// delay in seconds. Every retrying client decodes its responses through
+// here, so all of them honor the same hints.
+func ReadResponse(resp *http.Response, limit int64) ([]byte, error) {
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return nil, Transient(err)
+	}
+	if resp.StatusCode < 300 {
+		return body, nil
+	}
+	msg := resp.Status
+	var doc struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(body, &doc) == nil && doc.Error != "" {
+		msg += ": " + doc.Error
+	}
+	serr := errors.New(msg)
+	if !TransientHTTPStatus(resp.StatusCode) {
+		return nil, Permanent(serr)
+	}
+	if secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil && secs > 0 {
+		return nil, &AfterError{Err: serr, After: time.Duration(secs) * time.Second}
+	}
+	return nil, Transient(serr)
 }
 
 // AfterError carries a server's Retry-After hint alongside the error. The

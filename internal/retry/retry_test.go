@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -55,6 +58,60 @@ func TestTransientHTTPStatus(t *testing.T) {
 	for _, c := range cases {
 		if got := TransientHTTPStatus(c.code); got != c.want {
 			t.Errorf("code %d: %v, want %v", c.code, got, c.want)
+		}
+	}
+}
+
+// TestReadResponse is the table every HTTP client's retry decision rests
+// on: the server's error message surfaces, 4xx and 501 are permanent,
+// throttling and 5xx are transient, and a Retry-After hint becomes an
+// *AfterError the Do loop waits out.
+func TestReadResponse(t *testing.T) {
+	cases := []struct {
+		name       string
+		code       int
+		retryAfter string
+		body       string
+		transient  bool
+		after      time.Duration
+		msg        string
+	}{
+		{"ok", 200, "", `{"id":"j1"}`, false, 0, ""},
+		{"bad spec", 400, "", `{"error":"unknown workload"}`, false, 0, "400 Bad Request: unknown workload"},
+		{"throttled with hint", 429, "1", `{"error":"queue full"}`, true, time.Second, "429 Too Many Requests: queue full"},
+		{"unavailable without hint", 503, "", `{"error":"draining"}`, true, 0, "503 Service Unavailable: draining"},
+		{"not implemented", 501, "1", `not json`, false, 0, "501 Not Implemented"},
+	}
+	for _, c := range cases {
+		resp := &http.Response{
+			StatusCode: c.code,
+			Status:     fmt.Sprintf("%d %s", c.code, http.StatusText(c.code)),
+			Header:     http.Header{},
+			Body:       io.NopCloser(strings.NewReader(c.body)),
+		}
+		if c.retryAfter != "" {
+			resp.Header.Set("Retry-After", c.retryAfter)
+		}
+		body, err := ReadResponse(resp, 1<<20)
+		if c.code < 300 {
+			if err != nil || string(body) != c.body {
+				t.Errorf("%s: body %q, err %v", c.name, body, err)
+			}
+			continue
+		}
+		if err == nil || body != nil {
+			t.Errorf("%s: body %q, err %v; want an error and no body", c.name, body, err)
+			continue
+		}
+		if got := IsTransient(err); got != c.transient {
+			t.Errorf("%s: transient %v, want %v", c.name, got, c.transient)
+		}
+		var ae *AfterError
+		if got := errors.As(err, &ae); got != (c.after > 0) || (got && ae.After != c.after) {
+			t.Errorf("%s: AfterError %v (%+v), want after %v", c.name, got, ae, c.after)
+		}
+		if !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.msg)
 		}
 	}
 }

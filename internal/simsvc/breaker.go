@@ -259,12 +259,6 @@ func (b *Breaker) StateAge() time.Duration {
 	return b.cfg.Now().Sub(b.changedAt)
 }
 
-// Opened returns how many times the breaker has tripped open.
-func (b *Breaker) Opened() uint64 { return b.opened.Load() }
-
-// Shed returns how many submissions were rejected by the breaker.
-func (b *Breaker) Shed() uint64 { return b.shed.Load() }
-
 // RegisterMetrics publishes the breaker under simsvc.breaker.*: state is
 // a gauge using the BreakerState ordering (0 healthy … 3 open).
 func (b *Breaker) RegisterMetrics(reg *telemetry.Registry) {

@@ -65,8 +65,8 @@ func TestBreakerOpenShedsUntilCooldown(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Record(OutcomeFailure)
 	}
-	if b.State() != BreakerOpen || b.Opened() != 1 {
-		t.Fatalf("state %s opened %d, want open/1", b.State(), b.Opened())
+	if b.State() != BreakerOpen || b.opened.Load() != 1 {
+		t.Fatalf("state %s opened %d, want open/1", b.State(), b.opened.Load())
 	}
 	if b.Allow() {
 		t.Fatal("open breaker admitted a submission")
@@ -75,8 +75,8 @@ func TestBreakerOpenShedsUntilCooldown(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("admitted before the cooldown elapsed")
 	}
-	if b.Shed() != 2 {
-		t.Fatalf("shed = %d, want 2", b.Shed())
+	if b.shed.Load() != 2 {
+		t.Fatalf("shed = %d, want 2", b.shed.Load())
 	}
 	c.advance(2 * time.Millisecond)
 	if !b.Allow() {
@@ -134,8 +134,8 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %s, want open after failed probe", b.State())
 	}
-	if b.Opened() != 2 {
-		t.Fatalf("opened = %d, want 2", b.Opened())
+	if b.opened.Load() != 2 {
+		t.Fatalf("opened = %d, want 2", b.opened.Load())
 	}
 	// The failed probe restarts the cooldown from the reopen instant.
 	if b.Allow() {

@@ -290,9 +290,6 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Hits returns the cumulative (memory + disk) hit count.
-func (c *Cache) Hits() uint64 { return c.hits.Load() }
-
 // Quarantined returns how many corrupt disk entries were quarantined.
 func (c *Cache) Quarantined() uint64 { return c.quarantined.Load() }
 

@@ -217,7 +217,7 @@ func TestProgressEventDeterminism(t *testing.T) {
 // running the source workload directly.
 func TestTraceReplayByteIdentity(t *testing.T) {
 	svc := newTestService(t, Config{Workers: 2})
-	key, tr, err := svc.Traces().Record(TraceSpec{Workload: "ubench.gauss", Calls: 2000, Seed: 7})
+	key, tr, err := svc.traces.Record(TraceSpec{Workload: "ubench.gauss", Calls: 2000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,10 +384,16 @@ func TestHTTPMetricsFormats(t *testing.T) {
 	if err := telemetry.LintOpenMetrics(om); err != nil {
 		t.Fatalf("exposition fails lint: %v\n%s", err, om)
 	}
-	for _, fam := range telemetry.ExposedFamilies(svc.Registry().Snapshot()) {
-		if !strings.Contains(string(om), "# TYPE "+fam+" ") {
-			t.Errorf("family %s missing from exposition", fam)
+	// Every metric is exposed as exactly one family (collisions get a
+	// numeric suffix), so the family count must match the registry.
+	families := 0
+	for _, line := range strings.Split(string(om), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			families++
 		}
+	}
+	if n := len(svc.Registry().Snapshot().Metrics); families != n {
+		t.Errorf("exposition has %d families for %d registry metrics", families, n)
 	}
 
 	// Accept-header negotiation selects OpenMetrics without the query.

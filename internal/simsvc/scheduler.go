@@ -248,15 +248,11 @@ func (e *busyError) Error() string {
 	return fmt.Sprintf("no free worker: %d jobs ahead", e.Backlog)
 }
 
-// Enqueue admits a new job at the tail of the FIFO queue. It returns
+// enqueue admits a new job at the tail of the FIFO queue. It returns
 // ErrDraining during shutdown and ErrQueueFull past the high-water mark.
-func (s *Scheduler) Enqueue(spec JobSpec, key string) (JobStatus, error) {
-	return s.enqueue(spec, key, false)
-}
-
-// enqueue is Enqueue; with now set it admits the job only if a worker can
-// start it at once — the queue is empty and busy < Workers — and otherwise
-// returns a *busyError without recording the job.
+// With now set it admits the job only if a worker can start it at once —
+// the queue is empty and busy < Workers — and otherwise returns a
+// *busyError without recording the job.
 func (s *Scheduler) enqueue(spec JobSpec, key string, now bool) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

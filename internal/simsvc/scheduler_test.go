@@ -63,7 +63,7 @@ func TestSchedulerRunsJobs(t *testing.T) {
 
 	ids := make([]string, 8)
 	for i := range ids {
-		st, err := s.Enqueue(testSpec(t, i), fmt.Sprintf("k%d", i))
+		st, err := s.enqueue(testSpec(t, i), fmt.Sprintf("k%d", i), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,17 +95,17 @@ func TestSchedulerBackpressure(t *testing.T) {
 
 	// One job occupies the worker; once it is running, two more fill the
 	// queue to the high-water mark.
-	if _, err := s.Enqueue(testSpec(t, 0), "k0"); err != nil {
+	if _, err := s.enqueue(testSpec(t, 0), "k0", false); err != nil {
 		t.Fatal(err)
 	}
 	<-b.started // worker has popped the first job
 	for i := 1; i < 3; i++ {
-		if _, err := s.Enqueue(testSpec(t, i), fmt.Sprintf("k%d", i)); err != nil {
+		if _, err := s.enqueue(testSpec(t, i), fmt.Sprintf("k%d", i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if _, err := s.Enqueue(testSpec(t, 3), "k3"); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.enqueue(testSpec(t, 3), "k3", false); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if h := s.Health(); h.QueueDepth != 2 || h.Busy != 1 {
@@ -125,8 +125,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	b := newBlockingRunner()
 	s := NewScheduler(SchedulerConfig{Workers: 1, Runner: b.run})
 
-	first, _ := s.Enqueue(testSpec(t, 0), "k0")
-	queued, _ := s.Enqueue(testSpec(t, 1), "k1")
+	first, _ := s.enqueue(testSpec(t, 0), "k0", false)
+	queued, _ := s.enqueue(testSpec(t, 1), "k1", false)
 	<-b.started // first is running, second still queued
 
 	st, err := s.Cancel(queued.ID)
@@ -152,7 +152,7 @@ func TestCancelRunningJob(t *testing.T) {
 	b := newBlockingRunner()
 	s := NewScheduler(SchedulerConfig{Workers: 1, Runner: b.run})
 
-	st, _ := s.Enqueue(testSpec(t, 0), "k0")
+	st, _ := s.enqueue(testSpec(t, 0), "k0", false)
 	<-b.started
 
 	mid, err := s.Cancel(st.ID)
@@ -179,7 +179,7 @@ func TestJobTimeout(t *testing.T) {
 	b := newBlockingRunner()
 	s := NewScheduler(SchedulerConfig{Workers: 1, JobTimeout: 50 * time.Millisecond, Runner: b.run})
 
-	st, _ := s.Enqueue(testSpec(t, 0), "k0")
+	st, _ := s.enqueue(testSpec(t, 0), "k0", false)
 	final, err := s.Await(watchdog(t), st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +205,8 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		return []byte("ok"), nil
 	}})
 
-	bad, _ := s.Enqueue(testSpec(t, 0), "k0")
-	good, _ := s.Enqueue(testSpec(t, 1), "k1")
+	bad, _ := s.enqueue(testSpec(t, 0), "k0", false)
+	good, _ := s.enqueue(testSpec(t, 1), "k1", false)
 
 	st, err := s.Await(watchdog(t), bad.ID)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestCancelSentinelPanic(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, Runner: func(ctx context.Context, spec JobSpec, _ progress.Reporter) ([]byte, error) {
 		panic(errRunCanceled)
 	}})
-	st, _ := s.Enqueue(testSpec(t, 0), "k0")
+	st, _ := s.enqueue(testSpec(t, 0), "k0", false)
 	final, err := s.Await(watchdog(t), st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +254,8 @@ func TestGracefulDrain(t *testing.T) {
 	b := newBlockingRunner()
 	s := NewScheduler(SchedulerConfig{Workers: 1, Runner: b.run})
 
-	running, _ := s.Enqueue(testSpec(t, 0), "k0")
-	queued, _ := s.Enqueue(testSpec(t, 1), "k1")
+	running, _ := s.enqueue(testSpec(t, 0), "k0", false)
+	queued, _ := s.enqueue(testSpec(t, 1), "k1", false)
 	<-b.started
 
 	drained := make(chan error, 1)
@@ -272,7 +272,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	// Intake is closed.
-	if _, err := s.Enqueue(testSpec(t, 2), "k2"); !errors.Is(err, ErrDraining) {
+	if _, err := s.enqueue(testSpec(t, 2), "k2", false); !errors.Is(err, ErrDraining) {
 		t.Fatalf("enqueue under drain: %v, want ErrDraining", err)
 	}
 	if _, err := s.Completed(testSpec(t, 3), "k3", []byte("x")); !errors.Is(err, ErrDraining) {
@@ -298,7 +298,7 @@ func TestGracefulDrain(t *testing.T) {
 func TestDrainDeadlineForceCancels(t *testing.T) {
 	b := newBlockingRunner() // never released
 	s := NewScheduler(SchedulerConfig{Workers: 1, Runner: b.run})
-	st, _ := s.Enqueue(testSpec(t, 0), "k0")
+	st, _ := s.enqueue(testSpec(t, 0), "k0", false)
 	<-b.started
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -327,7 +327,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				st, err := s.Enqueue(testSpec(t, g*20+i), fmt.Sprintf("k%d-%d", g, i))
+				st, err := s.enqueue(testSpec(t, g*20+i), fmt.Sprintf("k%d-%d", g, i), false)
 				if err != nil {
 					continue
 				}
@@ -407,7 +407,7 @@ func TestRetryTransientThenSuccess(t *testing.T) {
 	})
 	defer s.Drain(watchdog(t))
 
-	st, err := s.Enqueue(testSpec(t, 0), "k0")
+	st, err := s.enqueue(testSpec(t, 0), "k0", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestRetryPermanentIsFinal(t *testing.T) {
 	})
 	defer s.Drain(watchdog(t))
 
-	st, _ := s.Enqueue(testSpec(t, 0), "k0")
+	st, _ := s.enqueue(testSpec(t, 0), "k0", false)
 	final, err := s.Await(watchdog(t), st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +473,7 @@ func TestRetryExhausted(t *testing.T) {
 	})
 	defer s.Drain(watchdog(t))
 
-	st, _ := s.Enqueue(testSpec(t, 0), "k0")
+	st, _ := s.enqueue(testSpec(t, 0), "k0", false)
 	final, err := s.Await(watchdog(t), st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +502,7 @@ func TestCancelWhileRetrying(t *testing.T) {
 	})
 	defer s.Drain(watchdog(t))
 
-	st, _ := s.Enqueue(testSpec(t, 0), "k0")
+	st, _ := s.enqueue(testSpec(t, 0), "k0", false)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		cur, err := s.Job(st.ID)
@@ -545,7 +545,7 @@ func TestDrainCancelsRetryingJobs(t *testing.T) {
 		Workers: 1, Runner: run, MaxAttempts: 3,
 		Backoff: retry.NewBackoff(time.Hour, time.Hour, 1),
 	})
-	st, _ := s.Enqueue(testSpec(t, 0), "k0")
+	st, _ := s.enqueue(testSpec(t, 0), "k0", false)
 	for {
 		cur, _ := s.Job(st.ID)
 		if cur.State == StateRetrying {
@@ -575,7 +575,7 @@ func TestNoRetryOnContextCancel(t *testing.T) {
 	})
 	defer s.Drain(watchdog(t))
 
-	st, _ := s.Enqueue(testSpec(t, 0), "k0")
+	st, _ := s.enqueue(testSpec(t, 0), "k0", false)
 	<-b.started
 	s.Cancel(st.ID)
 	final, err := s.Await(watchdog(t), st.ID)

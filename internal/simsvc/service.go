@@ -213,9 +213,6 @@ func (s *Service) submit(spec JobSpec, now bool) (JobStatus, error) {
 // Breaker exposes the service's circuit breaker (health checks and tests).
 func (s *Service) Breaker() *Breaker { return s.breaker }
 
-// Traces exposes the service's trace store (record endpoints and tests).
-func (s *Service) Traces() *TraceStore { return s.traces }
-
 // Events returns a job's event log for tailing (see Scheduler.Events).
 func (s *Service) Events(id string) (*eventLog, error) { return s.sched.Events(id) }
 

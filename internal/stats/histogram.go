@@ -85,16 +85,6 @@ func (h *DurationHist) MeanCycles() float64 {
 	return float64(h.total) / float64(h.n)
 }
 
-// Merge adds the contents of o into h.
-func (h *DurationHist) Merge(o *DurationHist) {
-	for i := range o.counts {
-		h.counts[i] += o.counts[i]
-		h.sums[i] += o.sums[i]
-	}
-	h.total += o.total
-	h.n += o.n
-}
-
 // Bucket is one row of an extracted distribution.
 type Bucket struct {
 	Lo, Hi  uint64  // duration range [Lo, Hi)
@@ -145,19 +135,6 @@ func (h *DurationHist) TimeCDFBelow(d uint64) float64 {
 		acc += h.sums[i]
 	}
 	return 100 * float64(acc) / float64(h.total)
-}
-
-// CallCDFBelow returns the percentage of calls with duration below d.
-func (h *DurationHist) CallCDFBelow(d uint64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	limit := bucketIndex(d)
-	var acc uint64
-	for i := 0; i < limit && i < histBuckets; i++ {
-		acc += h.counts[i]
-	}
-	return 100 * float64(acc) / float64(h.n)
 }
 
 // MedianCycles returns the approximate median call duration (by call count),

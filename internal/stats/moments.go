@@ -18,9 +18,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (0 if no observations).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -35,22 +32,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge combines another accumulator into this one (parallel Welford).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	mean := w.mean + d*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n, w.mean, w.m2 = n, mean, m2
-}
 
 // MeanOf returns the arithmetic mean of xs (0 for an empty slice).
 func MeanOf(xs []float64) float64 {

@@ -105,42 +105,6 @@ func TestWelfordMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeProperty(t *testing.T) {
-	// Property: merging two accumulators equals accumulating the
-	// concatenation.
-	f := func(a, b []float64) bool {
-		var wa, wb, wc Welford
-		for _, x := range a {
-			clean := math.Mod(x, 1000)
-			if math.IsNaN(clean) {
-				clean = 0
-			}
-			wa.Add(clean)
-			wc.Add(clean)
-		}
-		for _, x := range b {
-			clean := math.Mod(x, 1000)
-			if math.IsNaN(clean) {
-				clean = 0
-			}
-			wb.Add(clean)
-			wc.Add(clean)
-		}
-		wa.Merge(wb)
-		if wa.N() != wc.N() {
-			return false
-		}
-		if wa.N() == 0 {
-			return true
-		}
-		return math.Abs(wa.Mean()-wc.Mean()) < 1e-6 &&
-			math.Abs(wa.Variance()-wc.Variance()) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
 		t.Errorf("GeoMean(2,8) = %v, want 4", g)
@@ -194,14 +158,9 @@ func TestHistogramAccounting(t *testing.T) {
 	if cdf := h.TimeCDFBelow(2); cdf != float64(1*100)/float64(total) {
 		t.Fatalf("CDF below 2 = %v", cdf)
 	}
-	// Bucket granularity at ~20 is 2 cycles; probe at the next bucket
-	// boundary.
-	if h.CallCDFBelow(24) < 50 {
-		t.Fatalf("expected most calls below 24 cycles, got %v", h.CallCDFBelow(24))
-	}
 }
 
-func TestHistogramMedianAndMerge(t *testing.T) {
+func TestHistogramMedianAndMean(t *testing.T) {
 	h := NewDurationHist()
 	for i := 0; i < 1000; i++ {
 		h.Add(20)
@@ -210,16 +169,14 @@ func TestHistogramMedianAndMerge(t *testing.T) {
 	if m < 18 || m > 23 {
 		t.Errorf("median of constant-20 histogram: %v", m)
 	}
-	h2 := NewDurationHist()
 	for i := 0; i < 1000; i++ {
-		h2.Add(40)
+		h.Add(40)
 	}
-	h.Merge(h2)
 	if h.N() != 2000 {
-		t.Fatalf("merged N = %d", h.N())
+		t.Fatalf("N = %d", h.N())
 	}
 	if h.MeanCycles() != 30 {
-		t.Fatalf("merged mean = %v", h.MeanCycles())
+		t.Fatalf("mean = %v", h.MeanCycles())
 	}
 }
 
@@ -254,29 +211,6 @@ func TestRegIncBetaComplementProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestOneSidedWelchDetectsDifference(t *testing.T) {
-	r := NewRNG(3)
-	var a, b []float64
-	for i := 0; i < 30; i++ {
-		a = append(a, 100+r.NormFloat64())
-		b = append(b, 95+r.NormFloat64())
-	}
-	res := OneSidedWelch(a, b, 0.05)
-	if !res.Significant {
-		t.Errorf("5-sigma difference not significant: p=%v", res.P)
-	}
-	// And no significance for identical distributions.
-	var c, d []float64
-	for i := 0; i < 30; i++ {
-		c = append(c, 100+r.NormFloat64())
-		d = append(d, 100+r.NormFloat64())
-	}
-	res = OneSidedWelch(c, d, 0.001)
-	if res.Significant {
-		t.Errorf("identical distributions significant at 0.1%%: p=%v", res.P)
 	}
 }
 

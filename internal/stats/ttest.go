@@ -2,52 +2,17 @@ package stats
 
 import "math"
 
-// TTestResult holds the outcome of a one-sided Welch's t-test, as used for
+// TTestResult holds the outcome of a one-sided t-test, as used for
 // Table 2 of the paper ("we do not include the workloads for which a
 // single-sided Student's T-test fails to reject a hypothesis of full-program
 // slowdown with 95+% probability").
 type TTestResult struct {
 	T           float64 // t statistic
-	DF          float64 // Welch-Satterthwaite degrees of freedom
+	DF          float64 // degrees of freedom
 	P           float64 // one-sided p-value for mean(a) > mean(b)
 	MeanA       float64
 	MeanB       float64
 	Significant bool // P < alpha
-}
-
-// OneSidedWelch tests H1: mean(a) > mean(b) at significance level alpha.
-// In the reproduction, a holds per-seed baseline cycle counts and b holds
-// Mallacc cycle counts, so "a > b" means "Mallacc is a speedup".
-func OneSidedWelch(a, b []float64, alpha float64) TTestResult {
-	ma, mb := MeanOf(a), MeanOf(b)
-	va, vb := variance(a), variance(b)
-	na, nb := float64(len(a)), float64(len(b))
-	res := TTestResult{MeanA: ma, MeanB: mb}
-	if na < 2 || nb < 2 {
-		res.P = 1
-		return res
-	}
-	se2 := va/na + vb/nb
-	if se2 == 0 {
-		// Identical, zero-variance samples: no evidence either way unless
-		// the means actually differ (then the difference is exact).
-		if ma > mb {
-			res.T = math.Inf(1)
-			res.P = 0
-			res.Significant = true
-		} else {
-			res.P = 1
-		}
-		res.DF = na + nb - 2
-		return res
-	}
-	res.T = (ma - mb) / math.Sqrt(se2)
-	num := se2 * se2
-	den := (va/na)*(va/na)/(na-1) + (vb/nb)*(vb/nb)/(nb-1)
-	res.DF = num / den
-	res.P = 1 - StudentTCDF(res.T, res.DF)
-	res.Significant = res.P < alpha
-	return res
 }
 
 // OneSidedPairedT tests H1: mean(a-b) > 0 with a paired (one-sample on
@@ -84,14 +49,6 @@ func OneSidedPairedT(a, b []float64, alpha float64) TTestResult {
 	res.P = 1 - StudentTCDF(res.T, res.DF)
 	res.Significant = res.P < alpha
 	return res
-}
-
-func variance(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Variance()
 }
 
 // StudentTCDF returns P(T <= t) for Student's t distribution with df

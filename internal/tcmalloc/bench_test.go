@@ -52,18 +52,3 @@ func BenchmarkFastAllocFreeMallacc(b *testing.B) {
 		h.Free(tc, a, 64)
 	}
 }
-
-// BenchmarkFastAllocFreeNoEmit isolates the pure functional allocator (trace
-// emission disabled), the floor the emitter's cost is judged against.
-func BenchmarkFastAllocFreeNoEmit(b *testing.B) {
-	h, tc := benchHeap(b, tcmalloc.ModeBaseline)
-	h.Em.SetDisabled(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Em.Reset()
-		a := h.Malloc(tc, 64)
-		h.Em.Reset()
-		h.Free(tc, a, 64)
-	}
-}

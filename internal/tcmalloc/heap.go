@@ -151,9 +151,6 @@ func (h *Heap) NewThread() *ThreadCache {
 	return tc
 }
 
-// Threads returns the registered thread caches.
-func (h *Heap) Threads() []*ThreadCache { return h.threads }
-
 // mcFor resolves the malloc cache a call from tc should use: the thread's
 // core-local cache when installed (multicore engine), else the heap's.
 func (h *Heap) mcFor(tc *ThreadCache) *core.MallocCache {

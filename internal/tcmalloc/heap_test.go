@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mallacc/internal/cachesim"
-	"mallacc/internal/core"
 	"mallacc/internal/cpu"
 	"mallacc/internal/stats"
 )
@@ -298,17 +297,19 @@ func TestSampling(t *testing.T) {
 }
 
 func TestHardwareSamplingCounterFires(t *testing.T) {
-	var c core.SampleCounter
-	c.Arm(1000)
-	fired := 0
-	for i := 0; i < 100; i++ {
-		if c.Add(64) {
-			fired++
-			c.Arm(1000)
-		}
+	d := newDriver(t, ModeMallacc)
+	d.h.Cfg.SampleInterval = 4096
+	d.tc = d.h.NewThread()
+	for i := 0; i < 4000; i++ {
+		a, _ := d.malloc(128)
+		d.free(a, 128)
 	}
-	if fired < 5 || fired > 7 {
-		t.Fatalf("expected ~6 interrupts (6400/1000), got %d", fired)
+	hw, sampled := d.h.HWCounter, d.h.StatsSnapshot().Sampled
+	if sampled == 0 || hw.Interrupts != sampled {
+		t.Fatalf("PMU interrupts %d, sampled allocations %d: want equal and nonzero", hw.Interrupts, sampled)
+	}
+	if hw.BytesAccumulated != 4000*128 {
+		t.Fatalf("PMU accumulated %d bytes, want %d", hw.BytesAccumulated, 4000*128)
 	}
 }
 
@@ -352,12 +353,12 @@ func TestPageHeapCoalescing(t *testing.T) {
 	d.free(a, 512<<10)
 	d.free(b, 512<<10)
 	d.free(c, 512<<10)
-	grown := d.h.Space.Brk()
+	grown := d.h.Space.SbrkBytes
 	big, _ := d.malloc(1536 << 10)
 	if big != a {
 		t.Errorf("coalesced reuse expected at %#x, got %#x", a, big)
 	}
-	if d.h.Space.Brk() != grown {
+	if d.h.Space.SbrkBytes != grown {
 		t.Errorf("heap grew despite coalesced free space")
 	}
 	d.h.CheckInvariants()

@@ -50,9 +50,6 @@ func NewPageHeap(space *mem.Space, arena *mem.Arena, pm *PageMap) *PageHeap {
 // PageMap exposes the radix tree (free() walks it).
 func (ph *PageHeap) PageMap() *PageMap { return ph.pm }
 
-// LockAddr returns the simulated address of the page-heap lock word.
-func (ph *PageHeap) LockAddr() uint64 { return ph.lockAddr }
-
 // newSpanMeta allocates a span struct with a simulated metadata address.
 func (ph *PageHeap) newSpanMeta(start, length uint64) *Span {
 	return &Span{Start: start, Length: length, MetaAddr: ph.arena.Alloc(48, 8)}

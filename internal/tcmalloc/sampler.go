@@ -58,7 +58,3 @@ func (s *Sampler) Account(size uint64) bool {
 	s.Samples++
 	return true
 }
-
-// NextThreshold returns a fresh exponential threshold for arming the
-// hardware counter.
-func (s *Sampler) NextThreshold() int64 { return s.draw() }

@@ -50,12 +50,9 @@ func (s *Span) ByteLen() uint64 { return s.Length << mem.PageShift }
 // head, mirroring the page heap's per-length lists.
 type spanList struct {
 	head *Span
-	n    int
 }
 
 func (l *spanList) empty() bool { return l.head == nil }
-
-func (l *spanList) len() int { return l.n }
 
 func (l *spanList) pushFront(s *Span) {
 	s.prev = nil
@@ -64,7 +61,6 @@ func (l *spanList) pushFront(s *Span) {
 		l.head.prev = s
 	}
 	l.head = s
-	l.n++
 }
 
 func (l *spanList) popFront() *Span {
@@ -86,5 +82,4 @@ func (l *spanList) remove(s *Span) {
 		s.next.prev = s.prev
 	}
 	s.prev, s.next = nil, nil
-	l.n--
 }

@@ -78,44 +78,9 @@ func newThreadCache(h *Heap, id int) *ThreadCache {
 	return tc
 }
 
-// listHeadAddr returns the simulated address of class cl's head pointer.
-func (tc *ThreadCache) listHeadAddr(cl uint8) uint64 { return tc.lists[cl].headAddr }
-
 // listMetaAddr returns the simulated address of class cl's length/metadata
 // words.
 func (tc *ThreadCache) listMetaAddr(cl uint8) uint64 { return tc.lists[cl].headAddr + 8 }
-
-// Length returns the current length of class cl's list.
-func (tc *ThreadCache) Length(cl uint8) int { return tc.lists[cl].length }
-
-// CachedBytes returns the thread cache's current byte footprint.
-func (tc *ThreadCache) CachedBytes() uint64 { return tc.size }
-
-// Head returns the real head pointer of class cl's free list (from
-// simulated memory).
-func (tc *ThreadCache) Head(cl uint8) uint64 {
-	return tc.heap.Space.ReadWord(tc.lists[cl].headAddr)
-}
-
-// popEmit pops the head of class cl's list, emitting the Figure 7 sequence:
-// load head, load *head, store head=next. addrDep is the dataflow producing
-// the list address (normally the size-class lookup). Returns the object.
-// The caller must have ensured the list is non-empty.
-func (tc *ThreadCache) popEmit(e *uop.Emitter, cl uint8, addrDep uop.Val) (uint64, uop.Val) {
-	l := &tc.lists[cl]
-	head := tc.heap.Space.ReadWord(l.headAddr)
-	if head == 0 || l.length == 0 {
-		panic(fmt.Sprintf("tcmalloc: pop from empty list class %d", cl))
-	}
-	next := tc.heap.Space.ReadWord(head)
-	hDep := e.Load(l.headAddr, addrDep) // temp = *head_ptr
-	nDep := e.Load(head, hDep)          // next = *temp
-	e.Store(l.headAddr, nDep, uop.NoDep)
-	tc.heap.Space.WriteWord(l.headAddr, next)
-	l.length--
-	tc.size -= tc.heap.SizeMap.ClassSize(cl)
-	return head, nDep
-}
 
 // pushEmit pushes ptr onto class cl's list, emitting load head, store
 // *ptr=head, store head=ptr.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -141,17 +140,4 @@ func formatValue(v float64) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// ExposedFamilies returns the mangled family name of every metric in the
-// snapshot, sorted, applying the same collision rules as OpenMetrics. The
-// lint tooling uses it to verify the exposition covers the whole registry.
-func ExposedFamilies(s Snapshot) []string {
-	used := map[string]bool{}
-	out := make([]string, 0, len(s.Metrics))
-	for _, m := range s.Metrics {
-		out = append(out, exposedName(m.Name, used))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -56,9 +56,6 @@ func (p *StepProfiler) ObserveCall(cycles, uops []uint64) {
 	}
 }
 
-// StepCycles returns the accumulated cycles for step i.
-func (p *StepProfiler) StepCycles(i int) uint64 { return p.cycles[i] }
-
 // Register adds the profiler's metrics to reg under "step.<name>.*":
 // cycles and uops counters plus the per-call cycle histogram.
 func (p *StepProfiler) Register(reg *Registry) {

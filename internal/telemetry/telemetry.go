@@ -2,7 +2,7 @@
 // Every simulated component — the out-of-order core, the cache hierarchy,
 // the malloc cache, the allocator tiers, the sampler — registers named
 // metrics into one Registry, and every consumer (the experiment harness,
-// the CLIs, the library facade) reads them back through one Snapshot/Delta
+// the CLIs, the library facade) reads them back through one Snapshot
 // surface keyed by dotted metric names (e.g. "mc.pop.hits", "l1d.misses",
 // "pageheap.spans.split", "step.pushpop.cycles").
 //
@@ -119,46 +119,6 @@ func (s Snapshot) Get(name string) (Metric, bool) {
 func (s Snapshot) Value(name string) float64 {
 	m, _ := s.Get(name)
 	return m.Value
-}
-
-// Delta returns s - prev: counters and histogram counts/sums subtract
-// (clamped at zero), gauges keep their current reading. Metrics absent from
-// prev pass through unchanged.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	out := Snapshot{Metrics: make([]Metric, len(s.Metrics))}
-	copy(out.Metrics, s.Metrics)
-	for i := range out.Metrics {
-		m := &out.Metrics[i]
-		p, ok := prev.Get(m.Name)
-		if !ok || m.Kind == KindGauge {
-			continue
-		}
-		if m.Value >= p.Value {
-			m.Value -= p.Value
-		} else {
-			m.Value = 0
-		}
-		if m.Kind == KindHistogram {
-			if m.Count >= p.Count {
-				m.Count -= p.Count
-			} else {
-				m.Count = 0
-			}
-			if m.Sum >= p.Sum {
-				m.Sum -= p.Sum
-			} else {
-				m.Sum = 0
-			}
-			if m.Count > 0 {
-				m.Mean = float64(m.Sum) / float64(m.Count)
-			} else {
-				m.Mean = 0
-			}
-			// Percentiles are not subtractable; the delta keeps the
-			// current reading.
-		}
-	}
-	return out
 }
 
 // MarshalJSON renders the snapshot as one object keyed by metric name:

@@ -63,24 +63,6 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	reg.Gauge("a", func() float64 { return 0 })
 }
 
-func TestSnapshotDelta(t *testing.T) {
-	reg := NewRegistry()
-	var n uint64
-	reg.Counter("c", func() uint64 { return n })
-	reg.Gauge("g", func() float64 { return float64(n) })
-	n = 10
-	before := reg.Snapshot()
-	n = 25
-	after := reg.Snapshot()
-	d := after.Delta(before)
-	if v := d.Value("c"); v != 15 {
-		t.Errorf("counter delta = %v", v)
-	}
-	if v := d.Value("g"); v != 25 {
-		t.Errorf("gauge delta should keep the current reading, got %v", v)
-	}
-}
-
 func TestStepProfiler(t *testing.T) {
 	p := NewStepProfiler([]string{"other", "sizeclass", "pushpop"})
 	p.ObserveCall([]uint64{5, 3, 0}, []uint64{4, 2, 0})

@@ -25,8 +25,6 @@ type Kind uint8
 const (
 	// ALU is a simple integer operation (add, shift, compare): 1 cycle.
 	ALU Kind = iota
-	// IMul is an integer multiply: 3 cycles.
-	IMul
 	// Load reads 8 bytes from the simulated address space through the
 	// cache hierarchy.
 	Load
@@ -36,8 +34,6 @@ const (
 	// Branch is a conditional branch resolved at execute; mispredictions
 	// redirect fetch.
 	Branch
-	// SWPrefetch is a conventional software prefetch into L1.
-	SWPrefetch
 	// McSzLookup is Mallacc's size-class lookup (paper Fig. 9): requested
 	// size in, (size class, allocation size) out, ZF set on hit.
 	McSzLookup
@@ -59,7 +55,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"alu", "imul", "load", "store", "branch", "swprefetch",
+	"alu", "load", "store", "branch",
 	"mcszlookup", "mcszupdate", "mchdpop", "mchdpush", "mcnxtprefetch", "nop",
 }
 
@@ -78,7 +74,7 @@ func (k Kind) IsMallacc() bool {
 
 // IsMemory reports whether the op accesses the cache hierarchy.
 func (k Kind) IsMemory() bool {
-	return k == Load || k == Store || k == SWPrefetch || k == McNxtPrefetch
+	return k == Load || k == Store || k == McNxtPrefetch
 }
 
 // Step tags a micro-op with the fast-path component it implements
@@ -154,15 +150,6 @@ type Trace struct {
 	Ops []UOp
 }
 
-// CountByStep returns how many ops carry each step tag.
-func (t *Trace) CountByStep() [NumSteps]int {
-	var out [NumSteps]int
-	for i := range t.Ops {
-		out[t.Ops[i].Step]++
-	}
-	return out
-}
-
 // Emitter builds call traces. The allocator holds one Emitter and resets it
 // at the start of every malloc/free; helper methods return the Val of the
 // op they append so callers can wire dataflow.
@@ -175,9 +162,6 @@ type Emitter struct {
 	lastMC Val
 	// step is the currently active tag.
 	step Step
-	// disabled suppresses emission entirely (pure-functional execution,
-	// used by tests and warmup).
-	disabled bool
 }
 
 // NewEmitter returns an Emitter with capacity for typical fast-path
@@ -193,13 +177,6 @@ func (e *Emitter) Reset() {
 	e.lastMC = NoDep
 	e.step = StepOther
 }
-
-// SetDisabled turns emission off or on. While disabled, all emit methods
-// return NoDep and record nothing.
-func (e *Emitter) SetDisabled(d bool) { e.disabled = d }
-
-// Disabled reports whether emission is off.
-func (e *Emitter) Disabled() bool { return e.disabled }
 
 // Step sets the active tag for subsequently emitted ops and returns the
 // previous tag so callers can restore it.
@@ -248,9 +225,6 @@ func (e *Emitter) push(op UOp) Val {
 
 // ALU emits a 1-cycle integer op depending on up to two producers.
 func (e *Emitter) ALU(dep1, dep2 Val) Val {
-	if e.disabled {
-		return NoDep
-	}
 	return e.push(UOp{Kind: ALU, Dep1: dep1, Dep2: dep2, MCEntry: -1})
 }
 
@@ -258,9 +232,6 @@ func (e *Emitter) ALU(dep1, dep2 Val) Val {
 // serializing operations with known costs (atomic RMWs for locks, the
 // syscall entry/exit of an OS memory request) without inventing new kinds.
 func (e *Emitter) ALUWithLat(lat uint8, dep1, dep2 Val) Val {
-	if e.disabled {
-		return NoDep
-	}
 	return e.push(UOp{Kind: ALU, Dep1: dep1, Dep2: dep2, MCEntry: -1, LatOverride: lat})
 }
 
@@ -279,7 +250,7 @@ func (e *Emitter) ALUChain(n int, dep Val) Val {
 // long waits — a contended lock spinning until the holder releases it — are
 // modeled as a chain of maximal-latency ops plus a remainder.
 func (e *Emitter) Stall(cycles uint64, dep Val) Val {
-	if e.disabled || cycles == 0 {
+	if cycles == 0 {
 		return dep
 	}
 	v := dep
@@ -294,27 +265,13 @@ func (e *Emitter) Stall(cycles uint64, dep Val) Val {
 	return v
 }
 
-// IMul emits a 3-cycle multiply.
-func (e *Emitter) IMul(dep1, dep2 Val) Val {
-	if e.disabled {
-		return NoDep
-	}
-	return e.push(UOp{Kind: IMul, Dep1: dep1, Dep2: dep2, MCEntry: -1})
-}
-
 // Load emits a load of the word at addr whose address depends on addrDep.
 func (e *Emitter) Load(addr uint64, addrDep Val) Val {
-	if e.disabled {
-		return NoDep
-	}
 	return e.push(UOp{Kind: Load, Addr: addr, Dep1: addrDep, Dep2: NoDep, MCEntry: -1})
 }
 
 // Store emits a store to addr with the given address and data dependencies.
 func (e *Emitter) Store(addr uint64, addrDep, dataDep Val) Val {
-	if e.disabled {
-		return NoDep
-	}
 	return e.push(UOp{Kind: Store, Addr: addr, Dep1: addrDep, Dep2: dataDep, MCEntry: -1})
 }
 
@@ -322,18 +279,7 @@ func (e *Emitter) Store(addr uint64, addrDep, dataDep Val) Val {
 // outcome taken, conditioned on dep (typically a compare or a Mallacc op
 // that sets ZF).
 func (e *Emitter) Branch(site uint32, taken bool, dep Val) Val {
-	if e.disabled {
-		return NoDep
-	}
 	return e.push(UOp{Kind: Branch, Site: site, Taken: taken, Dep1: dep, Dep2: NoDep, MCEntry: -1})
-}
-
-// SWPrefetch emits a software prefetch of addr.
-func (e *Emitter) SWPrefetch(addr uint64, addrDep Val) Val {
-	if e.disabled {
-		return NoDep
-	}
-	return e.push(UOp{Kind: SWPrefetch, Addr: addr, Dep1: addrDep, Dep2: NoDep, MCEntry: -1})
 }
 
 // Mallacc emits one of the five accelerator instructions. entry is the
@@ -341,9 +287,6 @@ func (e *Emitter) SWPrefetch(addr uint64, addrDep Val) Val {
 // the functional outcome, addr is the prefetch target for McNxtPrefetch,
 // and latOverride optionally replaces the default latency.
 func (e *Emitter) Mallacc(kind Kind, entry int, hit bool, addr uint64, dep Val, latOverride uint8) Val {
-	if e.disabled {
-		return NoDep
-	}
 	if !kind.IsMallacc() {
 		panic("uop: Mallacc called with non-accelerator kind " + kind.String())
 	}

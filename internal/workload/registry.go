@@ -90,13 +90,3 @@ var stockNames = sync.OnceValue(func() map[string]bool {
 // Known reports whether name is a stock workload, without constructing any
 // generators.
 func Known(name string) bool { return stockNames()[name] }
-
-// Names returns every stock workload name in registry order.
-func Names() []string {
-	ws := All()
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = w.Name()
-	}
-	return out
-}

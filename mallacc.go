@@ -21,8 +21,7 @@
 //     full measurement set (latency histograms, allocator fractions,
 //     accelerator hit rates).
 //
-//   - RunExperiment / Experiments: regenerate the paper's figures and
-//     tables.
+//   - RunExperiment: regenerate the paper's figures and tables.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-vs-measured results.
@@ -93,9 +92,6 @@ type SizeWeight = workload.SizeWeight
 // Report is a rendered experiment outcome.
 type Report = harness.Report
 
-// Experiment is one of the paper's figures or tables.
-type Experiment = harness.Experiment
-
 // ExpOptions scales experiment runs.
 type ExpOptions = harness.ExpOptions
 
@@ -127,9 +123,6 @@ func RecordTrace(w Workload, calls int, seed uint64) *WorkloadTrace {
 // ReadTrace parses a serialized trace (see WorkloadTrace.WriteTo).
 func ReadTrace(r io.Reader) (*WorkloadTrace, error) { return workload.ReadTrace(r) }
 
-// Experiments returns every reproducible figure and table, in paper order.
-func Experiments() []Experiment { return harness.Experiments() }
-
 // RunExperiment regenerates one figure or table by ID (e.g. "fig13",
 // "table2", "area").
 func RunExperiment(id string, opt ExpOptions) (*Report, error) {
@@ -158,35 +151,6 @@ type JobStatus = simsvc.JobStatus
 
 // NewService builds and starts a simulation service.
 func NewService(cfg ServiceConfig) (*Service, error) { return simsvc.New(cfg) }
-
-// SweepPoint is one malloc-cache size evaluated by Sweep.
-type SweepPoint struct {
-	// Entries is the malloc-cache capacity.
-	Entries int
-	// MallocSpeedup is the malloc-time improvement over baseline, in
-	// percent (negative = slowdown, as undersized caches cause).
-	MallocSpeedup float64
-	// LookupHitRate and PopHitRate are the accelerator hit ratios.
-	LookupHitRate, PopHitRate float64
-}
-
-// Sweep runs the Figure 17 experiment for one workload: baseline once,
-// then Mallacc at each cache size.
-func Sweep(w Workload, entries []int, calls int, seed uint64) []SweepPoint {
-	base := Run(RunOptions{Workload: w, Variant: Baseline, Calls: calls, Seed: seed})
-	b := float64(base.MallocCycles)
-	out := make([]SweepPoint, 0, len(entries))
-	for _, n := range entries {
-		r := Run(RunOptions{Workload: w, Variant: Mallacc, MCEntries: n, Calls: calls, Seed: seed})
-		out = append(out, SweepPoint{
-			Entries:       n,
-			MallocSpeedup: 100 * (b - float64(r.MallocCycles)) / b,
-			LookupHitRate: r.MC.LookupHitRate(),
-			PopHitRate:    r.MC.PopHitRate(),
-		})
-	}
-	return out
-}
 
 // AreaEstimate returns the Section 6.4 silicon-cost breakdown for a malloc
 // cache with the given entry count, in µm² at 28 nm.
@@ -264,7 +228,7 @@ type System struct {
 
 // MetricsSnapshot is a point-in-time reading of a system's telemetry
 // registry, keyed by dotted metric names ("mc.pop.hits", "l1d.misses",
-// "step.pushpop.cycles"). See Snapshot.Get, Value and Delta.
+// "step.pushpop.cycles"). See Snapshot.Get and Value.
 type MetricsSnapshot = telemetry.Snapshot
 
 // Metric is one named value of a MetricsSnapshot.
@@ -406,53 +370,6 @@ func (s *System) Realloc(addr, oldSize, newSize uint64) (newAddr, cycles uint64)
 	return newAddr, s.core.RunTrace(s.em.Trace())
 }
 
-// Work models application execution: cycles of computation touching the
-// given simulated addresses (cache pressure between allocator calls).
-func (s *System) Work(cycles uint64, touches []uint64) {
-	s.core.AdvanceApp(cycles, touches)
-}
-
-// Antagonize evicts the LRU half of each L1/L2 set, like the paper's
-// antagonist callback.
-func (s *System) Antagonize() { s.core.Memory().Antagonize() }
-
-// ContextSwitch flushes the malloc cache (no writebacks needed — Sec. 4.1)
-// and its blocking state.
-func (s *System) ContextSwitch() {
-	switch {
-	case s.hheap != nil:
-		s.hheap.FlushMallocCache()
-	case s.jheap != nil:
-		s.jheap.FlushMallocCache()
-	default:
-		s.heap.FlushMallocCache()
-	}
-	s.core.ContextSwitch()
-}
-
-// Cycle returns the global simulated clock.
-func (s *System) Cycle() uint64 { return s.core.Cycle() }
-
-// HeapStats returns allocator event counts (TCMalloc substrate; see
-// JemallocStats for the other backend).
-func (s *System) HeapStats() tcmalloc.HeapStats {
-	if s.heap == nil {
-		return tcmalloc.HeapStats{}
-	}
-	return s.heap.StatsSnapshot()
-}
-
-// JemallocStats returns allocator event counts for the jemalloc substrate.
-func (s *System) JemallocStats() jemalloc.HeapStats {
-	if s.jheap == nil {
-		return jemalloc.HeapStats{}
-	}
-	return s.jheap.Stats
-}
-
-// CPUStats returns core retirement statistics.
-func (s *System) CPUStats() cpu.Stats { return s.core.Stats }
-
 // MallocCacheStats returns accelerator hit/miss counts (zero value when
 // running the baseline).
 func (s *System) MallocCacheStats() core.Stats {
@@ -488,12 +405,8 @@ func (s *System) CheckInvariants() {
 	}
 }
 
-// NewRNG returns a deterministic random generator, for building custom
-// drivers that stay reproducible.
-func NewRNG(seed uint64) *stats.RNG { return stats.NewRNG(seed) }
-
-// RNG is the deterministic generator NewRNG returns; custom Workloads
-// receive one per core.
+// RNG is the deterministic generator custom Workloads receive, one per
+// core.
 type RNG = stats.RNG
 
 // App is what a Workload sees of one simulated core: allocator entry points

@@ -58,26 +58,18 @@ func TestSystemBaselineVsMallaccLatency(t *testing.T) {
 	t.Logf("baseline %.1f cycles, mallacc %.1f cycles", base, acc)
 }
 
-func TestSystemContextSwitch(t *testing.T) {
-	s := mallacc.NewSystem(mallacc.DefaultConfig())
-	for i := 0; i < 100; i++ {
-		a, _ := s.Malloc(48)
-		s.Free(a, 48)
+func TestRunContextSwitchFlushesMallocCache(t *testing.T) {
+	w, _ := mallacc.WorkloadByName("ubench.tp_small")
+	r := mallacc.Run(mallacc.RunOptions{
+		Workload: w, Variant: mallacc.Mallacc, Calls: 2000, Seed: 1,
+		Threads: 2, SwitchEvery: 100,
+	})
+	if r.ContextSwitches == 0 {
+		t.Fatal("no context switches injected")
 	}
-	before := s.MallocCacheStats()
-	if before.Flushes != 0 {
-		t.Fatal("unexpected early flush")
+	if r.MC.Flushes != r.ContextSwitches {
+		t.Fatalf("%d malloc-cache flushes for %d context switches", r.MC.Flushes, r.ContextSwitches)
 	}
-	s.ContextSwitch()
-	if s.MallocCacheStats().Flushes != 1 {
-		t.Fatal("context switch did not flush")
-	}
-	// Still functional after the flush.
-	a, _ := s.Malloc(48)
-	if a == 0 {
-		t.Fatal("allocation after flush failed")
-	}
-	s.CheckInvariants()
 }
 
 func TestSizeClassesAPI(t *testing.T) {
@@ -256,30 +248,24 @@ func TestHoardSystemThroughFacade(t *testing.T) {
 	for _, a := range addrs {
 		s.Free(a, 0)
 	}
-	s.ContextSwitch()
-	if a, _ := s.Malloc(96); a == 0 {
-		t.Fatal("post-flush malloc failed")
-	}
 	s.CheckInvariants()
 	if s.MallocCacheStats().Updates == 0 {
 		t.Error("hoard system never touched the malloc cache")
 	}
 }
 
-func TestSweepFacade(t *testing.T) {
-	w, _ := mallacc.WorkloadByName("ubench.tp_small")
-	pts := mallacc.Sweep(w, []int{2, 8}, 4000, 1)
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
+func TestSystemTelemetry(t *testing.T) {
+	s := mallacc.NewSystem(mallacc.DefaultConfig())
+	for i := 0; i < 200; i++ {
+		a, _ := s.Malloc(64)
+		s.Free(a, 64)
 	}
-	if pts[0].Entries != 2 || pts[1].Entries != 8 {
-		t.Fatal("entry order wrong")
+	snap := s.Telemetry()
+	hits := s.MallocCacheStats().LookupHits
+	if hits == 0 || snap.Value("mc.lookup.hits") != float64(hits) {
+		t.Fatalf("mc.lookup.hits = %v, MallocCacheStats says %d", snap.Value("mc.lookup.hits"), hits)
 	}
-	if pts[0].MallocSpeedup >= pts[1].MallocSpeedup {
-		t.Fatalf("2-entry (%.1f%%) should be worse than 8-entry (%.1f%%)",
-			pts[0].MallocSpeedup, pts[1].MallocSpeedup)
-	}
-	if pts[1].LookupHitRate < 0.9 {
-		t.Errorf("8-entry lookup hit rate %.2f", pts[1].LookupHitRate)
+	if snap.Value("step.pushpop.uops") == 0 {
+		t.Fatal("no step attribution for the push/pop step")
 	}
 }

@@ -81,7 +81,6 @@ BEGIN {
     before["BenchmarkBranchPredictor"]     = 16.07
     before["BenchmarkFastAllocFree"]       = 508.4
     before["BenchmarkFastAllocFreeMallacc"] = 588.1
-    before["BenchmarkFastAllocFreeNoEmit"] = 100.1
     before["BenchmarkEngine4CoreBaseline"] = 33123087
     before["BenchmarkEngine4CoreMallacc"]  = 21438757
     before["BenchmarkSubmitCachedHit"]     = 6551
