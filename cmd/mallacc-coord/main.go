@@ -4,9 +4,9 @@
 // consistent hashing on the job key. A job starts on the owner if it has a
 // free worker, else on the owner's ring successor, else it queues at
 // whichever of the two has the shorter backlog — the nodes decide, so
-// placement never waits on a probe. Around that sit failover past dead or
-// open nodes, per-node circuit breakers fed by health probes and proxy
-// outcomes, and SSE progress fan-out.
+// placement never waits on a probe. Around that sit failover past failed
+// nodes, which health probes and proxy outcomes mark suspect so they are
+// tried last, and SSE progress fan-out.
 //
 // Membership is dynamic: nodes may be seeded statically with -nodes, join
 // at runtime via POST /v1/fleet/join (mallacc-serve -coord does this

@@ -150,8 +150,8 @@ func (c *client) doJSON(ctx context.Context, method, path string, body []byte, o
 	})
 }
 
-// cmdStatus renders the fleet membership view: the epoch, and per node the
-// failure-detector state, last-heartbeat age, breaker, ownership, and
+// cmdStatus renders the fleet membership view: the epoch, and per node its
+// membership state (or "draining"), last-heartbeat age, ownership, and
 // occupancy.
 func cmdStatus(ctx context.Context, c *client) error {
 	var h fleet.FleetHealth
@@ -164,22 +164,16 @@ func cmdStatus(ctx context.Context, c *client) error {
 	}
 	fmt.Printf("fleet %s: %d/%d nodes live (epoch %d)\n", state, h.Live, h.Total, h.Epoch)
 	for _, n := range h.Nodes {
-		// mark is the membership verdict, refined by the operator drain flag
-		// and instant reachability: a member can be "healthy" per the (slow)
-		// failure detector while the last probe already failed.
 		mark := n.State
-		switch {
-		case n.Draining:
+		if n.Draining {
 			mark = "draining"
-		case n.State == fleet.StateMemberHealthy && !n.Healthy:
-			mark = "DOWN"
 		}
 		hb := "hb=never"
 		if n.HeartbeatAgeSeconds >= 0 {
 			hb = fmt.Sprintf("hb=%.1fs", n.HeartbeatAgeSeconds)
 		}
-		line := fmt.Sprintf("  %-10s %-22s %-8s %-9s breaker=%s own=%4.1f%% queue=%d busy=%d/%d",
-			n.Name, n.URL, mark, hb, n.Breaker, 100*n.Ownership, n.QueueDepth, n.Busy, n.Workers)
+		line := fmt.Sprintf("  %-10s %-22s %-8s %-9s own=%4.1f%% queue=%d busy=%d/%d",
+			n.Name, n.URL, mark, hb, 100*n.Ownership, n.QueueDepth, n.Busy, n.Workers)
 		if n.LastError != "" {
 			line += "  (" + n.LastError + ")"
 		}
@@ -238,15 +232,10 @@ func cmdSubmit(ctx context.Context, c *client, args []string) error {
 	return c.finishJob(ctx, st, *follow, *out)
 }
 
-// finishJob optionally tails the stream, then polls to terminal state and
-// writes the report.
+// finishJob waits for the job (tailing its events to stderr when follow is
+// set) and writes the report.
 func (c *client) finishJob(ctx context.Context, st jobStatus, follow bool, out string) error {
-	if follow && !st.State.Terminal() {
-		if err := c.followEvents(ctx, st.ID); err != nil {
-			fmt.Fprintf(os.Stderr, "event stream: %v (falling back to polling)\n", err)
-		}
-	}
-	st, err := c.await(ctx, st)
+	st, err := c.await(ctx, st, follow)
 	if err != nil {
 		return err
 	}
@@ -263,7 +252,22 @@ func (c *client) finishJob(ctx context.Context, st jobStatus, follow bool, out s
 	return os.WriteFile(out, st.Report, 0o644)
 }
 
-func (c *client) await(ctx context.Context, st jobStatus) (jobStatus, error) {
+// await waits for a job to reach a terminal state. It reads the job's
+// event stream to its end, which the server closes after the terminal
+// event (echoing each event to stderr when follow is set), then fetches
+// the status once. If the stream fails, or the status is not terminal
+// after it, await polls.
+func (c *client) await(ctx context.Context, st jobStatus, follow bool) (jobStatus, error) {
+	if st.State.Terminal() {
+		return st, nil
+	}
+	if err := c.streamEvents(ctx, st.ID, follow); err != nil {
+		if follow {
+			fmt.Fprintf(os.Stderr, "event stream: %v (falling back to polling)\n", err)
+		}
+	} else if err := c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+st.ID, nil, &st); err != nil {
+		return st, fmt.Errorf("poll %s: %w", st.ID, err)
+	}
 	for !st.State.Terminal() {
 		select {
 		case <-ctx.Done():
@@ -277,9 +281,9 @@ func (c *client) await(ctx context.Context, st jobStatus) (jobStatus, error) {
 	return st, nil
 }
 
-// followEvents tails a job's SSE stream to stderr until the server closes
-// it after the terminal event.
-func (c *client) followEvents(ctx context.Context, id string) error {
+// streamEvents reads a job's SSE stream until the server closes it after
+// the terminal event, writing each event to stderr when echo is set.
+func (c *client) streamEvents(ctx context.Context, id string, echo bool) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return err
@@ -297,7 +301,7 @@ func (c *client) followEvents(ctx context.Context, id string) error {
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		if strings.HasPrefix(line, "data: ") {
+		if echo && strings.HasPrefix(line, "data: ") {
 			fmt.Fprintf(os.Stderr, "event: %s\n", strings.TrimPrefix(line, "data: "))
 		}
 	}
@@ -423,7 +427,7 @@ func (c *client) sweepPoint(ctx context.Context, spec simsvc.JobSpec, path strin
 			if err := c.doJSON(ctx, http.MethodPost, "/v1/jobs", body, &st); err != nil {
 				return err
 			}
-			st, err := c.await(ctx, st)
+			st, err := c.await(ctx, st, false)
 			if err != nil {
 				return err
 			}

@@ -2,11 +2,14 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mallacc/internal/simsvc"
 )
 
 // TestClientHonorsRetryAfter: a coordinator that throttles with
@@ -38,5 +41,43 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}
 	if n := requests.Load(); n != 2 || out.Status != "ok" {
 		t.Errorf("%d requests, status %q; want 2 requests ending in ok", n, out.Status)
+	}
+}
+
+// TestAwaitWaitsOnEvents: a job that turns done 300 ms after submit is
+// waited for on its event stream, so the wait costs exactly one status
+// GET, where a 100 ms poll clock would spend about three.
+func TestAwaitWaitsOnEvents(t *testing.T) {
+	done := time.Now().Add(300 * time.Millisecond)
+	var gets atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/j1/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		time.Sleep(time.Until(done))
+		fmt.Fprint(w, "id: 1\nevent: done\ndata: {\"type\":\"done\"}\n\n")
+	})
+	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		state := simsvc.StateRunning
+		if !time.Now().Before(done) {
+			state = simsvc.StateDone
+		}
+		fmt.Fprintf(w, `{"id":"j1","state":%q}`, state)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var st jobStatus
+	st.ID, st.State = "j1", simsvc.StateQueued
+	st, err := newClient(srv.URL).await(context.Background(), st, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != simsvc.StateDone {
+		t.Fatalf("await returned state %s, want done", st.State)
+	}
+	if n := gets.Load(); n != 1 {
+		t.Errorf("await made %d status GETs, want 1", n)
 	}
 }

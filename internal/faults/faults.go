@@ -51,7 +51,7 @@ const (
 	PointRemoteHTTP = "remote.http"
 	// PointFleetProxy gates the coordinator's outbound hops to serve
 	// nodes; an injected error looks like a node transport failure and
-	// exercises failover and the per-node breaker.
+	// exercises failover and suspicion of the node.
 	PointFleetProxy = "fleet.proxy"
 	// PointPeerFill gates a node's outbound peer cache-fill requests; an
 	// injected error degrades the fill to a miss (the node recomputes).

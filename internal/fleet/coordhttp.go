@@ -31,8 +31,9 @@ const maxProxyBytes = 16 << 20
 //	GET    /v1/jobs/{id}/events
 //	                     SSE progress fan-out through the coordinator
 //	DELETE /v1/jobs/{id} proxied cancel
-//	GET    /v1/healthz   aggregate: per-node health, breaker states, drain
-//	                     flags, ring ownership; ok while >= 1 node is live
+//	GET    /v1/healthz   aggregate: per-node membership state, drain flag,
+//	                     last probe report, ring ownership; ok while >= 1
+//	                     node is live (healthy and not draining)
 //	GET    /v1/metrics   fleet.* telemetry; JSON or OpenMetrics like a node
 //	POST   /v1/fleet/{node}/drain
 //	POST   /v1/fleet/{node}/undrain
@@ -90,7 +91,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // proxy performs one coordinator→node hop through the fleet.proxy fault
 // point, so the chaos harness can fail hops without touching the nodes.
 // admit marks a job submission admit-now (simsvc.AdmitHeader).
-func (c *Coordinator) proxy(client *http.Client, r *http.Request, ns *nodeState, method, path string, body []byte, admit bool) (*http.Response, error) {
+func (c *Coordinator) proxy(client *http.Client, r *http.Request, m Member, method, path string, body []byte, admit bool) (*http.Response, error) {
 	if err := faults.Inject(faults.PointFleetProxy); err != nil {
 		return nil, err
 	}
@@ -98,7 +99,7 @@ func (c *Coordinator) proxy(client *http.Client, r *http.Request, ns *nodeState,
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), method, ns.baseURL()+path, rd)
+	req, err := http.NewRequestWithContext(r.Context(), method, m.URL+path, rd)
 	if err != nil {
 		return nil, err
 	}
@@ -182,17 +183,18 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The owner's peer fill asks the ring's next DefaultFillPeers nodes, so
 	// a job placed within the ring's first 1+DefaultFillPeers nodes is
 	// found by a warm resubmit with no placement table. The first two
-	// candidates lie there unless two of those nodes are ineligible, or one
-	// is a suspect sorted behind a healthy node further round; then
-	// placement degrades to plain failover. If both refuse, the job queues
-	// at the shorter backlog (ring order on a tie); failures fall through
-	// to the remaining candidates, which take it queued.
+	// candidates lie there unless one of those nodes is draining or off
+	// the ring, or is a suspect (its last probe or proxy hop failed) and so
+	// sorted behind the healthy nodes further round, where it is tried
+	// last; then placement degrades to plain failover. If both refuse, the
+	// job queues at the shorter backlog (ring order on a tie); failures
+	// fall through to the remaining candidates, which take it queued.
 	cands := c.candidates(canon.Key())
 	admit := min(DefaultFillPeers, len(cands))
-	var refused []*nodeState
+	var refused []Member
 	var backlog [DefaultFillPeers]int
-	for _, ns := range cands[:admit] {
-		switch b, res := c.offer(w, r, ns, canonBody, true); res {
+	for _, m := range cands[:admit] {
+		switch b, res := c.offer(w, r, m, canonBody, true); res {
 		case offerRelayed:
 			if len(refused) > 0 {
 				c.spills.Add(1)
@@ -200,26 +202,26 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		case offerRefused:
 			backlog[len(refused)] = b
-			refused = append(refused, ns)
+			refused = append(refused, m)
 		}
 	}
 	if len(refused) == 2 && backlog[1] < backlog[0] {
 		refused[0], refused[1] = refused[1], refused[0]
 	}
-	for _, ns := range append(refused, cands[admit:]...) {
-		if _, res := c.offer(w, r, ns, canonBody, false); res == offerRelayed {
+	for _, m := range append(refused, cands[admit:]...) {
+		if _, res := c.offer(w, r, m, canonBody, false); res == offerRelayed {
 			return
 		}
 	}
 	c.exhausted.Add(1)
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusServiceUnavailable,
-		errors.New("fleet: no node can accept the job (all draining, open, or unreachable)"))
+		errors.New("fleet: no node can accept the job (all draining or unreachable)"))
 }
 
 // offerResult is how one node answered a submission: it failed
-// (transport error, 5xx, breaker shedding), refused (429: alive but busy
-// or full), or took the job, whose document went to the client.
+// (transport error or 5xx), refused (429: alive but busy or full), or took
+// the job, whose document went to the client.
 type offerResult int
 
 const (
@@ -228,54 +230,35 @@ const (
 	offerRelayed
 )
 
-// offer proxies one submission to ns (admit-now when admit is set) and
-// feeds the outcome to the node's breaker and the router counters. A
-// refusal returns the node's backlog.
-func (c *Coordinator) offer(w http.ResponseWriter, r *http.Request, ns *nodeState, body []byte, admit bool) (backlog int, res offerResult) {
-	// Allow meters half-open probe slots; every Allow is paired with
-	// exactly one Record below.
-	if !ns.breaker.Allow() {
-		return 0, offerFailed
-	}
-	resp, err := c.proxy(c.client, r, ns, http.MethodPost, "/v1/jobs", body, admit)
-	if err != nil {
-		ns.breaker.Record(simsvc.OutcomeFailure)
-		ns.markUnreachable(err)
+// offer proxies one submission to m (admit-now when admit is set) and
+// feeds the outcome to the membership and the router counters: success is
+// liveness evidence, failure makes the node suspect. A refusal returns the
+// node's backlog.
+func (c *Coordinator) offer(w http.ResponseWriter, r *http.Request, m Member, body []byte, admit bool) (backlog int, res offerResult) {
+	resp, err := c.proxy(c.client, r, m, http.MethodPost, "/v1/jobs", body, admit)
+	switch {
+	case err != nil || resp.StatusCode >= 500:
+		// Transport error, or 503 draining / breaker-open / 5xx: the node
+		// cannot take the job.
+		if err == nil {
+			drain(resp)
+		}
+		c.mem.Suspect(m.Name)
 		c.failovers.Add(1)
 		return 0, offerFailed
-	}
-	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
-		// The node is alive but busy or full: try the next candidate, no
-		// strike against the breaker.
+		// The node is alive but busy or full: try the next candidate.
 		drain(resp)
-		ns.breaker.Record(simsvc.OutcomeSuccess)
 		c.redirects.Add(1)
 		backlog, _ = strconv.Atoi(resp.Header.Get(simsvc.BacklogHeader))
 		return backlog, offerRefused
-	case resp.StatusCode >= 500:
-		// 503 draining / breaker-open / 5xx: the node cannot take the
-		// job; count it as a failure and fail over.
-		drain(resp)
-		ns.breaker.Record(simsvc.OutcomeFailure)
-		c.failovers.Add(1)
-		return 0, offerFailed
 	}
-	ns.breaker.Record(simsvc.OutcomeSuccess)
-	ns.proxied.Add(1)
-	// A successful proxy hop is liveness evidence, same as a probe.
-	c.mem.MarkAlive(ns.name)
-	c.relayJobStatus(w, resp, ns.name)
+	if ns := c.state(m.Name); ns != nil {
+		ns.proxied.Add(1)
+	}
+	c.mem.MarkAlive(m.Name)
+	c.relayJobStatus(w, resp, m.Name)
 	return 0, offerRelayed
-}
-
-// markUnreachable flips a node unhealthy on a failed proxy hop, without
-// waiting for the next probe tick.
-func (ns *nodeState) markUnreachable(err error) {
-	ns.mu.Lock()
-	ns.healthy = false
-	ns.lastErr = err.Error()
-	ns.mu.Unlock()
 }
 
 func drain(resp *http.Response) {
@@ -283,47 +266,47 @@ func drain(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// routeJobID resolves a coordinator job id to its node, writing the 404
-// itself when the id or node is unknown.
-func (c *Coordinator) routeJobID(w http.ResponseWriter, id string) (*nodeState, string, bool) {
+// routeJobID resolves a coordinator job id to its node's member record,
+// writing the 404 itself when the id or node is unknown.
+func (c *Coordinator) routeJobID(w http.ResponseWriter, id string) (Member, string, bool) {
 	node, rest, ok := SplitJobID(id)
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("unknown job %q (fleet job ids look like <node>.<id>)", id))
-		return nil, "", false
+		return Member{}, "", false
 	}
-	ns := c.state(node)
-	if ns == nil {
+	m, ok := c.mem.Member(node)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q: no fleet node %q", id, node))
-		return nil, "", false
+		return Member{}, "", false
 	}
-	return ns, rest, true
+	return m, rest, true
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	ns, rest, ok := c.routeJobID(w, r.PathValue("id"))
+	m, rest, ok := c.routeJobID(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
-	resp, err := c.proxy(c.client, r, ns, http.MethodGet, "/v1/jobs/"+rest, nil, false)
+	resp, err := c.proxy(c.client, r, m, http.MethodGet, "/v1/jobs/"+rest, nil, false)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: node %s: %v", ns.name, err))
+		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: node %s: %v", m.Name, err))
 		return
 	}
-	c.relayJobStatus(w, resp, ns.name)
+	c.relayJobStatus(w, resp, m.Name)
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	ns, rest, ok := c.routeJobID(w, r.PathValue("id"))
+	m, rest, ok := c.routeJobID(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
-	resp, err := c.proxy(c.client, r, ns, http.MethodDelete, "/v1/jobs/"+rest, nil, false)
+	resp, err := c.proxy(c.client, r, m, http.MethodDelete, "/v1/jobs/"+rest, nil, false)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: node %s: %v", ns.name, err))
+		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: node %s: %v", m.Name, err))
 		return
 	}
-	c.relayJobStatus(w, resp, ns.name)
+	c.relayJobStatus(w, resp, m.Name)
 }
 
 // handleEvents fans a node's SSE progress stream out through the
@@ -332,18 +315,18 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 // request carries the client's context — closing the browser tab closes
 // the node-side stream too.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	ns, rest, ok := c.routeJobID(w, r.PathValue("id"))
+	m, rest, ok := c.routeJobID(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
-	resp, err := c.proxy(c.sseClient, r, ns, http.MethodGet, "/v1/jobs/"+rest+"/events", nil, false)
+	resp, err := c.proxy(c.sseClient, r, m, http.MethodGet, "/v1/jobs/"+rest+"/events", nil, false)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: node %s: %v", ns.name, err))
+		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: node %s: %v", m.Name, err))
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		c.relayJobStatus(w, resp, ns.name)
+		c.relayJobStatus(w, resp, m.Name)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -499,7 +482,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	c.adoptNode(req.Name, req.URL)
+	c.adoptNode(req.Name)
 	writeJSON(w, http.StatusOK, joinResponse{Epoch: view.Epoch, View: &view})
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -49,9 +50,6 @@ type CoordinatorConfig struct {
 	Peers []string
 	// GossipEvery is the gossip cadence (DefaultGossipEvery when <= 0).
 	GossipEvery time.Duration
-	// Breaker sizes each node's circuit breaker; zero fields take the
-	// simsvc defaults.
-	Breaker simsvc.BreakerConfig
 	// Registry receives the fleet.* metrics; a fresh one is created when nil.
 	Registry *telemetry.Registry
 	// Client performs all node HTTP; a 30s-timeout default applies when nil.
@@ -60,20 +58,13 @@ type CoordinatorConfig struct {
 	Client *http.Client
 }
 
-// nodeState is the coordinator's live transport-level view of one member
-// node: instant reachability fed by probes and proxy outcomes, the node's
-// last reported occupancy (for status and gauges; routing asks the node
-// itself), and its circuit breaker. The slower, gossiped
-// verdict (healthy/suspect/dead/left, draining) lives in the Membership.
+// nodeState is what the coordinator learned about one member beyond its
+// membership record: the last probe's occupancy report and error (for
+// status and gauges only) and the count of jobs proxied to it. The node's
+// one health state (healthy/suspect/dead/left, draining) and its URL live
+// in the Membership; routing reads nothing else.
 type nodeState struct {
-	name string
-	// breaker is fed probe results and proxy outcomes; open means the
-	// coordinator drains around this node until cooldown half-opens it.
-	breaker *simsvc.Breaker
-
 	mu       sync.Mutex
-	url      string
-	healthy  bool // reachable per the last probe / proxy hop
 	health   simsvc.Health
 	lastErr  string
 	probedAt time.Time
@@ -82,17 +73,10 @@ type nodeState struct {
 }
 
 // snapshot returns the mutex-guarded fields as a consistent copy.
-func (ns *nodeState) snapshot() (healthy bool, h simsvc.Health, lastErr string, probedAt time.Time) {
+func (ns *nodeState) snapshot() (h simsvc.Health, lastErr string, probedAt time.Time) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return ns.healthy, ns.health, ns.lastErr, ns.probedAt
-}
-
-// baseURL returns the node's current base URL (joins may update it).
-func (ns *nodeState) baseURL() string {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.url
+	return ns.health, ns.lastErr, ns.probedAt
 }
 
 // peerState tracks gossip bookkeeping for one sibling coordinator.
@@ -107,10 +91,11 @@ type peerState struct {
 // nodes by consistent hashing on the job key. It speaks the same API as a
 // single node — clients cannot tell the difference beyond the node-prefixed
 // job ids — and layers on dynamic membership (join/heartbeat/leave with a
-// suspicion-based failure detector driving automatic ring rebuilds),
-// per-node health probing, circuit breaking, admit-now placement within
-// the peer-fill set, failover, drain with cache hand-off, SSE fan-out, and
-// a gossiped membership view shared with sibling coordinators.
+// suspicion-based failure detector, fed by heartbeats and by probe and
+// proxy outcomes, driving automatic ring rebuilds), admit-now placement
+// within the peer-fill set, failover, drain with cache hand-off, SSE
+// fan-out, and a gossiped membership view shared with sibling
+// coordinators.
 type Coordinator struct {
 	mem        *Membership
 	reg        *telemetry.Registry
@@ -122,7 +107,6 @@ type Coordinator struct {
 	nmu        sync.RWMutex
 	nodes      map[string]*nodeState
 	registered map[string]bool // per-node metric families already registered
-	breakerCfg simsvc.BreakerConfig
 
 	gossipEvery time.Duration
 	peers       []*peerState
@@ -178,7 +162,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		replicas:    cfg.Replicas,
 		nodes:       map[string]*nodeState{},
 		registered:  map[string]bool{},
-		breakerCfg:  cfg.Breaker,
 		gossipEvery: cfg.GossipEvery,
 		stop:        make(chan struct{}),
 	}
@@ -189,7 +172,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if _, err := c.mem.Join(n); err != nil {
 			return nil, err
 		}
-		c.adoptNode(n.Name, n.URL)
+		c.adoptNode(n.Name)
 	}
 	c.registerMetrics()
 	c.wg.Add(1)
@@ -202,24 +185,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // adoptNode ensures a nodeState and its metric families exist for a
-// member, updating the URL when it changed. Safe to call repeatedly.
-func (c *Coordinator) adoptNode(name, url string) *nodeState {
+// member. Safe to call repeatedly.
+func (c *Coordinator) adoptNode(name string) *nodeState {
 	c.nmu.Lock()
 	ns := c.nodes[name]
 	if ns == nil {
-		ns = &nodeState{
-			name:    name,
-			url:     url,
-			breaker: simsvc.NewBreaker(c.breakerCfg),
-			// Optimistic until the first probe: a freshly joined node must
-			// be routable immediately, and a wrong guess costs one failover.
-			healthy: true,
-		}
+		ns = &nodeState{}
 		c.nodes[name] = ns
-	} else if url != "" {
-		ns.mu.Lock()
-		ns.url = url
-		ns.mu.Unlock()
 	}
 	fresh := !c.registered[name]
 	c.registered[name] = true
@@ -248,8 +220,8 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
 
 // registerMetrics exposes the fleet.* telemetry: router counters, the
-// membership state machine, and (per node, registered at adoption) queue
-// depth / ownership / breaker gauges.
+// membership state machine, and (per node, registered at adoption) state /
+// queue depth / ownership gauges.
 func (c *Coordinator) registerMetrics() {
 	c.reg.Counter("fleet.proxy.requests", c.requests.Load)
 	c.reg.Counter("fleet.proxy.failovers", c.failovers.Load)
@@ -285,13 +257,8 @@ func (c *Coordinator) registerMetrics() {
 	c.reg.Gauge("fleet.nodes.live", func() float64 {
 		live := 0
 		for _, m := range c.mem.View().Members {
-			if !stateOnRing(m.State) || m.Draining {
-				continue
-			}
-			if ns := c.state(m.Name); ns != nil {
-				if healthy, _, _, _ := ns.snapshot(); healthy {
-					live++
-				}
+			if m.live() {
+				live++
 			}
 		}
 		return float64(live)
@@ -310,24 +277,16 @@ func (c *Coordinator) registerNodeMetrics(name string) {
 	})
 	c.reg.Gauge("fleet.node."+name+".queue_depth", func() float64 {
 		if ns := c.state(name); ns != nil {
-			_, h, _, _ := ns.snapshot()
+			h, _, _ := ns.snapshot()
 			return float64(h.QueueDepth)
 		}
 		return 0
 	})
-	c.reg.Gauge("fleet.node."+name+".healthy", func() float64 {
-		if ns := c.state(name); ns != nil {
-			if healthy, _, _, _ := ns.snapshot(); healthy {
-				return 1
-			}
-		}
-		return 0
-	})
-	c.reg.Gauge("fleet.node."+name+".breaker", func() float64 {
-		if ns := c.state(name); ns != nil {
-			return float64(ns.breaker.State())
-		}
-		return 0
+	// state is the membership verdict's stateRank: 0 healthy, 1 suspect,
+	// 2 dead, 3 left.
+	c.reg.Gauge("fleet.node."+name+".state", func() float64 {
+		m, _ := c.mem.Member(name)
+		return float64(stateRank(m.State))
 	})
 	c.reg.Counter("fleet.node."+name+".proxied", func() uint64 {
 		if ns := c.state(name); ns != nil {
@@ -338,11 +297,10 @@ func (c *Coordinator) registerNodeMetrics(name string) {
 }
 
 // probeLoop polls every member's /v1/healthz on the configured cadence
-// and ticks the failure detector. A probe failure both marks the node
-// unreachable (instant routing effect) and feeds its breaker (so recovery
-// goes through half-open probing rather than a thundering herd); a probe
-// success counts as liveness evidence, so a statically configured fleet
-// with no node agents never trips the suspicion machine.
+// and ticks the failure detector. A probe failure makes the node suspect
+// (routed to last); a probe success counts as liveness evidence, so it
+// revives a suspect and a statically configured fleet with no node agents
+// never trips the suspicion machine.
 func (c *Coordinator) probeLoop() {
 	defer c.wg.Done()
 	// Probe once immediately so the first submissions route on real data
@@ -367,21 +325,20 @@ func (c *Coordinator) probeAll() {
 		if m.State == StateMemberLeft {
 			continue
 		}
-		ns := c.adoptNode(m.Name, m.URL)
+		ns := c.adoptNode(m.Name)
 		wg.Add(1)
-		go func(ns *nodeState) {
+		go func(m Member) {
 			defer wg.Done()
-			c.probe(ns)
-		}(ns)
+			c.probe(m, ns)
+		}(m)
 	}
 	wg.Wait()
 }
 
-// nodeHealthz mirrors the node-side /v1/healthz document.
+// nodeHealthz mirrors the fields of the node-side /v1/healthz document
+// the probe reads.
 type nodeHealthz struct {
-	OK                bool    `json:"ok"`
-	Breaker           string  `json:"breaker"`
-	BreakerAgeSeconds float64 `json:"breaker_age_seconds"`
+	Breaker string `json:"breaker"`
 	simsvc.Health
 }
 
@@ -390,10 +347,13 @@ type nodeHealthz struct {
 // answering 200 with garbage, a truncated body, or JSON of the wrong
 // shape (a real healthz always reports a positive worker count and a
 // breaker state) is a probe FAILURE, exactly like a refused connection —
-// a half-up process must not be routed to on the strength of a lie.
-func (c *Coordinator) probe(ns *nodeState) {
+// a half-up process must not be routed to on the strength of a lie. A
+// node reporting itself draining or its breaker open fails the probe too:
+// the node's breaker sees every execution outcome, so the coordinator
+// mirrors it rather than keeping a second one.
+func (c *Coordinator) probe(m Member, ns *nodeState) {
 	c.probes.Add(1)
-	resp, err := c.client.Get(ns.baseURL() + "/v1/healthz")
+	resp, err := c.client.Get(m.URL + "/v1/healthz")
 	var doc nodeHealthz
 	if err == nil {
 		var body []byte
@@ -409,72 +369,49 @@ func (c *Coordinator) probe(ns *nodeState) {
 				err = fmt.Errorf("healthz malformed: %v", uerr)
 			} else if doc.Workers < 1 || doc.Breaker == "" {
 				err = fmt.Errorf("healthz implausible (workers=%d breaker=%q)", doc.Workers, doc.Breaker)
+			} else if doc.Draining {
+				err = errors.New("healthz reports draining")
+			} else if doc.Breaker == simsvc.BreakerOpen.String() {
+				err = errors.New("healthz reports breaker open")
 			}
 		}
 	}
 	ns.mu.Lock()
 	ns.probedAt = time.Now()
 	if err != nil {
-		ns.healthy = false
 		ns.lastErr = err.Error()
 		ns.health = simsvc.Health{}
 	} else {
-		ns.healthy = true
 		ns.lastErr = ""
 		ns.health = doc.Health
 	}
 	ns.mu.Unlock()
 	if err != nil {
 		c.probeErrs.Add(1)
-		ns.breaker.Record(simsvc.OutcomeFailure)
+		c.mem.Suspect(m.Name)
 	} else {
-		c.mem.MarkAlive(ns.name)
-		// Only count the probe toward closing the breaker when the breaker
-		// is not healthy; a healthy node's steady stream of probe successes
-		// must not mask proxy failures inside the window.
-		if ns.breaker.State() != simsvc.BreakerHealthy {
-			ns.breaker.Record(simsvc.OutcomeSuccess)
-		}
+		c.mem.MarkAlive(m.Name)
 	}
 }
 
-// eligible reports whether a member may receive new submissions: on the
-// ring (not dead or departed), not draining, reachable per the last
-// probe, breaker not open. It is deliberately side-effect free — Allow
-// (which meters half-open probe slots) is only called at proxy time, so a
-// candidate that ends up unused never leaks a probe token.
-func (c *Coordinator) eligible(m Member, ns *nodeState) bool {
-	if !stateOnRing(m.State) || m.Draining {
-		return false
-	}
-	healthy, h, _, _ := ns.snapshot()
-	if !healthy || h.Draining {
-		return false
-	}
-	return ns.breaker.State() != simsvc.BreakerOpen
-}
-
-// candidates returns the submission order for a key: eligible nodes in
-// ring order, healthy-state members before suspects.
-func (c *Coordinator) candidates(key string) []*nodeState {
+// candidates returns the submission order for a key: on-ring members that
+// are not draining, in ring order, healthy members before suspects. A
+// member whose last probe or proxy hop failed is suspect, so it is tried
+// last rather than skipped.
+func (c *Coordinator) candidates(key string) []Member {
 	ring := c.mem.Ring()
 	if ring == nil {
 		return nil
 	}
-	var healthy, suspect []*nodeState
+	var healthy, suspect []Member
 	for _, name := range ring.Candidates(key, 0) {
 		m, ok := c.mem.Member(name)
-		if !ok {
-			continue
-		}
-		ns := c.state(name)
-		if ns == nil || !c.eligible(m, ns) {
-			continue
-		}
-		if m.State == StateMemberSuspect {
-			suspect = append(suspect, ns)
-		} else {
-			healthy = append(healthy, ns)
+		switch {
+		case !ok || m.Draining:
+		case m.State == StateMemberHealthy:
+			healthy = append(healthy, m)
+		case m.State == StateMemberSuspect:
+			suspect = append(suspect, m)
 		}
 	}
 	return append(healthy, suspect...)
@@ -491,14 +428,9 @@ func (c *Coordinator) Drain(node string, drain bool) error {
 type NodeStatus struct {
 	Name string `json:"name"`
 	URL  string `json:"url"`
-	// State is the failure detector's verdict: healthy, suspect, dead, left.
-	State string `json:"state"`
-	// Healthy is instant transport-level reachability per the last probe.
-	Healthy  bool   `json:"healthy"`
+	// State is the node's one health state: healthy, suspect, dead, left.
+	State    string `json:"state"`
 	Draining bool   `json:"draining"`
-	Breaker  string `json:"breaker"`
-	// BreakerAgeSeconds is how long the breaker has held its state.
-	BreakerAgeSeconds float64 `json:"breaker_age_seconds"`
 	// Ownership is the node's fraction of the hash space (0 off-ring).
 	Ownership float64 `json:"ownership"`
 	simsvc.Health
@@ -526,8 +458,8 @@ type FleetHealth struct {
 	Nodes  []NodeStatus `json:"nodes"`
 }
 
-// Healthz aggregates per-node health, failure-detector states, breaker
-// states and ownership. Departed (left) members appear with zero
+// Healthz aggregates per-node membership states, probe reports and
+// ownership. Departed (left) members appear with zero
 // ownership so a hand-off's conclusion is visible; they count toward
 // neither live nor total.
 func (c *Coordinator) Healthz() FleetHealth {
@@ -552,10 +484,7 @@ func (c *Coordinator) Healthz() FleetHealth {
 			st.HeartbeatAgeSeconds = now.Sub(time.Unix(0, m.HeartbeatAt)).Seconds()
 		}
 		if ns := c.state(m.Name); ns != nil {
-			healthy, h, lastErr, probedAt := ns.snapshot()
-			st.Healthy = healthy
-			st.Breaker = ns.breaker.State().String()
-			st.BreakerAgeSeconds = ns.breaker.StateAge().Seconds()
+			h, lastErr, probedAt := ns.snapshot()
 			st.Health = h
 			st.LastError = lastErr
 			if !probedAt.IsZero() {
@@ -564,9 +493,9 @@ func (c *Coordinator) Healthz() FleetHealth {
 		}
 		if m.State != StateMemberLeft {
 			out.Total++
-			if stateOnRing(m.State) && !m.Draining && st.Healthy {
-				out.Live++
-			}
+		}
+		if m.live() {
+			out.Live++
 		}
 		out.Nodes = append(out.Nodes, st)
 	}
@@ -666,7 +595,7 @@ func (c *Coordinator) mergeView(v View) bool {
 	changed := c.mem.Merge(v)
 	for _, m := range v.Members {
 		if m.State != StateMemberLeft {
-			c.adoptNode(m.Name, m.URL)
+			c.adoptNode(m.Name)
 		}
 	}
 	return changed

@@ -27,6 +27,20 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 	}
 }
 
+// waitProbed waits until the coordinator's startup probe has reached
+// every node.
+func waitProbed(t *testing.T, c *Coordinator) {
+	t.Helper()
+	waitFor(t, "startup probe", 5*time.Second, func() bool {
+		for _, n := range c.Healthz().Nodes {
+			if n.ProbeAgeSeconds < 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // TestProbeRejectsMalformedHealthz is the regression test for the probe
 // decode bug: a node answering 200 with garbage, half a document, JSON of
 // the wrong shape, or valid JSON followed by trailing garbage must be
@@ -34,6 +48,8 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 // json.Decoder.Decode happily accepted "null", "{}", and a valid prefix
 // with trailing bytes, and the decode error was never checked — a
 // half-crashed process kept receiving traffic on the strength of a lie.
+// A well-formed document from a node that reports itself draining or its
+// breaker open fails the probe too. A failed probe makes the node suspect.
 func TestProbeRejectsMalformedHealthz(t *testing.T) {
 	bodies := map[string]string{
 		"garbage":        `it's not even json`,
@@ -43,9 +59,11 @@ func TestProbeRejectsMalformedHealthz(t *testing.T) {
 		"trailing-junk":  `{"ok":true,"breaker":"healthy","workers":2}garbage`,
 		"wrong-shape":    `{"ok":true,"breaker":"healthy","workers":0}`,
 		"missing-fields": `{"ok":true}`,
+		"draining":       `{"ok":true,"breaker":"healthy","workers":2,"draining":true}`,
+		"breaker-open":   `{"ok":false,"breaker":"open","workers":2}`,
 	}
 	var nodes []Node
-	order := []string{"garbage", "truncated", "null", "empty-object", "trailing-junk", "wrong-shape", "missing-fields"}
+	order := []string{"garbage", "truncated", "null", "empty-object", "trailing-junk", "wrong-shape", "missing-fields", "draining", "breaker-open"}
 	for i, name := range order {
 		body := bodies[name]
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -53,7 +71,7 @@ func TestProbeRejectsMalformedHealthz(t *testing.T) {
 			io.WriteString(w, body)
 		}))
 		t.Cleanup(srv.Close)
-		nodes = append(nodes, Node{Name: []string{"a", "b", "c", "d", "e", "f", "g"}[i], URL: srv.URL})
+		nodes = append(nodes, Node{Name: string(rune('a' + i)), URL: srv.URL})
 	}
 	// One honest node proves the validator isn't just rejecting everything.
 	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -67,23 +85,16 @@ func TestProbeRejectsMalformedHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	waitFor(t, "startup probe", 5*time.Second, func() bool {
-		for _, n := range c.Healthz().Nodes {
-			if n.ProbeAgeSeconds < 0 {
-				return false
-			}
-		}
-		return true
-	})
+	waitProbed(t, c)
 	for _, n := range c.Healthz().Nodes {
 		if n.Name == "honest" {
-			if !n.Healthy {
-				t.Errorf("honest node marked DOWN: %s", n.LastError)
+			if n.State != StateMemberHealthy {
+				t.Errorf("honest node is %s: %s", n.State, n.LastError)
 			}
 			continue
 		}
-		if n.Healthy {
-			t.Errorf("node %s with malformed healthz marked healthy", n.Name)
+		if n.State != StateMemberSuspect {
+			t.Errorf("node %s with a rejected healthz is %s, want suspect", n.Name, n.State)
 		}
 		if n.LastError == "" {
 			t.Errorf("node %s has no probe error recorded", n.Name)
@@ -275,7 +286,7 @@ func TestGossipSpreadsMembership(t *testing.T) {
 		if _, err := a.mem.Join(Node{Name: name, URL: node.URL}); err != nil {
 			t.Fatal(err)
 		}
-		a.adoptNode(name, node.URL)
+		a.adoptNode(name)
 	}
 	waitFor(t, "gossip to spread joins", 5*time.Second, func() bool {
 		return b.mem.Ring() != nil && len(b.mem.Ring().nodes) == 3

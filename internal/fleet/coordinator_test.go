@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,6 +277,80 @@ func TestCoordinatorFailover(t *testing.T) {
 	}
 }
 
+// TestCoordinatorSuspectsFailedOwner: a failed proxy hop makes the owner
+// suspect, which sorts it behind the healthy nodes, so the next job on its
+// key starts on the successor even once the owner answers again. A probe
+// success revives the owner, and its keys return to it.
+func TestCoordinatorSuspectsFailedOwner(t *testing.T) {
+	failing := map[string]*atomic.Bool{}
+	var nodes []Node
+	for _, name := range []string{"n1", "n2", "n3"} {
+		svc, err := simsvc.New(simsvc.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fail := &atomic.Bool{}
+		h := svc.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if fail.Load() && r.Method == http.MethodPost {
+				http.Error(w, `{"error":"injected"}`, http.StatusInternalServerError)
+				return
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			svc.Drain(ctx)
+		})
+		failing[name] = fail
+		nodes = append(nodes, Node{Name: name, URL: srv.URL})
+	}
+	// Probes run only when the test calls probeAll.
+	c, err := NewCoordinator(CoordinatorConfig{Nodes: nodes, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	f := &testFleet{coord: c, ts: httptest.NewServer(c.Handler())}
+	t.Cleanup(f.ts.Close)
+	waitProbed(t, c)
+
+	body := `{"workload":"ubench.tp_small","calls":2000,"seed":29}`
+	cands := c.mem.Ring().Candidates(specKey(t, body), 2)
+	owner, succ := cands[0], cands[1]
+	submit := func() coordJob {
+		t.Helper()
+		_, st := f.post(t, body)
+		return f.await(t, st.ID)
+	}
+	state := func(name string) string {
+		m, _ := c.mem.Member(name)
+		return m.State
+	}
+
+	failing[owner].Store(true)
+	if st := submit(); st.Node != succ {
+		t.Fatalf("job with a failing owner ran on %s, want successor %s", st.Node, succ)
+	}
+	if got := state(owner); got != StateMemberSuspect {
+		t.Fatalf("owner is %s after its proxy hop failed, want suspect", got)
+	}
+	failing[owner].Store(false)
+	if st := submit(); st.Node != succ {
+		t.Errorf("next job on the suspect owner's key ran on %s, want successor %s", st.Node, succ)
+	}
+
+	c.probeAll()
+	if got := state(owner); got != StateMemberHealthy {
+		t.Fatalf("owner is %s after a probe success, want healthy", got)
+	}
+	if st := submit(); st.Node != owner {
+		t.Errorf("job after the owner's revival ran on %s, want owner %s", st.Node, owner)
+	}
+}
+
 // TestCoordinatorDrainRedirects drains the owner via the control endpoint
 // and checks new work routes around it, then returns after undrain.
 func TestCoordinatorDrainRedirects(t *testing.T) {
@@ -490,7 +565,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	for _, name := range []string{
 		"fleet.proxy.requests", "fleet.proxy.failovers", "fleet.proxy.redirects", "fleet.proxy.spills",
 		"fleet.proxy.exhausted", "fleet.nodes.live", "fleet.nodes.total",
-		"fleet.node.n1.ownership", "fleet.node.n2.queue_depth", "fleet.node.n1.breaker",
+		"fleet.node.n1.ownership", "fleet.node.n2.queue_depth", "fleet.node.n1.state",
 	} {
 		if _, ok := snap[name]; !ok {
 			t.Errorf("metric %s missing from snapshot", name)

@@ -8,10 +8,10 @@
 //     /v1/jobs API as a single node, so existing clients work unchanged.
 //     It starts each submission on the job key's owning shard or its ring
 //     successor, whichever has a free worker (else it queues at the
-//     shorter backlog), fails over past dead nodes, probes node health on
-//     an interval, feeds a per-node circuit breaker with proxy outcomes
-//     (drain/redirect on open), and fans SSE progress streams out through
-//     itself.
+//     shorter backlog), fails over past dead nodes, feeds probe and proxy
+//     outcomes into each node's one membership state (a failure makes it
+//     suspect and routes it last), and fans SSE progress streams out
+//     through itself.
 //   - PeerFiller: the node-side peer-to-peer cache fill. Before simulating
 //     a job it does not hold, a node asks the key's other ring candidates
 //     via GET /v1/cache/{key}; reshards and node (re)joins warm from peers

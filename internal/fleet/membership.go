@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// Membership state machine. A member is born healthy on join; missing
-// liveness evidence (heartbeats, probe successes) long enough demotes it
-// to suspect, then dead; any fresh evidence revives it to healthy. Left is
+// Membership state machine. A member is born healthy on join; a failed
+// probe or proxy hop, or missing liveness evidence (heartbeats, probe
+// successes) long enough, demotes it to suspect; staying silent demotes it
+// to dead; any fresh evidence revives it to healthy. Left is
 // the terminal state of a graceful departure (drain with hand-off) — a
 // tombstone kept so gossip propagates the departure instead of a peer
 // coordinator resurrecting the record.
@@ -66,6 +67,11 @@ type Member struct {
 	// (heartbeat received, probe success, successful proxy hop).
 	HeartbeatAt int64 `json:"heartbeat_at"`
 }
+
+// live reports whether a member takes new work at full preference:
+// healthy and not draining. Healthz and the fleet.nodes.live gauge count
+// these.
+func (m Member) live() bool { return m.State == StateMemberHealthy && !m.Draining }
 
 // View is a versioned snapshot of the whole membership: the monotonic
 // epoch, the emitting coordinator's process identity (so gossip peers can
@@ -284,6 +290,28 @@ func (m *Membership) MarkAlive(name string) {
 	}
 }
 
+// Suspect records failure evidence (a failed probe or proxy hop): a
+// healthy member turns suspect, a view change that keeps it on the ring
+// but sorts it behind healthy members. HeartbeatAt is not refreshed, so a
+// member that stays unreachable goes dead on Tick's schedule; MarkAlive
+// or Heartbeat revives it. Other states and unknown names are unchanged.
+func (m *Membership) Suspect(name string) {
+	now := m.cfg.now().UnixNano()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if rec := m.members[name]; rec != nil && rec.State == StateMemberHealthy {
+		m.suspectLocked(rec, now)
+	}
+}
+
+// suspectLocked demotes a healthy record to suspect. Call with mu held.
+func (m *Membership) suspectLocked(rec *memberRec, now int64) {
+	rec.State = StateMemberSuspect
+	rec.UpdatedAt = now
+	rec.updatedEpoch = m.bumpLocked()
+	m.suspects++
+}
+
 // Leave marks a member as permanently departed: off the ring, record kept
 // as a tombstone so gossip spreads the departure.
 func (m *Membership) Leave(name string) error {
@@ -343,10 +371,7 @@ func (m *Membership) Tick() bool {
 		switch rec.State {
 		case StateMemberHealthy:
 			if silent > m.cfg.SuspectAfter {
-				rec.State = StateMemberSuspect
-				rec.UpdatedAt = now.UnixNano()
-				rec.updatedEpoch = m.bumpLocked()
-				m.suspects++
+				m.suspectLocked(rec, now.UnixNano())
 				changed = true
 			}
 		case StateMemberSuspect:

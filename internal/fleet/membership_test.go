@@ -151,6 +151,106 @@ func TestMembershipLifecycle(t *testing.T) {
 	}
 }
 
+// TestMembershipSuspect: failure evidence demotes only a healthy member,
+// bumping the epoch and the suspects counter without refreshing its
+// heartbeat; every other state and unknown names are left as they are.
+// MarkAlive revives a suspect, and Tick takes a silent suspect to dead.
+func TestMembershipSuspect(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(m *Membership, clk *testClock) // brings "n" to the start state
+		start string                              // "" for a name never joined
+		want  string
+	}{
+		{"healthy", func(*Membership, *testClock) {}, StateMemberHealthy, StateMemberSuspect},
+		{"suspect", func(m *Membership, _ *testClock) { m.Suspect("n") }, StateMemberSuspect, StateMemberSuspect},
+		{"dead", func(m *Membership, clk *testClock) {
+			clk.advance(6 * time.Second)
+			m.Tick()
+			clk.advance(15 * time.Second)
+			m.Tick()
+		}, StateMemberDead, StateMemberDead},
+		{"left", func(m *Membership, _ *testClock) { m.Leave("n") }, StateMemberLeft, StateMemberLeft},
+		{"unknown", func(m *Membership, _ *testClock) {}, "", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newTestClock()
+			m := newTestMembership(clk)
+			if tc.start != "" {
+				if _, err := m.Join(Node{Name: "n", URL: "http://127.0.0.1:1"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.setup(m, clk)
+			if tc.start != "" {
+				if got := memberState(t, m, "n"); got != tc.start {
+					t.Fatalf("start state = %s, want %s", got, tc.start)
+				}
+			}
+			before, _ := m.Member("n")
+			epoch := m.Epoch()
+			_, _, _, suspects, _, _, _ := m.Counts()
+
+			clk.advance(time.Second)
+			m.Suspect("n")
+
+			after, ok := m.Member("n")
+			if tc.start == "" {
+				if ok || m.Epoch() != epoch {
+					t.Fatalf("Suspect of an unknown name created %+v or bumped the epoch", after)
+				}
+				return
+			}
+			if after.State != tc.want {
+				t.Fatalf("state after Suspect = %s, want %s", after.State, tc.want)
+			}
+			if after.HeartbeatAt != before.HeartbeatAt {
+				t.Error("Suspect refreshed HeartbeatAt")
+			}
+			_, _, _, s, _, _, _ := m.Counts()
+			changed := tc.start != tc.want
+			if changed != (m.Epoch() > epoch) || changed != (s == suspects+1) {
+				t.Errorf("epoch %d -> %d, suspects %d -> %d; want both to move only on a change",
+					epoch, m.Epoch(), suspects, s)
+			}
+			if !changed && after != before {
+				t.Errorf("record changed without a state change: %+v -> %+v", before, after)
+			}
+		})
+	}
+
+	t.Run("revive and die", func(t *testing.T) {
+		clk := newTestClock()
+		m := newTestMembership(clk)
+		if _, err := m.Join(Node{Name: "n", URL: "http://127.0.0.1:1"}); err != nil {
+			t.Fatal(err)
+		}
+		m.Suspect("n")
+		m.MarkAlive("n")
+		if got := memberState(t, m, "n"); got != StateMemberHealthy {
+			t.Fatalf("MarkAlive left a suspect %s, want healthy", got)
+		}
+		// Suspected right after its last heartbeat, a silent member dies on
+		// Tick's usual schedule: SuspectAfter + DeadAfter after it.
+		clk.advance(time.Second)
+		m.MarkAlive("n")
+		m.Suspect("n")
+		clk.advance(19 * time.Second)
+		m.Tick()
+		if got := memberState(t, m, "n"); got != StateMemberSuspect {
+			t.Fatalf("state 19s after the last heartbeat = %s, want suspect", got)
+		}
+		clk.advance(2 * time.Second)
+		m.Tick()
+		if got := memberState(t, m, "n"); got != StateMemberDead {
+			t.Fatalf("state 21s after the last heartbeat = %s, want dead", got)
+		}
+		if m.Ring() != nil {
+			t.Error("dead member still on the ring")
+		}
+	})
+}
+
 // TestMembershipChurnConvergesToFreshRing is the churn property test: any
 // join → leave → join sequence must land on exactly the ring a fresh
 // membership with the final member set would build — same golden ownership,

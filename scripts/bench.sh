@@ -6,7 +6,6 @@
 #     tcmalloc fast path, multicore engine, simulation service) with
 #     -count=5 -benchmem,
 #   - summarizes with benchstat when it is installed (no hard dependency),
-#   - times one end-to-end fig13 sweep,
 #   - writes BENCH_baseline.json with the measured numbers next to the
 #     frozen pre-rewrite reference, and
 #   - gates on the core per-cycle microbenchmark (>=3.5x vs its
@@ -55,15 +54,7 @@ if command -v benchstat >/dev/null 2>&1; then
     benchstat "$RAW"
 fi
 
-echo
-echo "== end-to-end: fig13 sweep (seed 1) =="
-T0=$(date +%s.%N)
-go run ./cmd/mallacc-bench -run fig13 -seed 1 >/dev/null
-T1=$(date +%s.%N)
-FIG13_SECS=$(awk -v a="$T0" -v b="$T1" 'BEGIN{printf "%.2f", b-a}')
-echo "fig13 wall time: ${FIG13_SECS}s"
-
-awk -v out="$OUT" -v count="$COUNT" -v fig13="$FIG13_SECS" \
+awk -v out="$OUT" -v count="$COUNT" \
     -v gover="$(go version | awk '{print $3}')" \
     -v nproc="$(nproc)" -v procs="${GOMAXPROCS:-$(nproc)}" \
     -v nogate="${BENCH_NO_GATE:-0}" '
@@ -101,7 +92,6 @@ BEGIN {
     max_bytes["BenchmarkEngine4CoreBaseline"] = 4121238
     max_bytes["BenchmarkEngine4CoreMallacc"]  = 4187841
     max_bytes["BenchmarkEngineRelay16Core"]   = 15163677
-    fig13_before = 18.5
 }
 /^Benchmark/ {
     name = $1
@@ -139,8 +129,6 @@ END {
         printf "}%s\n", (i < n ? "," : "") >> out
     }
     printf "  },\n" >> out
-    printf "  \"end_to_end\": {\"fig13_wall_seconds\": %s, \"fig13_wall_seconds_before\": %g, \"speedup\": %.2f},\n", \
-        fig13, fig13_before, fig13_before / fig13 >> out
     # Scheduler gate: the warm fast-path replay must stay >=3.5x faster than
     # the frozen map-based scheduler, both timed in this run, with zero
     # allocations per call.

@@ -187,7 +187,7 @@ rm -rf "$workdir/cache_$owner"
 start_node "$owner"
 for _ in $(seq 1 100); do
     ok=$(curl -fsS "$coord/v1/healthz" \
-        | jq -r --arg n "$owner" '.nodes[] | select(.name==$n) | (.healthy and .breaker != "open")')
+        | jq -r --arg n "$owner" '.nodes[] | select(.name==$n) | .state == "healthy"')
     [ "$ok" = true ] && break
     sleep 0.1
 done
