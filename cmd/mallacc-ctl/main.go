@@ -14,14 +14,13 @@
 //	mallacc-ctl [-coord URL] undrain n2
 //	mallacc-ctl [-coord URL] sweep -grid 'kind=run;workload=gauss,tcmalloc;variant=baseline,mallacc;calls=20000' -out reports/
 //
-// Sweep reports are written as <job-key>.json — content-addressed names, so
-// two sweeps over the same grid produce byte-identical directories no
-// matter which nodes computed which points (diff -r proves failover
-// correctness).
+// Sweep reports are written as <key>.json under the job key the server
+// returns — content-addressed names, so two sweeps over the same grid
+// produce byte-identical directories no matter which nodes computed which
+// points (diff -r proves failover correctness).
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -38,7 +37,6 @@ import (
 	"time"
 
 	"mallacc/internal/fleet"
-	"mallacc/internal/retry"
 	"mallacc/internal/simsvc"
 )
 
@@ -60,7 +58,7 @@ func main() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	c := newClient(*coord)
+	c := simsvc.NewClient(*coord)
 
 	var err error
 	switch cmd, rest := args[0], args[1:]; cmd {
@@ -85,77 +83,12 @@ func main() {
 	}
 }
 
-// client talks to the coordinator with the same retry discipline as the
-// mallacc-sim remote client: transport errors and retryable statuses back
-// off with jitter, honoring the server's Retry-After hints, and 4xx
-// surfaces immediately.
-type client struct {
-	base   string
-	http   *http.Client
-	policy retry.Policy
-}
-
-func newClient(base string) *client {
-	base = strings.TrimRight(base, "/")
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		base = "http://" + base
-	}
-	return &client{
-		base: base,
-		http: &http.Client{Timeout: 30 * time.Second},
-		policy: retry.Policy{
-			MaxAttempts: 6,
-			Backoff:     retry.NewBackoff(100*time.Millisecond, 2*time.Second, 2),
-			Budget:      45 * time.Second,
-		},
-	}
-}
-
-// jobStatus is the coordinator's job document: a node's JobStatus plus the
-// owning node name. Against a bare mallacc-serve, Node is simply empty.
-type jobStatus struct {
-	simsvc.JobStatus
-	Node string `json:"node"`
-}
-
-// doJSON performs one logical call and decodes the response into out.
-func (c *client) doJSON(ctx context.Context, method, path string, body []byte, out any) error {
-	return c.policy.Do(ctx, func(int) error {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-		if err != nil {
-			return retry.Permanent(err)
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			return retry.Transient(err)
-		}
-		b, err := retry.ReadResponse(resp, 16<<20)
-		if err != nil {
-			return err
-		}
-		if out == nil {
-			return nil
-		}
-		if err := json.Unmarshal(b, out); err != nil {
-			return retry.Transient(err)
-		}
-		return nil
-	})
-}
-
 // cmdStatus renders the fleet membership view: the epoch, and per node its
 // membership state (or "draining"), last-heartbeat age, ownership, and
 // occupancy.
-func cmdStatus(ctx context.Context, c *client) error {
+func cmdStatus(ctx context.Context, c *simsvc.Client) error {
 	var h fleet.FleetHealth
-	if err := c.doJSON(ctx, http.MethodGet, "/v1/healthz", nil, &h); err != nil {
+	if err := c.Do(ctx, http.MethodGet, "/v1/healthz", nil, &h); err != nil {
 		return err
 	}
 	state := "ok"
@@ -198,7 +131,7 @@ func readSpecArg(arg string) ([]byte, error) {
 	}
 }
 
-func cmdSubmit(ctx context.Context, c *client, args []string) error {
+func cmdSubmit(ctx context.Context, c *simsvc.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	follow := fs.Bool("follow", false, "tail the job's SSE progress stream until it finishes")
 	spec := fs.String("spec", "", "job spec: JSON, @file, or - for stdin (alternative to the positional arg)")
@@ -216,26 +149,31 @@ func cmdSubmit(ctx context.Context, c *client, args []string) error {
 	if err != nil {
 		return err
 	}
-	var st jobStatus
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/jobs", body, &st); err != nil {
+	js, err := simsvc.DecodeSpec(body)
+	if err != nil {
+		return err
+	}
+	st, err := c.Submit(ctx, js)
+	if err != nil {
 		return fmt.Errorf("submit: %w", err)
 	}
-	where := st.Node
-	if where == "" {
-		where = "node"
-	}
-	fmt.Fprintf(os.Stderr, "job %s %s on %s\n", st.ID, st.State, where)
+	// A coordinator's job id names the node that holds the job.
+	fmt.Fprintf(os.Stderr, "job %s %s\n", st.ID, st.State)
 	if !*wait && *out == "" {
 		fmt.Println(st.ID)
 		return nil
 	}
-	return c.finishJob(ctx, st, *follow, *out)
+	return finishJob(ctx, c, st, *follow, *out)
 }
 
-// finishJob waits for the job (tailing its events to stderr when follow is
-// set) and writes the report.
-func (c *client) finishJob(ctx context.Context, st jobStatus, follow bool, out string) error {
-	st, err := c.await(ctx, st, follow)
+// finishJob waits for the job (rendering its events to stderr when follow
+// is set) and writes the report.
+func finishJob(ctx context.Context, c *simsvc.Client, st simsvc.JobStatus, follow bool, out string) error {
+	var echo io.Writer
+	if follow {
+		echo = os.Stderr
+	}
+	st, err := c.Wait(ctx, st, echo)
 	if err != nil {
 		return err
 	}
@@ -252,74 +190,18 @@ func (c *client) finishJob(ctx context.Context, st jobStatus, follow bool, out s
 	return os.WriteFile(out, st.Report, 0o644)
 }
 
-// await waits for a job to reach a terminal state. It reads the job's
-// event stream to its end, which the server closes after the terminal
-// event (echoing each event to stderr when follow is set), then fetches
-// the status once. If the stream fails, or the status is not terminal
-// after it, await polls.
-func (c *client) await(ctx context.Context, st jobStatus, follow bool) (jobStatus, error) {
-	if st.State.Terminal() {
-		return st, nil
-	}
-	if err := c.streamEvents(ctx, st.ID, follow); err != nil {
-		if follow {
-			fmt.Fprintf(os.Stderr, "event stream: %v (falling back to polling)\n", err)
-		}
-	} else if err := c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+st.ID, nil, &st); err != nil {
-		return st, fmt.Errorf("poll %s: %w", st.ID, err)
-	}
-	for !st.State.Terminal() {
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(100 * time.Millisecond):
-		}
-		if err := c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+st.ID, nil, &st); err != nil {
-			return st, fmt.Errorf("poll %s: %w", st.ID, err)
-		}
-	}
-	return st, nil
-}
-
-// streamEvents reads a job's SSE stream until the server closes it after
-// the terminal event, writing each event to stderr when echo is set.
-func (c *client) streamEvents(ctx context.Context, id string, echo bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := (&http.Client{}).Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("events: %s", resp.Status)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if echo && strings.HasPrefix(line, "data: ") {
-			fmt.Fprintf(os.Stderr, "event: %s\n", strings.TrimPrefix(line, "data: "))
-		}
-	}
-	return sc.Err()
-}
-
-func cmdFollow(ctx context.Context, c *client, args []string) error {
+func cmdFollow(ctx context.Context, c *simsvc.Client, args []string) error {
 	if len(args) != 1 {
 		return errors.New("follow wants exactly one job id")
 	}
-	var st jobStatus
-	if err := c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+args[0], nil, &st); err != nil {
+	st, err := c.Job(ctx, args[0])
+	if err != nil {
 		return err
 	}
-	return c.finishJob(ctx, st, true, "")
+	return finishJob(ctx, c, st, true, "")
 }
 
-func cmdDrain(ctx context.Context, c *client, cmd string, args []string) error {
+func cmdDrain(ctx context.Context, c *simsvc.Client, cmd string, args []string) error {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	handoff := fs.Bool("handoff", false, "after draining, push the node's cached reports to their new ring owners\nand deregister it — a permanent departure that recomputes nothing (drain only)")
 	fs.Parse(args)
@@ -338,7 +220,7 @@ func cmdDrain(ctx context.Context, c *client, cmd string, args []string) error {
 		fleet.FleetHealth
 		Handoff *fleet.HandoffResult `json:"handoff"`
 	}
-	if err := c.doJSON(ctx, http.MethodPost, path, nil, &resp); err != nil {
+	if err := c.Do(ctx, http.MethodPost, path, nil, &resp); err != nil {
 		return err
 	}
 	if resp.Handoff != nil {
@@ -353,7 +235,7 @@ func cmdDrain(ctx context.Context, c *client, cmd string, args []string) error {
 // writing each finished report to <out>/<job-key>.json. Failed points are
 // resubmitted up to -retries times — killing a node mid-sweep must not
 // lose points, it just reroutes them.
-func cmdSweep(ctx context.Context, c *client, args []string) error {
+func cmdSweep(ctx context.Context, c *simsvc.Client, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	grid := fs.String("grid", "", "grid spec: 'field=v1,v2;field=v3' over JobSpec fields (required)")
 	out := fs.String("out", "", "directory for the <job-key>.json reports (required)")
@@ -372,12 +254,8 @@ func cmdSweep(ctx context.Context, c *client, args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %d points, %d in flight\n", len(specs), *par)
 
-	type result struct {
-		key string
-		err error
-	}
 	sem := make(chan struct{}, max(1, *par))
-	results := make([]result, len(specs))
+	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
 		wg.Add(1)
@@ -385,16 +263,15 @@ func cmdSweep(ctx context.Context, c *client, args []string) error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			key := spec.Key()
-			results[i] = result{key: key, err: c.sweepPoint(ctx, spec, filepath.Join(*out, key+".json"), *retries)}
+			errs[i] = sweepPoint(ctx, c, spec, *out, *retries)
 		}(i, spec)
 	}
 	wg.Wait()
 
 	var failed []string
-	for _, r := range results {
-		if r.err != nil {
-			failed = append(failed, fmt.Sprintf("%s: %v", r.key[:12], r.err))
+	for _, err := range errs {
+		if err != nil {
+			failed = append(failed, err.Error())
 		}
 	}
 	sort.Strings(failed)
@@ -405,17 +282,14 @@ func cmdSweep(ctx context.Context, c *client, args []string) error {
 	return nil
 }
 
-// sweepPoint drives one grid point to a written report, resubmitting the
-// job on failure.
-func (c *client) sweepPoint(ctx context.Context, spec simsvc.JobSpec, path string, retries int) error {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
+// sweepPoint drives one grid point to a report written as <dir>/<key>.json,
+// under the key the server returns, resubmitting the job on failure.
+func sweepPoint(ctx context.Context, c *simsvc.Client, spec simsvc.JobSpec, dir string, retries int) error {
+	label, _ := json.Marshal(spec)
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: resubmitting %s (attempt %d): %v\n", spec.Key()[:12], attempt+1, lastErr)
+			fmt.Fprintf(os.Stderr, "sweep: resubmitting %s (attempt %d): %v\n", label, attempt+1, lastErr)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -423,22 +297,21 @@ func (c *client) sweepPoint(ctx context.Context, spec simsvc.JobSpec, path strin
 			}
 		}
 		lastErr = func() error {
-			var st jobStatus
-			if err := c.doJSON(ctx, http.MethodPost, "/v1/jobs", body, &st); err != nil {
+			st, err := c.Submit(ctx, spec)
+			if err != nil {
 				return err
 			}
-			st, err := c.await(ctx, st, false)
-			if err != nil {
+			if st, err = c.Wait(ctx, st, nil); err != nil {
 				return err
 			}
 			if st.State != simsvc.StateDone {
 				return fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
 			}
-			return os.WriteFile(path, st.Report, 0o644)
+			return os.WriteFile(filepath.Join(dir, st.Key+".json"), st.Report, 0o644)
 		}()
 		if lastErr == nil {
 			return nil
 		}
 	}
-	return lastErr
+	return fmt.Errorf("%s: %w", label, lastErr)
 }

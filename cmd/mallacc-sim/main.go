@@ -9,8 +9,9 @@
 //	mallacc-sim -workloads   # list workload names
 //
 // With -serve URL the simulation is not run locally: the spec is submitted
-// as a job to a running mallacc-serve daemon, polled to completion, and
-// the daemon's (possibly cached) report is printed.
+// as a job to a running mallacc-serve daemon, waited for on its event
+// stream (echoed to stderr under -follow), and the daemon's (possibly
+// cached) report is printed.
 package main
 
 import (
@@ -43,7 +44,7 @@ func main() {
 		record  = flag.String("record", "", "write the workload's request trace to this file and exit")
 		replay  = flag.String("replay", "", "run a previously recorded trace file instead of -workload")
 		serve   = flag.String("serve", "", "submit the run to a mallacc-serve daemon at this base URL instead of simulating locally")
-		follow  = flag.Bool("follow", false, "with -serve: stream the job's live progress events while it runs")
+		follow  = flag.Bool("follow", false, "with -serve: echo the job's live progress events to stderr while it runs")
 		recKey  = flag.Bool("record-trace", false, "record -workload into the content-addressed trace store, print its trace:<key> name, and exit")
 		trDir   = flag.String("trace-dir", "results/traces", "trace store directory for -record-trace and trace:<key> workloads")
 	)

@@ -1,24 +1,23 @@
 // Webserver: a datacenter-style request-handling loop simulated through
-// the simulation service — the example is now a real client of
-// mallacc-serve. It boots the service on a loopback port, submits the
-// "server.requests" workload (the same request loop, promoted to a stock
-// workload) as multi-core jobs over the HTTP API, and prints the returned
-// reports. Submitting a job twice demonstrates the content-addressed
-// result cache: the second submission comes back instantly, already done,
-// with the byte-identical report.
+// the simulation service — the example is a real client of mallacc-serve.
+// It boots the service on a loopback port, submits the "server.requests"
+// workload (the same request loop, promoted to a stock workload) as
+// multi-core jobs through mallacc.Client, the same job-API client
+// mallacc-ctl and mallacc-sim -serve use, waits for each on its event
+// stream, and prints the returned reports. Submitting a job twice
+// demonstrates the content-addressed result cache: the second submission
+// comes back instantly, already done, with the byte-identical report.
 //
 //	go run ./examples/webserver
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
-	"time"
 
 	"mallacc"
 )
@@ -54,6 +53,7 @@ func run() error {
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("simulation service listening on %s\n", base)
+	client := mallacc.NewClient(base)
 	fmt.Printf("simulated web server: %d cores, %d requests/core, %d allocator calls each\n\n",
 		serverCores, requests, callsPerRequest)
 
@@ -67,7 +67,7 @@ func run() error {
 
 	for _, variant := range []string{"baseline", "mallacc"} {
 		spec.Variant = variant
-		st, err := submitAndPoll(base, spec)
+		st, err := submitAndWait(client, spec)
 		if err != nil {
 			return err
 		}
@@ -80,7 +80,7 @@ func run() error {
 
 	// Same spec again: the service answers from the cache without
 	// re-simulating.
-	st, err := submitAndPoll(base, spec)
+	st, err := submitAndWait(client, spec)
 	if err != nil {
 		return err
 	}
@@ -89,49 +89,18 @@ func run() error {
 	return nil
 }
 
-// submitAndPoll drives the service the way any external client would:
-// POST the spec, then poll the job until it is terminal.
-func submitAndPoll(base string, spec mallacc.JobSpec) (mallacc.JobStatus, error) {
-	body, err := json.Marshal(spec)
+// submitAndWait submits spec and waits for the job to finish.
+func submitAndWait(client *mallacc.Client, spec mallacc.JobSpec) (mallacc.JobStatus, error) {
+	ctx := context.Background()
+	st, err := client.Submit(ctx, spec)
 	if err != nil {
-		return mallacc.JobStatus{}, err
+		return st, err
 	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return mallacc.JobStatus{}, err
-	}
-	st, err := decodeStatus(resp)
-	if err != nil {
-		return mallacc.JobStatus{}, err
-	}
-	for !st.State.Terminal() {
-		time.Sleep(50 * time.Millisecond)
-		resp, err := http.Get(base + "/v1/jobs/" + st.ID)
-		if err != nil {
-			return mallacc.JobStatus{}, err
-		}
-		if st, err = decodeStatus(resp); err != nil {
-			return mallacc.JobStatus{}, err
-		}
+	if st, err = client.Wait(ctx, st, nil); err != nil {
+		return st, err
 	}
 	if st.State != "done" {
-		return mallacc.JobStatus{}, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
-	}
-	return st, nil
-}
-
-func decodeStatus(resp *http.Response) (mallacc.JobStatus, error) {
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return mallacc.JobStatus{}, err
-	}
-	if resp.StatusCode >= 300 {
-		return mallacc.JobStatus{}, fmt.Errorf("%s: %s", resp.Status, b)
-	}
-	var st mallacc.JobStatus
-	if err := json.Unmarshal(b, &st); err != nil {
-		return mallacc.JobStatus{}, err
+		return st, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
 	}
 	return st, nil
 }

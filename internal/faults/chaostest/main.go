@@ -9,11 +9,12 @@
 //  2. Chaos — a fresh service runs the same specs behind its real HTTP
 //     handler while seeded faults fire on job execution (a burst sized to
 //     trip the circuit breaker, plus a steady error rate), on cache reads
-//     and writes, and on the HTTP path itself. A retrying client (the
-//     same policy the remote CLI uses) drives the API. The harness
-//     asserts every job eventually completes with a report byte-identical
-//     to baseline, that the breaker opened at least once and recovered,
-//     and that retries actually happened.
+//     and writes, and on the HTTP path itself. The product's job client
+//     (simsvc.Client, the one mallacc-ctl and mallacc-sim -serve use)
+//     drives the API with its own retry policy and event-stream wait. The
+//     harness asserts every job eventually completes with a report
+//     byte-identical to baseline, that the breaker opened at least once
+//     and recovered, and that retries actually happened.
 //  3. Corruption — with faults off, on-disk cache entries are bit-flipped,
 //     truncated, and replaced with alien bytes; a restarted service on
 //     the same directory must quarantine all three, recompute, rewrite a
@@ -27,8 +28,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -36,7 +35,6 @@ import (
 	"time"
 
 	"mallacc/internal/faults"
-	"mallacc/internal/retry"
 	"mallacc/internal/simsvc"
 )
 
@@ -137,58 +135,19 @@ func chaosSpec(seed uint64) faults.Spec {
 	}}
 }
 
-// chaosClient is the retrying API driver, the same shape the remote CLI
-// uses: transport errors and retryable statuses back off with jitter and
-// honor Retry-After, so a shedding breaker stalls the client instead of
-// failing the run.
-type chaosClient struct {
-	base   string
-	policy retry.Policy
-}
-
-func (c *chaosClient) do(method, path string, body []byte) (simsvc.JobStatus, error) {
-	var st simsvc.JobStatus
-	err := c.policy.Do(context.Background(), func(int) error {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, c.base+path, rd)
-		if err != nil {
-			return retry.Permanent(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return retry.Transient(err)
-		}
-		b, err := retry.ReadResponse(resp, 16<<20)
-		if err != nil {
-			return err
-		}
-		if err := json.Unmarshal(b, &st); err != nil {
-			return retry.Transient(err)
-		}
-		return nil
-	})
-	return st, err
-}
-
 // runToDone pushes one spec through the faulted API until it completes:
-// submit (retrying), poll (retrying), and resubmit whole jobs whose
-// daemon-side retries were exhausted. The bound exists so a broken stack
-// fails loudly instead of spinning.
-func (c *chaosClient) runToDone(spec string) simsvc.JobStatus {
+// submit and wait through the product's job client, resubmitting whole
+// jobs whose daemon-side retries were exhausted. The bound exists so a
+// broken stack fails loudly instead of spinning.
+func runToDone(c *simsvc.Client, spec string) simsvc.JobStatus {
+	ctx := context.Background()
 	for round := 0; round < 25; round++ {
-		st, err := c.do(http.MethodPost, "/v1/jobs", []byte(spec))
+		st, err := c.Submit(ctx, decodeSpec(spec))
 		if err != nil {
 			die("chaos submit: %v", err)
 		}
-		for !st.State.Terminal() {
-			time.Sleep(10 * time.Millisecond)
-			st, err = c.do(http.MethodGet, "/v1/jobs/"+st.ID, nil)
-			if err != nil {
-				die("chaos poll: %v", err)
-			}
+		if st, err = c.Wait(ctx, st, nil); err != nil {
+			die("chaos wait: %v", err)
 		}
 		if st.State == simsvc.StateDone {
 			return st
@@ -228,14 +187,10 @@ func phaseChaos(seed uint64, baseline [][]byte) {
 	faults.Activate(reg)
 	defer faults.Deactivate()
 
-	client := &chaosClient{base: ts.URL, policy: retry.Policy{
-		MaxAttempts: 10,
-		Backoff:     retry.NewBackoff(20*time.Millisecond, 400*time.Millisecond, seed),
-		Budget:      60 * time.Second,
-	}}
+	client := simsvc.NewClient(ts.URL)
 
 	for i, s := range specs {
-		st := client.runToDone(s)
+		st := runToDone(client, s)
 		if got := compact(st.Report); !bytes.Equal(got, baseline[i]) {
 			die("spec %d: chaos report differs from baseline\nchaos:    %.120s\nbaseline: %.120s", i, got, baseline[i])
 		}
@@ -249,7 +204,7 @@ func phaseChaos(seed uint64, baseline [][]byte) {
 		if time.Now().After(deadline) {
 			die("breaker never recovered: state %s", svc.Breaker().State())
 		}
-		client.runToDone(fmt.Sprintf(`{"workload":"ubench.tp_small","calls":1000,"seed":%d}`, 100+i))
+		runToDone(client, fmt.Sprintf(`{"workload":"ubench.tp_small","calls":1000,"seed":%d}`, 100+i))
 	}
 
 	snap := svc.Registry().Snapshot()

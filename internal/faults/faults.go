@@ -46,8 +46,9 @@ const (
 	PointExec = "simsvc.exec"
 	// PointHTTP gates every inbound API request; error mode answers 503.
 	PointHTTP = "simsvc.http"
-	// PointRemoteHTTP gates the mallacc-sim remote client's outbound
-	// requests; injections look like transport failures.
+	// PointRemoteHTTP gates every attempt of the job-API client
+	// (simsvc.Client) before it sends a request; injections look like
+	// transport failures.
 	PointRemoteHTTP = "remote.http"
 	// PointFleetProxy gates the coordinator's outbound hops to serve
 	// nodes; an injected error looks like a node transport failure and

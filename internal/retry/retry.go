@@ -4,10 +4,10 @@
 // budgeted retry loop that honors server Retry-After hints. The simsvc
 // scheduler uses the classification and the backoff to decide whether and
 // when a failed job attempt is requeued, and its HTTP layer to pick the
-// status of a refused submission. Three HTTP clients run the full loop and
-// classify every response with ReadResponse: the remote client of
-// cmd/mallacc-sim, cmd/mallacc-ctl's coordinator client, and the chaostest
-// driver.
+// status of a refused submission. One HTTP client runs the full loop and
+// classifies every response with ReadResponse: simsvc.Client, the job-API
+// client behind cmd/mallacc-ctl, cmd/mallacc-sim -serve, the chaos
+// harness and the webserver example.
 package retry
 
 import (

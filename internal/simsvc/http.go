@@ -384,9 +384,13 @@ func (s *Service) handleRecordTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Key      string `json:"key"`
-		Workload string `json:"workload"`
-		Events   int    `json:"events"`
-	}{Key: key, Workload: TraceKeyName(key), Events: len(tr.Events)})
+	writeJSON(w, http.StatusOK, TraceRecord{Key: key, Workload: TraceKeyName(key), Events: len(tr.Events)})
+}
+
+// TraceRecord answers POST /v1/traces: the recorded trace's content key,
+// the trace:<key> workload name that replays it, and its event count.
+type TraceRecord struct {
+	Key      string `json:"key"`
+	Workload string `json:"workload"`
+	Events   int    `json:"events"`
 }

@@ -152,6 +152,15 @@ type JobStatus = simsvc.JobStatus
 // NewService builds and starts a simulation service.
 func NewService(cfg ServiceConfig) (*Service, error) { return simsvc.New(cfg) }
 
+// Client drives a Service's HTTP API, served by a mallacc-serve daemon or
+// relayed by a mallacc-coord fleet: Submit a JobSpec, Wait for the job on
+// its event stream, with every call retried under one policy that honors
+// the server's Retry-After hints.
+type Client = simsvc.Client
+
+// NewClient returns a Client for the API at base ("host:port" or a URL).
+func NewClient(base string) *Client { return simsvc.NewClient(base) }
+
 // AreaEstimate returns the Section 6.4 silicon-cost breakdown for a malloc
 // cache with the given entry count, in µm² at 28 nm.
 func AreaEstimate(entries int) area.Estimate {

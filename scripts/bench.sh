@@ -6,8 +6,9 @@
 #     tcmalloc fast path, multicore engine, simulation service) with
 #     -count=5 -benchmem,
 #   - summarizes with benchstat when it is installed (no hard dependency),
-#   - writes BENCH_baseline.json with the measured numbers next to the
-#     frozen pre-rewrite reference, and
+#   - writes BENCH_baseline.json with the measured numbers, each next to
+#     its frozen ...Reference twin timed in the same run where it has one,
+#     and
 #   - gates on the core per-cycle microbenchmark (>=3.5x vs its
 #     frozen map-based reference twin, both measured in this run, and zero
 #     allocations per scheduled call), on the cache hierarchy's random
@@ -58,24 +59,12 @@ awk -v out="$OUT" -v count="$COUNT" \
     -v gover="$(go version | awk '{print $3}')" \
     -v nproc="$(nproc)" -v procs="${GOMAXPROCS:-$(nproc)}" \
     -v nogate="${BENCH_NO_GATE:-0}" '
-# The frozen reference: the same benchmark bodies run against the tree
-# before the zero-allocation scheduler rewrite (map-based reservation
-# tables, map branch predictor, unpooled emitters). ns/op, best of 5 on the
-# machine that produced the checked-in baseline. Re-measuring them requires
-# checking out the pre-rewrite commit, so they are constants here. A
-# benchmark with a <name>Reference twin in this run (the cpu RunTrace ones,
-# whose twins run the frozen scheduler in internal/cpu/reference_test.go,
-# and the cachesim ones, whose twins run the frozen model in
-# internal/cachesim/reference_test.go) takes the twin ns/op as its before
-# figure instead.
+# Before figures come only from the same run: a benchmark with a
+# <name>Reference twin (the cpu RunTrace ones, whose twins run the frozen
+# scheduler in internal/cpu/reference_test.go, and the cachesim ones, whose
+# twins run the frozen model in internal/cachesim/reference_test.go) takes
+# the twin ns/op as its before figure; the others report none.
 BEGIN {
-    before["BenchmarkBranchPredictor"]     = 16.07
-    before["BenchmarkFastAllocFree"]       = 508.4
-    before["BenchmarkFastAllocFreeMallacc"] = 588.1
-    before["BenchmarkEngine4CoreBaseline"] = 33123087
-    before["BenchmarkEngine4CoreMallacc"]  = 21438757
-    before["BenchmarkSubmitCachedHit"]     = 6551
-    before["BenchmarkJobKey"]              = 3468
     # Engine-lifecycle ceilings: allocs/op of a fresh-built engine run (the
     # path simsvc cluster jobs and designspace cells take), the worst of 20
     # runs at GOMAXPROCS 2 on the tree before this gate was introduced.
@@ -116,7 +105,7 @@ END {
     printf "  \"nproc\": %d,\n", nproc >> out
     printf "  \"gomaxprocs\": %d,\n", procs >> out
     printf "  \"count\": %d,\n", count >> out
-    printf "  \"note\": \"before = pre-rewrite tree (cycle-keyed map scheduler, map branch predictor, unpooled uop emitters), or for a benchmark with a ...Reference twin the twin measured in the same run; after = this tree. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so sub-2x ratios against the fixed pre-rewrite figures on benchmarks whose code did not change (trace generation, simsvc) are host noise, not signal. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
+    printf "  \"note\": \"before = the frozen ...Reference twin of a benchmark (the map-based cpu scheduler or the stamped cachesim hierarchy), measured in the same run; benchmarks without a twin carry no before figure. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so only ratios measured in one run are compared. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
     printf "  \"benchmarks\": {\n" >> out
     for (i = 1; i <= n; i++) {
         name = order[i]
