@@ -24,10 +24,12 @@ race:
 	$(GO) test -race ./...
 
 # Full performance baseline: every microbenchmark suite at -count=5 with a
-# benchstat summary (when installed), one timed end-to-end fig13 sweep, and
-# a refreshed BENCH_baseline.json — gated on the core scheduler bench
-# staying >=3.5x over its frozen reference twin (timed in the same run)
-# with 0 allocs/op, plus the cachesim and engine gates.
+# benchstat summary (when installed) and a refreshed BENCH_baseline.json,
+# each twinned benchmark next to its frozen reference timed in the same
+# run — gated on the core scheduler bench staying >=3.5x over its twin
+# with 0 allocs/op (gate), the cache hierarchy and micro-op emitter at
+# >=1.5x over theirs (cachesim_gate, emit_gate), and the engine's
+# allocation ceilings (engine_gate).
 bench:
 	./scripts/bench.sh
 

@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"mallacc/internal/faults"
 	"mallacc/internal/fleet"
 	"mallacc/internal/simsvc"
 )
@@ -51,6 +52,18 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+
+	// $MALLACC_FAULTS arms fault injection at the remote.http point, so
+	// chaos runs fault the client side of every hop ctl makes; without it
+	// nothing is injected.
+	faultReg, err := faults.ActivateFromSpec("")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mallacc-ctl:", err)
+		os.Exit(2)
+	}
+	if faultReg != nil {
+		fmt.Fprintf(os.Stderr, "mallacc-ctl: FAULT INJECTION ACTIVE at %v\n", faultReg.Points())
+	}
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()
@@ -60,7 +73,6 @@ func main() {
 	defer cancel()
 	c := simsvc.NewClient(*coord)
 
-	var err error
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "status":
 		err = cmdStatus(ctx, c)

@@ -119,10 +119,11 @@ func phaseBaseline() [][]byte {
 // cache directions, and the HTTP path, plus one latency rule.
 func chaosSpec(seed uint64) faults.Spec {
 	p := func(v float64) *float64 { return &v }
-	// The cache points see only a handful of checks per run, so each gets
-	// a guaranteed count-bound burst in addition to its steady rate —
-	// otherwise an unlucky seed could leave a point silent and the
-	// "every point fired" assertion would flake.
+	// The cache points see only a handful of checks per run, and the HTTP
+	// point only about 25 against its 15% rate (silent on roughly 1.7% of
+	// seeds), so each gets a guaranteed count-bound burst in addition to
+	// its steady rate — otherwise an unlucky seed could leave a point
+	// silent and the "every point fired" assertion would flake.
 	return faults.Spec{Seed: seed, Rules: []faults.RuleSpec{
 		{Point: faults.PointExec, Count: 6, Msg: "exec burst"},
 		{Point: faults.PointExec, Prob: p(0.25), Msg: "exec steady"},
@@ -130,6 +131,7 @@ func chaosSpec(seed uint64) faults.Spec {
 		{Point: faults.PointCacheRead, Prob: p(0.3)},
 		{Point: faults.PointCacheWrite, Count: 2},
 		{Point: faults.PointCacheWrite, Prob: p(0.3)},
+		{Point: faults.PointHTTP, Count: 2},
 		{Point: faults.PointHTTP, Prob: p(0.15)},
 		{Point: faults.PointHTTP, Prob: p(0.1), Mode: faults.ModeLatency, Latency: "5ms"},
 	}}

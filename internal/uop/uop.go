@@ -116,9 +116,9 @@ const NoDep Val = -1
 
 // UOp is one micro-operation of a call trace. Fields are ordered widest
 // first so the struct packs into 32 bytes instead of the 40 a declaration-
-// order layout costs: every op is copied through Emitter.push and re-read by
-// the timing model's scheduling loop, so op size is directly hot-path memory
-// traffic.
+// order layout costs: every op is written into the emitter's slab and
+// re-read by the timing model's scheduling loop, so op size is directly
+// hot-path memory traffic.
 type UOp struct {
 	// Addr is the simulated byte address for memory ops.
 	Addr uint64
@@ -201,38 +201,49 @@ func (e *Emitter) Recycle() {
 	e.ops = nil
 }
 
-// push appends one op. It must stay within the compiler's inlining budget:
-// every emitted micro-op funnels through here, and the allocator fast path
-// emits tens of ops per call — an out-of-line push costs a call frame and a
-// 32-byte argument copy per op (a measured ~35% on the malloc/free
-// microbenchmark). That is why growth uses the append builtin rather than
-// an explicit grow-through-the-pool branch: a call to any helper charges
-// the inliner more than the whole body is allowed to cost. Growth is a
-// rare event (it only fires when a call emits more ops than any call
-// before it), so letting the outgrown slab go to the garbage collector
-// forfeits almost nothing — the pool's win is recycling slabs across runs
-// and emitters via NewEmitter/Recycle, which is untouched. append's
-// doubling keeps power-of-two capacities, so grown slabs still land back
-// in a pool class on Recycle.
-func (e *Emitter) push(op UOp) Val {
+// emit appends one op and writes its fields straight into the new slab
+// slot. Every emitted micro-op funnels through here, and the allocator fast
+// path emits tens of ops per call. Building a UOp literal on the stack and
+// appending it writes each op twice: narrow stores into the literal, then
+// wide loads that stall on forwarding from those stores and the copy into
+// the slab (BenchmarkEmitFastPath times this against a frozen twin that
+// still does it). emit and the wrappers that call it must also stay within
+// the compiler's inlining budget: an out-of-line call costs a frame and an
+// argument copy per op. That is why growth appends a zero op rather than
+// taking an explicit len == cap branch through the pool, which costs the
+// inliner more than the budget allows. Growth is a rare event (it only
+// fires when a call emits more ops than any call before it), so letting
+// the outgrown slab go to the garbage collector forfeits almost nothing —
+// the pool's win is recycling slabs across runs and emitters via
+// NewEmitter/Recycle. append's doubling keeps power-of-two capacities, so
+// grown slabs still land back in a pool class on Recycle.
+func (e *Emitter) emit(kind Kind, addr uint64, dep1, dep2 Val, site uint32, entry int16, taken, hit bool, lat uint8) Val {
+	n := len(e.ops)
+	e.ops = append(e.ops, UOp{})
+	op := &e.ops[n]
+	op.Addr = addr
+	op.Dep1 = dep1
+	op.Dep2 = dep2
+	op.Site = site
+	op.MCEntry = entry
+	op.Kind = kind
 	op.Step = e.step
-	if op.MCEntry == 0 && !op.Kind.IsMallacc() {
-		op.MCEntry = -1
-	}
-	e.ops = append(e.ops, op)
-	return Val(len(e.ops) - 1)
+	op.Taken = taken
+	op.MCHit = hit
+	op.LatOverride = lat
+	return Val(n)
 }
 
 // ALU emits a 1-cycle integer op depending on up to two producers.
 func (e *Emitter) ALU(dep1, dep2 Val) Val {
-	return e.push(UOp{Kind: ALU, Dep1: dep1, Dep2: dep2, MCEntry: -1})
+	return e.emit(ALU, 0, dep1, dep2, 0, -1, false, false, 0)
 }
 
 // ALUWithLat emits an integer op with an explicit latency; used to model
 // serializing operations with known costs (atomic RMWs for locks, the
 // syscall entry/exit of an OS memory request) without inventing new kinds.
 func (e *Emitter) ALUWithLat(lat uint8, dep1, dep2 Val) Val {
-	return e.push(UOp{Kind: ALU, Dep1: dep1, Dep2: dep2, MCEntry: -1, LatOverride: lat})
+	return e.emit(ALU, 0, dep1, dep2, 0, -1, false, false, lat)
 }
 
 // ALUChain emits n serially dependent ALU ops seeded by dep and returns the
@@ -267,19 +278,19 @@ func (e *Emitter) Stall(cycles uint64, dep Val) Val {
 
 // Load emits a load of the word at addr whose address depends on addrDep.
 func (e *Emitter) Load(addr uint64, addrDep Val) Val {
-	return e.push(UOp{Kind: Load, Addr: addr, Dep1: addrDep, Dep2: NoDep, MCEntry: -1})
+	return e.emit(Load, addr, addrDep, NoDep, 0, -1, false, false, 0)
 }
 
 // Store emits a store to addr with the given address and data dependencies.
 func (e *Emitter) Store(addr uint64, addrDep, dataDep Val) Val {
-	return e.push(UOp{Kind: Store, Addr: addr, Dep1: addrDep, Dep2: dataDep, MCEntry: -1})
+	return e.emit(Store, addr, addrDep, dataDep, 0, -1, false, false, 0)
 }
 
 // Branch emits a conditional branch at the given site with the actual
 // outcome taken, conditioned on dep (typically a compare or a Mallacc op
 // that sets ZF).
 func (e *Emitter) Branch(site uint32, taken bool, dep Val) Val {
-	return e.push(UOp{Kind: Branch, Site: site, Taken: taken, Dep1: dep, Dep2: NoDep, MCEntry: -1})
+	return e.emit(Branch, 0, dep, NoDep, site, -1, taken, false, 0)
 }
 
 // Mallacc emits one of the five accelerator instructions. entry is the
@@ -290,13 +301,14 @@ func (e *Emitter) Mallacc(kind Kind, entry int, hit bool, addr uint64, dep Val, 
 	if !kind.IsMallacc() {
 		panic("uop: Mallacc called with non-accelerator kind " + kind.String())
 	}
-	op := UOp{Kind: kind, Addr: addr, Dep1: dep, Dep2: NoDep, MCEntry: int16(entry), MCHit: hit, LatOverride: latOverride}
 	// Order the linked-list instructions among themselves.
-	if kind == McHdPop || kind == McHdPush || kind == McNxtPrefetch {
-		op.Dep2 = e.lastMC
+	list := kind == McHdPop || kind == McHdPush || kind == McNxtPrefetch
+	dep2 := NoDep
+	if list {
+		dep2 = e.lastMC
 	}
-	v := e.push(op)
-	if kind == McHdPop || kind == McHdPush || kind == McNxtPrefetch {
+	v := e.emit(kind, addr, dep, dep2, 0, int16(entry), false, hit, latOverride)
+	if list {
 		e.lastMC = v
 	}
 	return v

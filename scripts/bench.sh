@@ -3,8 +3,8 @@
 #
 # Full mode (default):
 #   - runs every microbenchmark suite (cpu scheduler, cache hierarchy,
-#     tcmalloc fast path, multicore engine, simulation service) with
-#     -count=5 -benchmem,
+#     micro-op emitter, tcmalloc fast path, multicore engine, simulation
+#     service) with -count=5 -benchmem,
 #   - summarizes with benchstat when it is installed (no hard dependency),
 #   - writes BENCH_baseline.json with the measured numbers, each next to
 #     its frozen ...Reference twin timed in the same run where it has one,
@@ -13,9 +13,12 @@
 #     frozen map-based reference twin, both measured in this run, and zero
 #     allocations per scheduled call), on the cache hierarchy's random
 #     footprint touch (cachesim_gate: >=1.5x vs its frozen reference twin,
-#     both measured in this run) and on the multicore engine's allocations
-#     per fresh-built run (engine_gate: allocs/op and bytes/op may not
-#     exceed the recorded ceilings) (BENCH_NO_GATE=1 skips all three).
+#     both measured in this run), on the micro-op emitter's fast-path
+#     sequence (emit_gate: >=1.5x vs its frozen literal-copying reference
+#     twin, both measured in this run) and on the multicore engine's
+#     allocations per fresh-built run (engine_gate: allocs/op and bytes/op
+#     may not exceed the recorded ceilings) (BENCH_NO_GATE=1 skips all
+#     four).
 #   - records the host's core count (nproc) and the GOMAXPROCS the
 #     benchmarks ran at.
 #
@@ -36,7 +39,7 @@ for a in "$@"; do
     esac
 done
 
-PKGS=(./internal/cpu ./internal/cachesim ./internal/tcmalloc ./internal/multicore ./internal/simsvc ./internal/lockfree ./internal/offload)
+PKGS=(./internal/cpu ./internal/cachesim ./internal/uop ./internal/tcmalloc ./internal/multicore ./internal/simsvc ./internal/lockfree ./internal/offload)
 OUT=${BENCH_OUT:-BENCH_baseline.json}
 COUNT=${BENCH_COUNT:-5}
 
@@ -61,9 +64,11 @@ awk -v out="$OUT" -v count="$COUNT" \
     -v nogate="${BENCH_NO_GATE:-0}" '
 # Before figures come only from the same run: a benchmark with a
 # <name>Reference twin (the cpu RunTrace ones, whose twins run the frozen
-# scheduler in internal/cpu/reference_test.go, and the cachesim ones, whose
-# twins run the frozen model in internal/cachesim/reference_test.go) takes
-# the twin ns/op as its before figure; the others report none.
+# scheduler in internal/cpu/reference_test.go, the cachesim ones, whose
+# twins run the frozen model in internal/cachesim/reference_test.go, and
+# the uop emitter one, whose twin runs the frozen emitter in
+# internal/uop/reference_test.go) takes the twin ns/op as its before
+# figure; the others report none.
 BEGIN {
     # Engine-lifecycle ceilings: allocs/op of a fresh-built engine run (the
     # path simsvc cluster jobs and designspace cells take), the worst of 20
@@ -105,7 +110,7 @@ END {
     printf "  \"nproc\": %d,\n", nproc >> out
     printf "  \"gomaxprocs\": %d,\n", procs >> out
     printf "  \"count\": %d,\n", count >> out
-    printf "  \"note\": \"before = the frozen ...Reference twin of a benchmark (the map-based cpu scheduler or the stamped cachesim hierarchy), measured in the same run; benchmarks without a twin carry no before figure. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so only ratios measured in one run are compared. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
+    printf "  \"note\": \"before = the frozen ...Reference twin of a benchmark (the map-based cpu scheduler, the stamped cachesim hierarchy or the literal-copying uop emitter), measured in the same run; benchmarks without a twin carry no before figure. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so only ratios measured in one run are compared. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. emit_gate divides the frozen literal-copying emitter by the current one on a 33-op fast-path sequence, both timed in this run. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
     printf "  \"benchmarks\": {\n" >> out
     for (i = 1; i <= n; i++) {
         name = order[i]
@@ -135,6 +140,15 @@ END {
     printf "  ,\"cachesim_gate\": {\"benchmark\": \"%s\", \"reference\": \"%sReference\", \"min_speedup\": 1.5, \"speedup\": %.2f, \"pass\": %s}\n", \
         touch, touch, tsp, cache_pass >> out
 
+    # Emitter gate: the fast-path emit sequence, written in place, must stay
+    # >=1.5x faster than the frozen emitter that copies a stack literal
+    # per op, both timed in this run.
+    emit = "BenchmarkEmitFastPath"
+    esp = (emit in ns && (emit "Reference") in ns) ? ns[emit "Reference"] / ns[emit] : 0
+    emit_pass = (esp >= 1.5) ? "true" : "false"
+    printf "  ,\"emit_gate\": {\"benchmark\": \"%s\", \"reference\": \"%sReference\", \"min_speedup\": 1.5, \"speedup\": %.2f, \"pass\": %s}\n", \
+        emit, emit, esp, emit_pass >> out
+
     # Engine-lifecycle gate: a fresh-built engine run must not allocate
     # more objects or bytes than its recorded ceilings.
     eng_pass = "true"
@@ -156,7 +170,8 @@ END {
     printf "\nwrote %s\n", out
     printf "gate: %s speedup %.2fx over its reference (floor 3.5x), %d allocs/op\n", core, sp, apo[core] + 0
     printf "cachesim gate: %s speedup %.2fx over its reference (floor 1.5x)\n", touch, tsp
-    if ((pass != "true" || cache_pass != "true" || eng_pass != "true") && nogate != "1") {
+    printf "emit gate: %s speedup %.2fx over its reference (floor 1.5x)\n", emit, esp
+    if ((pass != "true" || cache_pass != "true" || emit_pass != "true" || eng_pass != "true") && nogate != "1") {
         print "BENCH GATE FAILED (set BENCH_NO_GATE=1 to bypass)" > "/dev/stderr"
         exit 1
     }

@@ -3,7 +3,8 @@
 #
 # Runs the same parameter-grid sweep twice through mallacc-ctl:
 #   1. a clean 3-node fleet, no faults — the reference report set;
-#   2. a fresh fleet with seeded fault injection on every hop — the
+#   2. a fresh fleet with seeded fault injection on every hop — mallacc-ctl
+#      fails its own remote.http client attempts (via $MALLACC_FAULTS), the
 #      coordinator fails fleet.proxy requests, the nodes fail job
 #      execution and fleet.fill peer fetches — and one node kill -9'd
 #      mid-sweep to force live failover.
@@ -111,13 +112,14 @@ echo "fleet-chaos: clean sweep done"
 # --- 2. faulted sweep with a mid-sweep node kill ------------------------
 node_faults="seed=$seed;simsvc.exec,prob=0.15;fleet.fill,prob=0.3"
 coord_faults="seed=$seed;fleet.proxy,prob=0.15"
-echo "fleet-chaos: faulted sweep (node: $node_faults | coord: $coord_faults)"
+ctl_faults="seed=$seed;remote.http,prob=0.15"
+echo "fleet-chaos: faulted sweep (node: $node_faults | coord: $coord_faults | ctl: $ctl_faults)"
 start_fleet chaos "$node_faults" "$coord_faults"
 grep -q "FAULT INJECTION ACTIVE" "$workdir/chaos-coord.log" \
     || fail "coordinator did not announce fault injection"
 
 mkdir -p "$workdir/reports_chaos"
-"$workdir/mallacc-ctl" -coord "$coord" sweep -grid "$grid" \
+MALLACC_FAULTS="$ctl_faults" "$workdir/mallacc-ctl" -coord "$coord" sweep -grid "$grid" \
     -out "$workdir/reports_chaos" -parallel 2 -retries 4 \
     >"$workdir/sweep_chaos.log" 2>&1 &
 sweep_pid=$!
@@ -136,6 +138,8 @@ unset "node_pid[$victim]"
 echo "fleet-chaos: killed $victim mid-sweep"
 
 wait "$sweep_pid" || fail "faulted sweep failed: $(tail -n 20 "$workdir/sweep_chaos.log")"
+grep -q "FAULT INJECTION ACTIVE" "$workdir/sweep_chaos.log" \
+    || fail "mallacc-ctl did not announce fault injection"
 got=$(ls "$workdir/reports_chaos" | wc -l)
 [ "$got" = "$points" ] || fail "faulted sweep wrote $got reports, want $points"
 stop_fleet
