@@ -50,8 +50,9 @@ baseline:
 		> results/metrics/designspace.json
 
 # End-to-end smoke test of the mallacc-serve daemon: submit over HTTP,
-# verify the cached resubmission is byte-identical, and check SIGTERM
-# drains cleanly.
+# verify the cached resubmission is byte-identical, check SIGTERM drains
+# cleanly, and require the service digest (mallacc-serve -digest) to match
+# the pinned results/metrics/simsvc.json.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

@@ -41,8 +41,9 @@ const (
 	// central/pageheap lock path.
 	BackendLockFree = "lockfree"
 	// BackendJemalloc, BackendHoard and BackendBuddy are the
-	// cross-allocator experiment substrates; they are driven by the
-	// crossalloc/buddy experiments but are not runnable as standalone
+	// cross-allocator experiment substrates. The crossalloc and buddy
+	// experiments run them through the same harness driver as the
+	// runnable backends, but they are not runnable as standalone
 	// run/cluster jobs.
 	BackendJemalloc = "jemalloc"
 	BackendHoard    = "hoard"
@@ -60,8 +61,8 @@ func Backends() []string {
 }
 
 // RunnableBackends returns the backends a run/cluster job (or the -backend
-// CLI flag) may select. The experiment-only substrates are excluded: their
-// drivers exist solely inside the crossalloc and buddy experiments.
+// CLI flag) may select. The experiment-only substrates are excluded: only
+// the crossalloc and buddy experiments run them.
 func RunnableBackends() []string {
 	return []string{BackendTCMalloc, BackendLockFree}
 }

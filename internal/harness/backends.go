@@ -1,133 +1,13 @@
 package harness
 
 import (
-	"mallacc/internal/cachesim"
 	"mallacc/internal/core"
-	"mallacc/internal/cpu"
 	"mallacc/internal/lockfree"
 	"mallacc/internal/mem"
 	"mallacc/internal/offload"
-	"mallacc/internal/progress"
-	"mallacc/internal/stats"
 	"mallacc/internal/tcmalloc"
-	"mallacc/internal/telemetry"
 	"mallacc/internal/uop"
-	"mallacc/internal/workload"
 )
-
-// backendDriver implements workload.App over an alternative substrate. The
-// malloc/free hooks return the addresses and cycle counts; everything else
-// (histograms, class counts, fragmentation, progress) is shared bookkeeping
-// identical to the main tcmalloc driver.
-type backendDriver struct {
-	malloc func(size uint64) (addr uint64, fast bool, cyc uint64)
-	free   func(addr, hint uint64) (cyc uint64)
-
-	core    *cpu.Core
-	sizeMap *tcmalloc.SizeMap
-	rng     *stats.RNG
-	res     *Result
-	track   *progress.Tracker
-	mcHits  func() (hits, misses uint64) // nil when no size-class cache
-
-	footBase  uint64
-	footLines uint64
-	touchBuf  []uint64
-
-	liveRounded map[uint64]uint64
-	liveBytes   uint64
-}
-
-func (d *backendDriver) Malloc(size uint64) uint64 {
-	addr, fast, cyc := d.malloc(size)
-	d.res.MallocHist.Add(cyc)
-	d.res.MallocCycles += cyc
-	d.res.MallocCalls++
-	if fast {
-		d.res.FastMallocCycles += cyc
-		d.res.FastMallocCalls++
-	}
-	rounded := size
-	if cl, r, ok := d.sizeMap.ClassFor(size); ok {
-		d.res.ClassCounts[cl]++
-		rounded = r
-	} else {
-		rounded = mem.RoundUp(size, mem.PageSize)
-	}
-	d.liveRounded[addr] = rounded
-	d.liveBytes += rounded
-	if d.liveBytes > d.res.PeakLiveBytes {
-		d.res.PeakLiveBytes = d.liveBytes
-	}
-	d.track.Observe(d.core.Cycle(), d.fillSnapshot)
-	return addr
-}
-
-func (d *backendDriver) Free(addr uint64, sizeHint uint64) {
-	if r, ok := d.liveRounded[addr]; ok {
-		d.liveBytes -= r
-		delete(d.liveRounded, addr)
-	}
-	cyc := d.free(addr, sizeHint)
-	d.res.FreeHist.Add(cyc)
-	d.res.FreeCycles += cyc
-	d.res.FreeCalls++
-	d.track.Observe(d.core.Cycle(), d.fillSnapshot)
-}
-
-func (d *backendDriver) Work(cycles uint64, lines int) {
-	if d.footLines > 0 && lines > 0 {
-		if cap(d.touchBuf) < lines {
-			d.touchBuf = make([]uint64, lines)
-		}
-		buf := d.touchBuf[:lines]
-		for i := range buf {
-			buf[i] = d.footBase + d.rng.Uint64n(d.footLines)*mem.CacheLineSize
-		}
-		d.core.AdvanceApp(cycles, buf)
-	} else {
-		d.core.AdvanceApp(cycles, nil)
-	}
-	d.res.AppCycles += cycles
-}
-
-func (d *backendDriver) Antagonize() {
-	d.core.Memory().Antagonize()
-}
-
-func (d *backendDriver) fillSnapshot(s *progress.Snapshot) {
-	s.Instructions = d.core.Stats.Uops
-	s.MallocCalls = d.res.MallocCalls
-	s.FreeCalls = d.res.FreeCalls
-	if d.mcHits != nil {
-		hits, misses := d.mcHits()
-		s.MCHitRate = telemetry.Ratio(hits, misses)
-	}
-}
-
-// newBackendResult builds a Result shell plus the shared driver scaffolding.
-func newBackendResult(opt Options, backend string, c *cpu.Core) (*Result, *backendDriver) {
-	res := &Result{
-		Workload:    opt.Workload.Name(),
-		Variant:     opt.Variant,
-		Backend:     backend,
-		MallocHist:  stats.NewDurationHist(),
-		FreeHist:    stats.NewDurationHist(),
-		ClassCounts: map[uint8]uint64{},
-	}
-	d := &backendDriver{
-		core:        c,
-		rng:         stats.NewRNG(opt.Seed*0x9e3779b9 + 0x1234),
-		res:         res,
-		track:       progress.NewTracker(opt.Progress, opt.ProgressEvery),
-		liveRounded: map[uint64]uint64{},
-	}
-	if fp := workload.FootprintOf(opt.Workload); fp > 0 {
-		d.footBase = uint64(1) << 40
-		d.footLines = fp / mem.CacheLineSize
-	}
-	return res, d
-}
 
 // runLockfree executes a single-core run on the lock-free stack backend.
 // The backend has no thread caches to rotate or flush, so Threads and
@@ -143,82 +23,48 @@ func runLockfree(opt Options) *Result {
 	}
 	h := lockfree.New(lCfg)
 	defer h.Em.Recycle()
-	if opt.Threads <= 0 {
-		opt.Threads = 1
-	}
-	threads := make([]*lockfree.Thread, opt.Threads)
+	d := newDriver(opt)
+	threads := make([]*lockfree.Thread, d.threads)
 	for i := range threads {
 		threads[i] = h.NewThread()
 	}
 	metaBytes := h.Space.SbrkBytes
+	h.RegisterMetrics(d.reg)
 
-	cCfg := cpu.DefaultConfig()
-	cCfg.NoPrefetchBlocking = opt.NoPrefetchBlocking
-	c := cpu.New(cCfg, cachesim.NewDefaultHierarchy())
-	c.SetAnalytic(opt.AnalyticCPU)
-
-	reg := telemetry.NewRegistry()
-	prof := telemetry.NewStepProfiler(StepNames())
-	prof.Register(reg)
-	c.SetStepObserver(prof.ObserveCall)
-	c.RegisterMetrics(reg)
-	c.Memory().RegisterMetrics(reg)
-	h.RegisterMetrics(reg)
-
-	res, d := newBackendResult(opt, "lockfree", c)
-	d.sizeMap = h.SizeMap
-	if h.MC != nil {
-		d.mcHits = func() (uint64, uint64) {
-			return h.MC.Stats.LookupHits, h.MC.Stats.LookupMisses
-		}
-	}
-
-	cur, calls := 0, 0
-	d.malloc = func(size uint64) (uint64, bool, uint64) {
-		h.Em.Reset()
+	d.em, d.sizeMap, d.mc = h.Em, h.SizeMap, h.MC
+	// A large block's header holds RoundUp(size+8, PageSize), not the
+	// accounted RoundUp(size, PageSize), so the hooks remember each live
+	// block's accounted size.
+	live := map[uint64]uint64{}
+	d.malloc = func(size uint64) (uint64, bool) {
 		popBefore := h.Stats.PopHits
-		addr := h.Alloc(threads[cur], size)
-		tickLockfree(opt, c, res, &cur, &calls, len(threads))
-		cyc := c.RunTrace(h.Em.Trace())
-		return addr, h.Stats.PopHits != popBefore, cyc
+		addr := h.Alloc(threads[d.cur], size)
+		rounded := mem.RoundUp(size, mem.PageSize)
+		if _, r, ok := h.SizeMap.ClassFor(size); ok {
+			rounded = r
+		}
+		live[addr] = rounded
+		d.allocated(rounded)
+		return addr, h.Stats.PopHits != popBefore
 	}
-	d.free = func(addr, _ uint64) uint64 {
-		h.Em.Reset()
-		h.Free(threads[cur], addr)
-		tickLockfree(opt, c, res, &cur, &calls, len(threads))
-		return c.RunTrace(h.Em.Trace())
+	d.free = func(addr, _ uint64) {
+		if r, ok := live[addr]; ok {
+			d.freed(r)
+			delete(live, addr)
+		}
+		h.Free(threads[d.cur], addr)
 	}
 
-	start := c.Cycle()
-	opt.Workload.Run(d, opt.Calls, stats.NewRNG(opt.Seed+1))
-	d.track.Finish(c.Cycle(), d.fillSnapshot)
-	res.TotalCycles = c.Cycle() - start
+	res := d.run(opt)
 	res.OSBytes = h.Space.SbrkBytes - metaBytes
-	res.CPU = c.Stats
 	lfStats := h.Stats
 	res.LockFree = &lfStats
 	if h.MC != nil {
 		mcStats := h.MC.Stats
 		res.MC = &mcStats
 	}
-	res.Telemetry = reg.Snapshot()
 	h.CheckInvariants()
 	return res
-}
-
-// tickLockfree injects context switches for multithreaded lock-free runs.
-func tickLockfree(opt Options, c *cpu.Core, res *Result, cur, calls *int, threads int) {
-	if opt.SwitchEvery <= 0 {
-		return
-	}
-	*calls++
-	if *calls%opt.SwitchEvery == 0 {
-		*cur = (*cur + 1) % threads
-		c.ContextSwitch()
-		c.AdvanceApp(3000, nil)
-		res.AppCycles += 3000
-		res.ContextSwitches++
-	}
 }
 
 // runOffload executes a single-requester run of the offload-core variant:
@@ -240,50 +86,31 @@ func runOffload(opt Options) *Result {
 	defer em.Recycle()
 	metaBytes := eng.Heap.Space.SbrkBytes
 
-	cCfg := cpu.DefaultConfig()
-	cCfg.NoPrefetchBlocking = opt.NoPrefetchBlocking
-	c := cpu.New(cCfg, cachesim.NewDefaultHierarchy())
-	c.SetAnalytic(opt.AnalyticCPU)
-
-	reg := telemetry.NewRegistry()
-	prof := telemetry.NewStepProfiler(StepNames())
-	prof.Register(reg)
-	c.SetStepObserver(prof.ObserveCall)
-	c.RegisterMetrics(reg)
-	c.Memory().RegisterMetrics(reg)
-	eng.RegisterMetrics(reg)
-	eng.Heap.RegisterMetrics(reg)
-	alloccore := reg.Sub("alloccore.")
+	d := newDriver(opt)
+	eng.RegisterMetrics(d.reg)
+	eng.Heap.RegisterMetrics(d.reg)
+	alloccore := d.reg.Sub("alloccore.")
 	eng.Core.RegisterMetrics(alloccore)
 	eng.Core.Memory().RegisterMetrics(alloccore)
 
-	res, d := newBackendResult(opt, "", c)
-	d.sizeMap = eng.Heap.SizeMap
-
-	d.malloc = func(size uint64) (uint64, bool, uint64) {
-		em.Reset()
-		addr := eng.Malloc(em, c.Cycle(), size)
-		cyc := c.RunTrace(em.Trace())
+	d.em, d.sizeMap = em, eng.Heap.SizeMap
+	d.malloc = func(size uint64) (uint64, bool) {
+		addr := eng.Malloc(em, d.core.Cycle(), size)
+		d.allocated(spanSize(eng.Heap, addr))
 		// "Fast" means served without leaving the requesting core; every
 		// offloaded malloc crosses the queue, so none qualify.
-		return addr, false, cyc
+		return addr, false
 	}
-	d.free = func(addr, hint uint64) uint64 {
-		em.Reset()
-		eng.Free(em, c.Cycle(), addr, hint)
-		return c.RunTrace(em.Trace())
+	d.free = func(addr, hint uint64) {
+		d.freed(spanSize(eng.Heap, addr))
+		eng.Free(em, d.core.Cycle(), addr, hint)
 	}
 
-	start := c.Cycle()
-	opt.Workload.Run(d, opt.Calls, stats.NewRNG(opt.Seed+1))
-	d.track.Finish(c.Cycle(), d.fillSnapshot)
-	res.TotalCycles = c.Cycle() - start
+	res := d.run(opt)
 	res.OSBytes = eng.Heap.Space.SbrkBytes - metaBytes
 	res.Heap = eng.Heap.StatsSnapshot()
-	res.CPU = c.Stats
 	offStats := eng.Stats
 	res.Offload = &offStats
-	res.Telemetry = reg.Snapshot()
 	eng.Heap.CheckInvariants()
 	return res
 }

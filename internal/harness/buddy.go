@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"mallacc/internal/buddy"
-	"mallacc/internal/cachesim"
-	"mallacc/internal/cpu"
 	"mallacc/internal/mem"
-	"mallacc/internal/stats"
 	"mallacc/internal/tcmalloc"
 )
 
@@ -18,31 +15,20 @@ import (
 // but pays unbounded power-of-two internal fragmentation, while Mallacc
 // keeps TCMalloc's bounded-fragmentation size classes.
 
-// buddyDriver adapts the buddy heap to workload.App.
-type buddyDriver struct {
-	heap *buddy.Heap
-	core *cpu.Core
-
-	mallocCycles uint64
-	mallocCalls  uint64
+// runBuddy drives opt.Workload through the hardware buddy allocator and
+// returns the run plus the allocator's internal fragmentation.
+func runBuddy(opt Options) (*Result, float64) {
+	h := buddy.New(mem.NewDefaultSpace())
+	h.Variant = buddy.Hardware
+	defer h.Em.Recycle()
+	d := newDriver(opt)
+	d.em = h.Em
+	d.malloc = func(size uint64) (uint64, bool) { return h.Malloc(size), false }
+	d.free = func(addr, _ uint64) { h.Free(addr) }
+	res := d.run(opt)
+	h.CheckInvariants()
+	return res, h.Stats.InternalFragmentation()
 }
-
-func (d *buddyDriver) Malloc(size uint64) uint64 {
-	d.heap.Em.Reset()
-	a := d.heap.Malloc(size)
-	d.mallocCycles += d.core.RunTrace(d.heap.Em.Trace())
-	d.mallocCalls++
-	return a
-}
-
-func (d *buddyDriver) Free(addr, _ uint64) {
-	d.heap.Em.Reset()
-	d.heap.Free(addr)
-	d.core.RunTrace(d.heap.Em.Trace())
-}
-
-func (d *buddyDriver) Work(cycles uint64, _ int) { d.core.AdvanceApp(cycles, nil) }
-func (d *buddyDriver) Antagonize()               { d.core.Memory().Antagonize() }
 
 var buddyWorkloads = []string{"471.omnetpp", "ubench.gauss_free", "xapian.pages", "483.xalancbmk"}
 
@@ -58,23 +44,17 @@ func Buddy(opt ExpOptions) *Report {
 	tb := &table{header: []string{"workload", "tcm-base cyc", "tcm-mallacc cyc", "hw-buddy cyc", "tcm frag", "buddy frag"}}
 	ws := mustWorkloads(buddyWorkloads)
 	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline, VariantMallacc))
+	// Every heap generates the same classes; one table serves all rows.
+	classes := tcmalloc.NewSizeMap(mem.NewArena(mem.NewDefaultSpace(), 0))
 	for i, w := range ws {
-		wn := buddyWorkloads[i]
 		base, mall := results[2*i], results[2*i+1]
-
-		bh := buddy.New(mem.NewDefaultSpace())
-		bh.Variant = buddy.Hardware
-		bd := &buddyDriver{heap: bh, core: cpu.New(cpu.DefaultConfig(), cachesim.NewDefaultHierarchy())}
-		w.Run(bd, opt.Calls, stats.NewRNG(opt.Seed+1))
-		bh.CheckInvariants()
-
-		tcmFrag := tcmallocInternalFrag(base)
-		tb.addRow(wn,
+		hw, hwFrag := runBuddy(Options{Workload: w, Calls: opt.Calls, Seed: opt.Seed})
+		tb.addRow(buddyWorkloads[i],
 			fmt.Sprintf("%.1f", base.MeanMallocCycles()),
 			fmt.Sprintf("%.1f", mall.MeanMallocCycles()),
-			fmt.Sprintf("%.1f", float64(bd.mallocCycles)/float64(bd.mallocCalls)),
-			fmt.Sprintf("%.2fx", tcmFrag),
-			fmt.Sprintf("%.2fx", bh.Stats.InternalFragmentation()))
+			fmt.Sprintf("%.1f", hw.MeanMallocCycles()),
+			fmt.Sprintf("%.2fx", tcmallocInternalFrag(classes, base)),
+			fmt.Sprintf("%.2fx", hwFrag))
 	}
 	rep.addTable("", tb)
 	return rep
@@ -82,18 +62,17 @@ func Buddy(opt ExpOptions) *Report {
 
 // tcmallocInternalFrag estimates TCMalloc's internal fragmentation from
 // the run's size-class usage: rounded/requested under the generated table.
-func tcmallocInternalFrag(r *Result) float64 {
+func tcmallocInternalFrag(sm *tcmalloc.SizeMap, r *Result) float64 {
 	// Reconstruct from class counts: each class's expected request is
 	// approximated by the midpoint of (previous class size, class size] —
 	// a slight overestimate of waste, still bounded by the 12.5% design
 	// rule plus alignment.
-	h := tcmalloc.New(tcmalloc.DefaultConfig())
 	var alloc, req float64
 	for cls, count := range r.ClassCounts {
-		size := float64(h.SizeMap.ClassSize(cls))
+		size := float64(sm.ClassSize(cls))
 		prev := 0.0
 		if cls > 1 {
-			prev = float64(h.SizeMap.ClassSize(cls - 1))
+			prev = float64(sm.ClassSize(cls - 1))
 		}
 		mid := (prev + size) / 2
 		alloc += size * float64(count)

@@ -203,38 +203,110 @@ func (r *Result) MeanFastMallocCycles() float64 {
 	return float64(r.FastMallocCycles) / float64(r.FastMallocCalls)
 }
 
-// driver implements workload.App over the simulated system.
+// driver implements workload.App for one simulated core running one
+// allocator substrate. The substrate plugs in its trace emitter and two
+// hooks that execute an allocator call functionally on thread cur, leaving
+// the call's trace in em; the driver times the trace and keeps all other
+// bookkeeping: histograms, class counts, the fast-path split, footprint
+// touches, context-switch rotation, progress and AppCycles.
 type driver struct {
-	heap    *tcmalloc.Heap
-	threads []*tcmalloc.ThreadCache
-	cur     int
-	core    *cpu.Core
-	rng     *stats.RNG
-	res     *Result
-	track   *progress.Tracker
+	em     *uop.Emitter
+	malloc func(size uint64) (addr uint64, fast bool)
+	free   func(addr, hint uint64)
 
-	switchEvery int
-	callCount   int
+	// sizeMap classes each malloc for ClassCounts (Figure 6), mc is the
+	// malloc cache progress snapshots report on, and flush invalidates the
+	// accelerator state at a context switch; each is nil where the
+	// substrate has none.
+	sizeMap *tcmalloc.SizeMap
+	mc      *core.MallocCache
+	flush   func()
 
-	footBase  uint64
-	footLines uint64 // number of cache lines in the app footprint
-	touchBuf  []uint64
+	core  *cpu.Core
+	reg   *telemetry.Registry
+	rng   *stats.RNG
+	foot  workload.Toucher
+	res   *Result
+	track *progress.Tracker
+
+	threads, cur           int
+	switchEvery, callCount int
 
 	liveBytes uint64 // rounded bytes of the live objects
 }
 
-// tc returns the active thread cache.
-func (d *driver) tc() *tcmalloc.ThreadCache { return d.threads[d.cur] }
+// newDriver builds the simulated core opt describes and registers its
+// telemetry. The caller binds a substrate (em, malloc, free and its own
+// metrics) before run.
+func newDriver(opt Options) *driver {
+	cCfg := cpu.DefaultConfig()
+	switch {
+	case opt.UseDropSteps:
+		cCfg.DropSteps = opt.DropSteps
+	case opt.Variant == VariantLimit:
+		cCfg.DropSteps[uop.StepSizeClass] = true
+		cCfg.DropSteps[uop.StepSampling] = true
+		cCfg.DropSteps[uop.StepPushPop] = true
+	}
+	cCfg.NoPrefetchBlocking = opt.NoPrefetchBlocking
+	c := cpu.New(cCfg, cachesim.NewDefaultHierarchy())
+	c.SetAnalytic(opt.AnalyticCPU)
 
-// tick counts an allocator call and injects context switches.
+	// Telemetry: every layer registers into one registry; the step profiler
+	// rides the core's per-call attribution callback.
+	reg := telemetry.NewRegistry()
+	prof := telemetry.NewStepProfiler(StepNames())
+	prof.Register(reg)
+	c.SetStepObserver(prof.ObserveCall)
+	c.RegisterMetrics(reg)
+	c.Memory().RegisterMetrics(reg)
+
+	return &driver{
+		core: c,
+		reg:  reg,
+		rng:  stats.NewRNG(opt.Seed*0x9e3779b9 + 0x1234),
+		foot: workload.NewToucher(opt.Workload),
+		res: &Result{
+			Workload:    opt.Workload.Name(),
+			Variant:     opt.Variant,
+			Backend:     catalog.NormalizeBackend(opt.Backend),
+			MallocHist:  stats.NewDurationHist(),
+			FreeHist:    stats.NewDurationHist(),
+			ClassCounts: map[uint8]uint64{},
+		},
+		track:       progress.NewTracker(opt.Progress, opt.ProgressEvery),
+		threads:     max(opt.Threads, 1),
+		switchEvery: opt.SwitchEvery,
+	}
+}
+
+// run drives opt.Workload through the bound substrate and returns the
+// result with its timing, CPU statistics and telemetry filled in; the
+// substrate adds its own end-of-run state.
+func (d *driver) run(opt Options) *Result {
+	start := d.core.Cycle()
+	opt.Workload.Run(d, opt.Calls, stats.NewRNG(opt.Seed+1))
+	d.track.Finish(d.core.Cycle(), d.fillSnapshot)
+	d.res.TotalCycles = d.core.Cycle() - start
+	d.res.CPU = d.core.Stats
+	d.res.Telemetry = d.reg.Snapshot()
+	return d.res
+}
+
+// tick counts an allocator call and injects context switches: every
+// switchEvery calls execution rotates to the next thread, the substrate
+// flushes its malloc cache (no writebacks needed — Sec. 4.1), and the core
+// drains and pays for the OS switch.
 func (d *driver) tick() {
 	if d.switchEvery <= 0 {
 		return
 	}
 	d.callCount++
 	if d.callCount%d.switchEvery == 0 {
-		d.cur = (d.cur + 1) % len(d.threads)
-		d.heap.FlushMallocCache()
+		d.cur = (d.cur + 1) % d.threads
+		if d.flush != nil {
+			d.flush()
+		}
 		d.core.ContextSwitch()
 		// The OS switch itself: a few microseconds of kernel time.
 		d.core.AdvanceApp(3000, nil)
@@ -242,6 +314,17 @@ func (d *driver) tick() {
 		d.res.ContextSwitches++
 	}
 }
+
+// allocated and freed keep the live-byte ledger behind PeakLiveBytes; a
+// substrate's hooks report each block's rounded size.
+func (d *driver) allocated(n uint64) {
+	d.liveBytes += n
+	if d.liveBytes > d.res.PeakLiveBytes {
+		d.res.PeakLiveBytes = d.liveBytes
+	}
+}
+
+func (d *driver) freed(n uint64) { d.liveBytes -= n }
 
 // Run executes a workload under the given options and returns the
 // collected result.
@@ -259,12 +342,18 @@ func Run(opt Options) *Result {
 	if opt.MCEntries <= 0 {
 		opt.MCEntries = 32
 	}
-	if backend == catalog.BackendLockFree {
+	switch {
+	case backend == catalog.BackendLockFree:
 		return runLockfree(opt)
-	}
-	if opt.Variant == VariantOffload {
+	case opt.Variant == VariantOffload:
 		return runOffload(opt)
 	}
+	return runTCMalloc(opt)
+}
+
+// runTCMalloc runs opt on the default TCMalloc heap, one thread cache per
+// thread.
+func runTCMalloc(opt Options) *Result {
 	hCfg := tcmalloc.DefaultConfig()
 	hCfg.Seed = opt.Seed
 	if opt.Variant == VariantMallacc {
@@ -287,74 +376,49 @@ func Run(opt Options) *Result {
 	heap := tcmalloc.New(hCfg)
 	// The heap dies with this run; hand its trace slab back to the pool.
 	defer heap.Em.Recycle()
-	if opt.Threads <= 0 {
-		opt.Threads = 1
-	}
-	threads := make([]*tcmalloc.ThreadCache, opt.Threads)
+	d := newDriver(opt)
+	threads := make([]*tcmalloc.ThreadCache, d.threads)
 	for i := range threads {
 		threads[i] = heap.NewThread()
 	}
 	metaBytes := heap.Space.SbrkBytes // fixed metadata arena, excluded from OSBytes
+	heap.RegisterMetrics(d.reg)
 
-	cCfg := cpu.DefaultConfig()
-	if opt.Variant == VariantLimit {
-		if opt.UseDropSteps {
-			cCfg.DropSteps = opt.DropSteps
-		} else {
-			cCfg.DropSteps[uop.StepSizeClass] = true
-			cCfg.DropSteps[uop.StepSampling] = true
-			cCfg.DropSteps[uop.StepPushPop] = true
-		}
-	} else if opt.UseDropSteps {
-		cCfg.DropSteps = opt.DropSteps
+	d.em, d.sizeMap, d.mc, d.flush = heap.Em, heap.SizeMap, heap.MC, heap.FlushMallocCache
+	d.malloc = func(size uint64) (uint64, bool) {
+		tc := threads[d.cur]
+		fastBefore := tc.Stats.FastHits
+		addr := heap.Malloc(tc, size)
+		d.allocated(spanSize(heap, addr))
+		return addr, tc.Stats.FastHits != fastBefore
 	}
-	cCfg.NoPrefetchBlocking = opt.NoPrefetchBlocking
-	c := cpu.New(cCfg, cachesim.NewDefaultHierarchy())
-	c.SetAnalytic(opt.AnalyticCPU)
-
-	// Telemetry: every layer registers into one registry; the step profiler
-	// rides the core's per-call attribution callback.
-	reg := telemetry.NewRegistry()
-	prof := telemetry.NewStepProfiler(StepNames())
-	prof.Register(reg)
-	c.SetStepObserver(prof.ObserveCall)
-	c.RegisterMetrics(reg)
-	c.Memory().RegisterMetrics(reg)
-	heap.RegisterMetrics(reg)
-
-	res := &Result{
-		Workload:    opt.Workload.Name(),
-		Variant:     opt.Variant,
-		MallocHist:  stats.NewDurationHist(),
-		FreeHist:    stats.NewDurationHist(),
-		ClassCounts: map[uint8]uint64{},
-	}
-	d := &driver{
-		heap: heap, threads: threads, core: c,
-		rng:         stats.NewRNG(opt.Seed*0x9e3779b9 + 0x1234),
-		res:         res,
-		track:       progress.NewTracker(opt.Progress, opt.ProgressEvery),
-		switchEvery: opt.SwitchEvery,
-	}
-	if fp := workload.FootprintOf(opt.Workload); fp > 0 {
-		d.footBase = uint64(1) << 40
-		d.footLines = fp / mem.CacheLineSize
+	d.free = func(addr, hint uint64) {
+		// Before heap.Free: a freed large span may be coalesced away.
+		d.freed(spanSize(heap, addr))
+		heap.Free(threads[d.cur], addr, hint)
 	}
 
-	start := c.Cycle()
-	opt.Workload.Run(d, opt.Calls, stats.NewRNG(opt.Seed+1))
-	d.track.Finish(c.Cycle(), d.fillSnapshot)
-	res.TotalCycles = c.Cycle() - start
+	res := d.run(opt)
 	res.OSBytes = heap.Space.SbrkBytes - metaBytes
 	res.Heap = heap.StatsSnapshot()
-	res.CPU = c.Stats
 	if heap.MC != nil {
 		mcStats := heap.MC.Stats
 		res.MC = &mcStats
 	}
-	res.Telemetry = reg.Snapshot()
 	heap.CheckInvariants()
 	return res
+}
+
+// spanSize returns the rounded footprint of the live object at addr, read
+// off the span that holds it: the size class's object size, or the whole
+// span for a large allocation. The lookup is functional only and emits no
+// uops, so it replaces a per-object side table at no simulated cost.
+func spanSize(h *tcmalloc.Heap, addr uint64) uint64 {
+	s := h.PageHeap.PageMap().Get(addr >> mem.PageShift)
+	if s.SizeClass == 0 {
+		return s.Length << mem.PageShift
+	}
+	return h.SizeMap.ClassSize(s.SizeClass)
 }
 
 // StepNames returns the fast-path step tag names in uop.Step order — the
@@ -368,27 +432,21 @@ func StepNames() []string {
 }
 
 func (d *driver) Malloc(size uint64) uint64 {
-	d.heap.Em.Reset()
-	tc := d.tc()
-	fastBefore := tc.Stats.FastHits
-	addr := d.heap.Malloc(tc, size)
+	d.em.Reset()
+	addr, fast := d.malloc(size)
 	d.tick()
-	cyc := d.core.RunTrace(d.heap.Em.Trace())
+	cyc := d.core.RunTrace(d.em.Trace())
 	d.res.MallocHist.Add(cyc)
 	d.res.MallocCycles += cyc
 	d.res.MallocCalls++
-	if tc.Stats.FastHits != fastBefore {
+	if fast {
 		d.res.FastMallocCycles += cyc
 		d.res.FastMallocCalls++
 	}
-	if cl, _, ok := d.heap.SizeMap.ClassFor(size); ok {
-		d.res.ClassCounts[cl]++
-	}
-	// Fragmentation accounting: track the rounded footprint of live
-	// objects.
-	d.liveBytes += d.roundedSize(addr)
-	if d.liveBytes > d.res.PeakLiveBytes {
-		d.res.PeakLiveBytes = d.liveBytes
+	if d.sizeMap != nil {
+		if cl, _, ok := d.sizeMap.ClassFor(size); ok {
+			d.res.ClassCounts[cl]++
+		}
 	}
 	d.track.Observe(d.core.Cycle(), d.fillSnapshot)
 	return addr
@@ -399,32 +457,16 @@ func (d *driver) fillSnapshot(s *progress.Snapshot) {
 	s.Instructions = d.core.Stats.Uops
 	s.MallocCalls = d.res.MallocCalls
 	s.FreeCalls = d.res.FreeCalls
-	if d.heap.MC != nil {
-		st := d.heap.MC.Stats
-		s.MCHitRate = telemetry.Ratio(st.LookupHits, st.LookupMisses)
+	if d.mc != nil {
+		s.MCHitRate = telemetry.Ratio(d.mc.Stats.LookupHits, d.mc.Stats.LookupMisses)
 	}
-}
-
-// roundedSize returns the rounded footprint of the live object at addr,
-// read off the span that holds it: the size class's object size, or the
-// whole span for a large allocation. The lookup is functional only and
-// emits no uops, so it replaces a per-object side table at no simulated
-// cost.
-func (d *driver) roundedSize(addr uint64) uint64 {
-	s := d.heap.PageHeap.PageMap().Get(addr >> mem.PageShift)
-	if s.SizeClass == 0 {
-		return s.Length << mem.PageShift
-	}
-	return d.heap.SizeMap.ClassSize(s.SizeClass)
 }
 
 func (d *driver) Free(addr uint64, sizeHint uint64) {
-	// Before heap.Free: a freed large span may be coalesced away.
-	d.liveBytes -= d.roundedSize(addr)
-	d.heap.Em.Reset()
-	d.heap.Free(d.tc(), addr, sizeHint)
+	d.em.Reset()
+	d.free(addr, sizeHint)
 	d.tick()
-	cyc := d.core.RunTrace(d.heap.Em.Trace())
+	cyc := d.core.RunTrace(d.em.Trace())
 	d.res.FreeHist.Add(cyc)
 	d.res.FreeCycles += cyc
 	d.res.FreeCalls++
@@ -432,18 +474,7 @@ func (d *driver) Free(addr uint64, sizeHint uint64) {
 }
 
 func (d *driver) Work(cycles uint64, lines int) {
-	if d.footLines > 0 && lines > 0 {
-		if cap(d.touchBuf) < lines {
-			d.touchBuf = make([]uint64, lines)
-		}
-		buf := d.touchBuf[:lines]
-		for i := range buf {
-			buf[i] = d.footBase + d.rng.Uint64n(d.footLines)*mem.CacheLineSize
-		}
-		d.core.AdvanceApp(cycles, buf)
-	} else {
-		d.core.AdvanceApp(cycles, nil)
-	}
+	d.core.AdvanceApp(cycles, d.foot.Touch(d.rng, lines))
 	d.res.AppCycles += cycles
 }
 

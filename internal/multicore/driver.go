@@ -3,11 +3,9 @@ package multicore
 import (
 	"mallacc/internal/core"
 	"mallacc/internal/cpu"
-	"mallacc/internal/lockfree"
-	"mallacc/internal/mem"
 	"mallacc/internal/stats"
-	"mallacc/internal/tcmalloc"
 	"mallacc/internal/uop"
+	"mallacc/internal/workload"
 )
 
 // remoteFree is one cross-core free waiting in a consumer core's inbox.
@@ -42,12 +40,16 @@ type coreState struct {
 	eng *Engine
 	id  int
 	cpu *cpu.Core
-	tc  *tcmalloc.ThreadCache // nil on non-tcmalloc substrates
-	lft *lockfree.Thread      // nil unless Backend == "lockfree"
-	mc  *core.MallocCache     // nil unless Variant == Mallacc
-	hw  *core.SampleCounter   // nil unless Variant == Mallacc on tcmalloc
-	em  *uop.Emitter          // core-local trace emitter (tcmalloc substrate)
+	mc  *core.MallocCache   // nil unless Variant == Mallacc
+	hw  *core.SampleCounter // nil unless Variant == Mallacc on tcmalloc
 	rng *stats.RNG
+
+	// The substrate, bound once by New: the emitter this core's allocator
+	// calls write their traces to, and hooks that execute one call
+	// functionally, malloc reporting whether it took the fast path.
+	em     *uop.Emitter
+	malloc func(size uint64) (addr uint64, fast bool)
+	free   func(addr, hint uint64)
 
 	// resume runs the core's shard coroutine until it yields the token or
 	// retires; stop unwinds it; yield, called from inside the shard,
@@ -62,9 +64,7 @@ type coreState struct {
 	inbox    []remoteFree
 	inboxPos int
 
-	footBase  uint64
-	footLines uint64
-	touchBuf  []uint64
+	foot workload.Toucher
 
 	res CoreStats
 }
@@ -72,57 +72,15 @@ type coreState struct {
 func (cs *coreState) Malloc(size uint64) uint64 {
 	cs.checkpoint()
 	cs.drainInbox()
-	eng := cs.eng
-	switch {
-	case eng.off != nil:
-		return cs.mallocOffload(size)
-	case eng.lf != nil:
-		return cs.mallocLockfree(size)
-	}
-	h := eng.heap
 	cs.em.Reset()
-	fastBefore := cs.tc.Stats.FastHits
-	addr := h.Malloc(cs.tc, size)
+	addr, fast := cs.malloc(size)
 	cyc := cs.cpu.RunTrace(cs.em.Trace())
 	cs.res.MallocCycles += cyc
 	cs.res.MallocCalls++
-	if cs.tc.Stats.FastHits != fastBefore {
+	if fast {
 		cs.res.FastMallocCycles += cyc
 		cs.res.FastMallocCalls++
 	}
-	cs.trackLive(addr, size)
-	return addr
-}
-
-// mallocOffload dispatches the allocation to the shared allocation core;
-// the requester trace (marshal + stall + response) runs on this core.
-func (cs *coreState) mallocOffload(size uint64) uint64 {
-	eng := cs.eng
-	em := eng.offEm
-	em.Reset()
-	addr := eng.off.Malloc(em, cs.cpu.Cycle(), size)
-	cyc := cs.cpu.RunTrace(em.Trace())
-	cs.res.MallocCycles += cyc
-	cs.res.MallocCalls++
-	cs.trackLive(addr, size)
-	return addr
-}
-
-// mallocLockfree pops the shared lock-free heap on this core.
-func (cs *coreState) mallocLockfree(size uint64) uint64 {
-	eng := cs.eng
-	h := eng.lf
-	h.Em.Reset()
-	popBefore := h.Stats.PopHits
-	addr := h.Alloc(cs.lft, size)
-	cyc := cs.cpu.RunTrace(h.Em.Trace())
-	cs.res.MallocCycles += cyc
-	cs.res.MallocCalls++
-	if h.Stats.PopHits != popBefore {
-		cs.res.FastMallocCycles += cyc
-		cs.res.FastMallocCalls++
-	}
-	cs.trackLive(addr, size)
 	return addr
 }
 
@@ -161,29 +119,8 @@ func (cs *coreState) pickPeer() int {
 
 // freeLocal executes one free on this core.
 func (cs *coreState) freeLocal(addr, sizeHint uint64) {
-	eng := cs.eng
-	cs.untrackLive(addr)
-	switch {
-	case eng.off != nil:
-		em := eng.offEm
-		em.Reset()
-		eng.off.Free(em, cs.cpu.Cycle(), addr, sizeHint)
-		cyc := cs.cpu.RunTrace(em.Trace())
-		cs.res.FreeCycles += cyc
-		cs.res.FreeCalls++
-		return
-	case eng.lf != nil:
-		h := eng.lf
-		h.Em.Reset()
-		h.Free(cs.lft, addr)
-		cyc := cs.cpu.RunTrace(h.Em.Trace())
-		cs.res.FreeCycles += cyc
-		cs.res.FreeCalls++
-		return
-	}
-	h := eng.heap
 	cs.em.Reset()
-	h.Free(cs.tc, addr, sizeHint)
+	cs.free(addr, sizeHint)
 	cyc := cs.cpu.RunTrace(cs.em.Trace())
 	cs.res.FreeCycles += cyc
 	cs.res.FreeCalls++
@@ -204,59 +141,10 @@ func (cs *coreState) drainInbox() {
 
 func (cs *coreState) Work(cycles uint64, lines int) {
 	cs.checkpoint()
-	if cs.footLines > 0 && lines > 0 {
-		if cap(cs.touchBuf) < lines {
-			cs.touchBuf = make([]uint64, lines)
-		}
-		buf := cs.touchBuf[:lines]
-		for i := range buf {
-			buf[i] = cs.footBase + cs.rng.Uint64n(cs.footLines)*mem.CacheLineSize
-		}
-		cs.cpu.AdvanceApp(cycles, buf)
-	} else {
-		cs.cpu.AdvanceApp(cycles, nil)
-	}
+	cs.cpu.AdvanceApp(cycles, cs.foot.Touch(cs.rng, lines))
 	cs.res.AppCycles += cycles
 }
 
 func (cs *coreState) Antagonize() {
 	cs.cpu.Memory().Antagonize()
-}
-
-// trackLive maintains the rounded-footprint accounting. The ledger is
-// engine-global: only the token holder executes.
-func (cs *coreState) trackLive(addr, size uint64) {
-	eng := cs.eng
-	rounded := size
-	if _, r, ok := eng.sizeMap().ClassFor(size); ok {
-		rounded = r
-	} else {
-		rounded = mem.RoundUp(size, mem.PageSize)
-	}
-	eng.liveSizes[addr] = rounded
-	eng.liveBytes += rounded
-	if eng.liveBytes > eng.peakLive {
-		eng.peakLive = eng.liveBytes
-	}
-}
-
-func (cs *coreState) untrackLive(addr uint64) {
-	eng := cs.eng
-	if r, ok := eng.liveSizes[addr]; ok {
-		eng.liveBytes -= r
-		delete(eng.liveSizes, addr)
-	}
-}
-
-// sizeMap returns the active substrate's size map (all substrates reuse
-// TCMalloc's classes, so footprint accounting is comparable across them).
-func (eng *Engine) sizeMap() *tcmalloc.SizeMap {
-	switch {
-	case eng.heap != nil:
-		return eng.heap.SizeMap
-	case eng.lf != nil:
-		return eng.lf.SizeMap
-	default:
-		return eng.off.Heap.SizeMap
-	}
 }

@@ -42,7 +42,6 @@ import (
 	"mallacc/internal/core"
 	"mallacc/internal/cpu"
 	"mallacc/internal/lockfree"
-	"mallacc/internal/mem"
 	"mallacc/internal/offload"
 	"mallacc/internal/progress"
 	"mallacc/internal/stats"
@@ -175,11 +174,6 @@ type Engine struct {
 	epoch  uint64
 	yields uint64
 	track  *progress.Tracker
-
-	metaBytes uint64
-	liveBytes uint64
-	peakLive  uint64
-	liveSizes map[uint64]uint64
 }
 
 // New builds an engine. The workload is required.
@@ -193,10 +187,9 @@ func New(cfg Config) *Engine {
 	}
 
 	eng := &Engine{
-		cfg:       cfg,
-		reg:       cfg.Registry,
-		track:     progress.NewTracker(cfg.Progress, cfg.ProgressEvery),
-		liveSizes: map[uint64]uint64{},
+		cfg:   cfg,
+		reg:   cfg.Registry,
+		track: progress.NewTracker(cfg.Progress, cfg.ProgressEvery),
 	}
 
 	// Build the allocator substrate. Per-core accelerator state (malloc
@@ -213,7 +206,6 @@ func New(cfg Config) *Engine {
 		oCfg.Heap.Seed = cfg.Seed
 		eng.off = offload.New(oCfg)
 		eng.offEm = uop.NewEmitter()
-		eng.metaBytes = eng.off.Heap.Space.SbrkBytes
 	case cfg.Backend == catalog.BackendLockFree:
 		lfCfg := lockfree.DefaultConfig()
 		lfCfg.Seed = cfg.Seed
@@ -223,7 +215,6 @@ func New(cfg Config) *Engine {
 		eng.lf = lockfree.New(lfCfg)
 		eng.cas = newCASTable(eng)
 		eng.lf.Contention = eng.cas
-		eng.metaBytes = eng.lf.Space.SbrkBytes
 	default:
 		hCfg := tcmalloc.DefaultConfig()
 		hCfg.Seed = cfg.Seed
@@ -243,25 +234,13 @@ func New(cfg Config) *Engine {
 		cCfg.DropSteps[uop.StepPushPop] = true
 	}
 
-	footLines := uint64(0)
-	if fp := workload.FootprintOf(cfg.Workload); fp > 0 {
-		footLines = fp / mem.CacheLineSize
-	}
-
 	for i := 0; i < cfg.Cores; i++ {
 		cs := &coreState{
-			eng: eng,
-			id:  i,
-			cpu: cpu.New(cCfg, cachesim.NewDefaultHierarchy()),
-			rng: stats.NewRNG(cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77 + 0xc2b2),
-		}
-		switch {
-		case eng.heap != nil:
-			cs.tc = eng.heap.NewThread()
-			cs.em = uop.NewEmitter()
-			cs.tc.Em = cs.em
-		case eng.lf != nil:
-			cs.lft = eng.lf.NewThread()
+			eng:  eng,
+			id:   i,
+			cpu:  cpu.New(cCfg, cachesim.NewDefaultHierarchy()),
+			rng:  stats.NewRNG(cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77 + 0xc2b2),
+			foot: workload.NewToucher(cfg.Workload),
 		}
 		if cfg.Variant == Mallacc {
 			if eng.lf != nil {
@@ -273,17 +252,7 @@ func New(cfg Config) *Engine {
 				cs.hw = &core.SampleCounter{}
 			}
 		}
-		if footLines > 0 {
-			cs.footBase = uint64(1) << 40
-			cs.footLines = footLines
-		}
-		if cs.tc != nil {
-			// The shared heap resolves accelerator state and the trace
-			// emitter through the thread cache, so concurrent cores never
-			// touch heap-level fields.
-			cs.tc.MC = cs.mc
-			cs.tc.HW = cs.hw
-		}
+		eng.bind(cs)
 		cs.budget = cfg.CallsPerCore
 		if i < len(cfg.CoreCalls) && cfg.CoreCalls[i] > 0 {
 			cs.budget = cfg.CoreCalls[i]
@@ -292,13 +261,50 @@ func New(cfg Config) *Engine {
 	}
 	if eng.heap != nil {
 		eng.heap.MC, eng.heap.HWCounter = nil, nil
-		eng.metaBytes = eng.heap.Space.SbrkBytes
 	}
 	if eng.lf != nil {
 		eng.lf.MC = nil
 	}
 	eng.registerMetrics()
 	return eng
+}
+
+// bind gives cs its substrate: the emitter its allocator calls write their
+// traces to and the malloc/free hooks that execute them.
+func (eng *Engine) bind(cs *coreState) {
+	switch {
+	case eng.off != nil:
+		// Every core's calls cross to the one allocation core, so none is
+		// served locally.
+		em := eng.offEm
+		cs.em = em
+		cs.malloc = func(size uint64) (uint64, bool) {
+			return eng.off.Malloc(em, cs.cpu.Cycle(), size), false
+		}
+		cs.free = func(addr, hint uint64) { eng.off.Free(em, cs.cpu.Cycle(), addr, hint) }
+	case eng.lf != nil:
+		h, t := eng.lf, eng.lf.NewThread()
+		cs.em = h.Em
+		cs.malloc = func(size uint64) (uint64, bool) {
+			popBefore := h.Stats.PopHits
+			addr := h.Alloc(t, size)
+			return addr, h.Stats.PopHits != popBefore
+		}
+		cs.free = func(addr, _ uint64) { h.Free(t, addr) }
+	default:
+		// The shared heap resolves accelerator state and the trace
+		// emitter through the thread cache, so concurrent cores never
+		// touch heap-level fields.
+		h, tc := eng.heap, eng.heap.NewThread()
+		cs.em = uop.NewEmitter()
+		tc.Em, tc.MC, tc.HW = cs.em, cs.mc, cs.hw
+		cs.malloc = func(size uint64) (uint64, bool) {
+			fastBefore := tc.Stats.FastHits
+			addr := h.Malloc(tc, size)
+			return addr, tc.Stats.FastHits != fastBefore
+		}
+		cs.free = func(addr, hint uint64) { h.Free(tc, addr, hint) }
+	}
 }
 
 // beginQuantum stamps the token holder's execution deadline for the current
@@ -368,16 +374,14 @@ func (eng *Engine) recycleEmitters() {
 	switch {
 	case eng.heap != nil:
 		eng.heap.Em.Recycle()
+		for _, cs := range eng.cores {
+			cs.em.Recycle()
+		}
 	case eng.lf != nil:
 		eng.lf.Em.Recycle()
 	case eng.off != nil:
 		eng.off.Heap.Em.Recycle()
 		eng.offEm.Recycle()
-	}
-	for _, cs := range eng.cores {
-		if cs.em != nil {
-			cs.em.Recycle()
-		}
 	}
 }
 

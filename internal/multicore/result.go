@@ -36,9 +36,6 @@ type Result struct {
 	CentralLock  LockSiteStats
 	PageHeapLock LockSiteStats
 
-	OSBytes       uint64
-	PeakLiveBytes uint64
-
 	Heap tcmalloc.HeapStats
 	// MC sums the per-core malloc-cache stats (Mallacc variant only).
 	MC *core.Stats
@@ -142,21 +139,17 @@ func (eng *Engine) collect() *Result {
 	if eng.cfg.Variant == Mallacc {
 		res.MC = &mcAgg
 	}
-	res.PeakLiveBytes = eng.peakLive
 	switch {
 	case eng.heap != nil:
 		res.CentralLock = eng.locks.stats[tcmalloc.LockCentral]
 		res.PageHeapLock = eng.locks.stats[tcmalloc.LockPageHeap]
-		res.OSBytes = eng.heap.Space.SbrkBytes - eng.metaBytes
 		res.Heap = eng.heap.StatsSnapshot()
 		eng.heap.CheckInvariants()
 	case eng.lf != nil:
-		res.OSBytes = eng.lf.Space.SbrkBytes - eng.metaBytes
 		lfStats := eng.lf.Stats
 		res.LockFree = &lfStats
 		eng.lf.CheckInvariants()
 	case eng.off != nil:
-		res.OSBytes = eng.off.Heap.Space.SbrkBytes - eng.metaBytes
 		res.Heap = eng.off.Heap.StatsSnapshot()
 		offStats := eng.off.Stats
 		res.Offload = &offStats

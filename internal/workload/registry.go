@@ -3,10 +3,14 @@ package workload
 import (
 	"fmt"
 	"sync"
+
+	"mallacc/internal/mem"
+	"mallacc/internal/stats"
 )
 
 // Footprinter is implemented by workloads that model an application
-// working set; the driver sizes its between-calls cache touches from it.
+// working set; the drivers size their between-calls cache touches from it
+// (Toucher).
 type Footprinter interface {
 	Footprint() uint64
 }
@@ -27,6 +31,41 @@ func FootprintOf(w Workload) uint64 {
 		panic(fmt.Sprintf("workload: %s footprint %d exceeds MaxFootprint (2^43)", w.Name(), fp))
 	}
 	return fp
+}
+
+// footprintBase is the address of a workload's first working-set line, far
+// above every allocator address; MaxFootprint keeps the last one below
+// 2^44.
+const footprintBase = uint64(1) << 40
+
+// Toucher draws the cache lines an App's Work call touches: lines of the
+// workload's application working set (FootprintOf), chosen uniformly at
+// random. The zero Toucher touches nothing.
+type Toucher struct {
+	lines uint64
+	buf   []uint64
+}
+
+// NewToucher sizes a Toucher for w's working set.
+func NewToucher(w Workload) Toucher {
+	return Toucher{lines: FootprintOf(w) / mem.CacheLineSize}
+}
+
+// Touch returns the addresses of n working-set lines, drawing one value
+// from rng per line, or nil (drawing nothing) when the workload models no
+// working set or n is not positive. The slice is reused by the next call.
+func (t *Toucher) Touch(rng *stats.RNG, n int) []uint64 {
+	if t.lines == 0 || n <= 0 {
+		return nil
+	}
+	if cap(t.buf) < n {
+		t.buf = make([]uint64, n)
+	}
+	buf := t.buf[:n]
+	for i := range buf {
+		buf[i] = footprintBase + rng.Uint64n(t.lines)*mem.CacheLineSize
+	}
+	return buf
 }
 
 // Micro returns the six paper microbenchmarks in the order of Figure 4.

@@ -51,6 +51,28 @@ func TestResultsTextMatchesPinned(t *testing.T) {
 	}
 }
 
+// TestResultsTextMatchesRendered keeps the text views of the crossalloc
+// and buddy extensions, which no pinned digest covers, equal to the
+// reports the code renders at seed 1 and the default call budget.
+func TestResultsTextMatchesRendered(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders two experiments at the default call budget")
+	}
+	for _, id := range []string{"crossalloc", "buddy"} {
+		rep, err := mallacc.RunExperiment(id, mallacc.ExpOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join("results", id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := rep.String(); string(got) != want {
+			t.Errorf("results/%s.txt drifted from the code; regenerate it with mallacc-bench -run %s -seed 1:\n--- file\n%s--- rendered\n%s", id, id, got, want)
+		}
+	}
+}
+
 // gains reads a figure's typed table into workload -> column values, and
 // the Geomean row separately.
 func gains(t *testing.T, rep *mallacc.Report) (rows map[string][]float64, geomean []float64) {

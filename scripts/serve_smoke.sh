@@ -7,7 +7,11 @@
 #   3. resubmits the identical spec and checks the answer is served from
 #      the cache with a byte-identical report and simsvc.cache.hits > 0,
 #   4. sends SIGTERM while a long job is in flight and checks the daemon
-#      drains cleanly with exit code 0.
+#      drains cleanly with exit code 0,
+#   5. recomputes the service digest (mallacc-serve -digest: five seed-1
+#      run jobs through a fresh in-memory service, then again from its
+#      cache) and requires it to be byte-identical to the pinned
+#      results/metrics/simsvc.json.
 #
 # Needs: go, curl, jq.
 set -euo pipefail
@@ -105,5 +109,11 @@ server_pid=""
 [ "$rc" -eq 0 ] || fail "daemon exited $rc on SIGTERM (job $lid in flight)"
 grep -q "drained cleanly" "$workdir/serve.log" || fail "daemon did not log a clean drain"
 echo "serve-smoke: SIGTERM drained cleanly with job $lid in flight"
+
+# --- 5. the service digest matches the pinned one -----------------------
+"$workdir/mallacc-serve" -digest >"$workdir/simsvc.json" || fail "-digest failed"
+cmp -s "$workdir/simsvc.json" results/metrics/simsvc.json \
+    || fail "service digest differs from results/metrics/simsvc.json"
+echo "serve-smoke: service digest matches results/metrics/simsvc.json"
 
 echo "serve-smoke: PASS"
