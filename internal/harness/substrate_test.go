@@ -16,7 +16,11 @@ import (
 // the sha256 of each run's full JSON report (telemetry included) plus its
 // PeakLiveBytes and OSBytes, for every (backend, variant, threading)
 // combination Run serves, and the sha256 of the cross-allocator and buddy
-// experiment reports, which drive jemalloc, Hoard and buddy. No pinned
+// experiment reports, which drive jemalloc, Hoard and buddy. It also pins
+// the report of every single-core experiment that sets a run knob beyond
+// workload, variant and budget (AnalyticCPU, DropSteps, the ablations,
+// MCEntries, Threads/SwitchEvery) or reads a bookkeeping field
+// (ClassCounts, OSBytes/PeakLiveBytes, the latency histograms). No pinned
 // digest under results/metrics covers these paths, so this golden is what
 // holds them byte-identical across changes to the workload drivers.
 //
@@ -62,6 +66,18 @@ func TestSubstrateGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&buf, "%-24s %x\n", e.name, sha256.Sum256(js))
+	}
+	for _, id := range []string{"fig1", "fig2", "table1", "fig4", "fig6", "fig15", "fig16", "fig17",
+		"fig18", "table2", "ablation", "ctxswitch", "frag"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("unknown experiment %s", id)
+		}
+		js, err := e.Run(ExpOptions{Calls: 3000, Seed: 1}).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%-24s %x\n", id, sha256.Sum256(js))
 	}
 
 	golden := filepath.Join("testdata", "substrate.golden")

@@ -51,14 +51,15 @@ func TestResultsTextMatchesPinned(t *testing.T) {
 	}
 }
 
-// TestResultsTextMatchesRendered keeps the text views of the crossalloc
-// and buddy extensions, which no pinned digest covers, equal to the
-// reports the code renders at seed 1 and the default call budget.
+// TestResultsTextMatchesRendered keeps the text views that no pinned
+// digest covers (the crossalloc, buddy, ablation and ctxswitch extensions,
+// Figures 17 and 18) equal to the reports the code renders at seed 1 and
+// the default call budget.
 func TestResultsTextMatchesRendered(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders two experiments at the default call budget")
+		t.Skip("renders six experiments at the default call budget")
 	}
-	for _, id := range []string{"crossalloc", "buddy"} {
+	for _, id := range []string{"crossalloc", "buddy", "fig17", "ablation", "ctxswitch", "fig18"} {
 		rep, err := mallacc.RunExperiment(id, mallacc.ExpOptions{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
