@@ -26,6 +26,7 @@ import (
 	"mallacc/internal/catalog"
 	"mallacc/internal/faults"
 	"mallacc/internal/harness"
+	"mallacc/internal/multicore"
 	"mallacc/internal/simsvc"
 )
 
@@ -170,7 +171,7 @@ func main() {
 		return
 	}
 	// CheckCombo above already vetted the names; VariantByName cannot miss.
-	v, _ := harness.VariantByName(*variant)
+	v, _ := multicore.VariantByName(*variant)
 
 	if *cores > 1 {
 		runCluster(w, v, *backend, *entries, *calls, *seed, *cores, *format, *metrics)

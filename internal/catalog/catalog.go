@@ -7,8 +7,8 @@
 //
 // The package is a leaf: it imports nothing from the simulator, so harness,
 // multicore, simsvc and the CLIs can all depend on it without cycles. The
-// name-to-enum lowering lives next to each enum (harness.VariantByName,
-// multicore.VariantByName); only the names and their validity rules live
+// name-to-enum lowering lives next to the one variant enum
+// (multicore.VariantByName); only the names and their validity rules live
 // here.
 package catalog
 
@@ -42,7 +42,7 @@ const (
 	BackendLockFree = "lockfree"
 	// BackendJemalloc, BackendHoard and BackendBuddy are the
 	// cross-allocator experiment substrates. The crossalloc and buddy
-	// experiments run them through the same harness driver as the
+	// experiments hook them into the same single-core engine as the
 	// runnable backends, but they are not runnable as standalone
 	// run/cluster jobs.
 	BackendJemalloc = "jemalloc"

@@ -48,7 +48,9 @@ func runEquivalence(t *testing.T, mallacc, limit, analytic bool, calls int) {
 	touch := make([]uint64, 8)
 	for i := 0; i < calls; i++ {
 		if i > 0 && i%769 == 0 {
-			heap.FlushMallocCache()
+			if heap.MC != nil {
+				heap.MC.Flush()
+			}
 			fast.ContextSwitch()
 			ref.contextSwitch()
 		}

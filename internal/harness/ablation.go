@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"mallacc/internal/core"
+	"mallacc/internal/multicore"
 	"mallacc/internal/tcmalloc"
 )
 
@@ -50,13 +51,13 @@ func Ablation(opt ExpOptions) *Report {
 	// The grid: one baseline per workload, then every configuration
 	// across the workloads.
 	ws := mustWorkloads(ablationWorkloads)
-	opts := variantGrid(opt, ws, VariantBaseline)
+	opts := variantGrid(opt, ws, multicore.Baseline)
 	cfgs := ablationConfigs()
 	for _, cfg := range cfgs {
 		for _, w := range ws {
 			o := Options{
 				Workload:  w,
-				Variant:   VariantMallacc,
+				Variant:   multicore.Mallacc,
 				MCEntries: 32,
 				Calls:     opt.Calls,
 				Seed:      opt.Seed,

@@ -5,6 +5,7 @@ import (
 
 	"mallacc/internal/buddy"
 	"mallacc/internal/mem"
+	"mallacc/internal/multicore"
 	"mallacc/internal/tcmalloc"
 )
 
@@ -21,11 +22,11 @@ func runBuddy(opt Options) (*Result, float64) {
 	h := buddy.New(mem.NewDefaultSpace())
 	h.Variant = buddy.Hardware
 	defer h.Em.Recycle()
-	d := newDriver(opt)
-	d.em = h.Em
-	d.malloc = func(size uint64) (uint64, bool) { return h.Malloc(size), false }
-	d.free = func(addr, _ uint64) { h.Free(addr) }
-	res := d.run(opt)
+	res := multicore.RunSolo(opt.Config(), &multicore.Hooks{
+		Em:     h.Em,
+		Malloc: h.Malloc,
+		Free:   func(addr, _ uint64) { h.Free(addr) },
+	})
 	h.CheckInvariants()
 	return res, h.Stats.InternalFragmentation()
 }
@@ -43,7 +44,7 @@ func Buddy(opt ExpOptions) *Report {
 		"workloads dominated by power-of-two requests (xapian) escape the penalty; typical object sizes (omnetpp's 40/80/208B events) pay heavily")
 	tb := &table{header: []string{"workload", "tcm-base cyc", "tcm-mallacc cyc", "hw-buddy cyc", "tcm frag", "buddy frag"}}
 	ws := mustWorkloads(buddyWorkloads)
-	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline, VariantMallacc))
+	results := opt.runGrid(variantGrid(opt, ws, multicore.Baseline, multicore.Mallacc))
 	// Every heap generates the same classes; one table serves all rows.
 	classes := tcmalloc.NewSizeMap(mem.NewArena(mem.NewDefaultSpace(), 0))
 	for i, w := range ws {

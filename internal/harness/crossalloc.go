@@ -4,6 +4,7 @@ import (
 	"mallacc/internal/core"
 	"mallacc/internal/hoard"
 	"mallacc/internal/jemalloc"
+	"mallacc/internal/multicore"
 	"mallacc/internal/tcmalloc"
 )
 
@@ -20,7 +21,7 @@ import (
 // no TCMalloc index hardware.
 func runJemalloc(opt Options) *Result {
 	cfg := jemalloc.DefaultConfig()
-	if opt.Variant == VariantMallacc {
+	if opt.Variant == multicore.Mallacc {
 		cfg.Mode = tcmalloc.ModeMallacc
 	}
 	cfg.Seed = opt.Seed
@@ -28,11 +29,11 @@ func runJemalloc(opt Options) *Result {
 	h := jemalloc.New(cfg)
 	defer h.Em.Recycle()
 	tc := h.NewThread()
-	d := newDriver(opt)
-	d.em = h.Em
-	d.malloc = func(size uint64) (uint64, bool) { return h.Malloc(tc, size), false }
-	d.free = func(addr, hint uint64) { h.Free(tc, addr, hint) }
-	res := d.run(opt)
+	res := multicore.RunSolo(opt.Config(), &multicore.Hooks{
+		Em:     h.Em,
+		Malloc: func(size uint64) uint64 { return h.Malloc(tc, size) },
+		Free:   func(addr, hint uint64) { h.Free(tc, addr, hint) },
+	})
 	h.CheckInvariants()
 	return res
 }
@@ -41,7 +42,7 @@ func runJemalloc(opt Options) *Result {
 // thread heap.
 func runHoard(opt Options) *Result {
 	cfg := hoard.DefaultConfig()
-	if opt.Variant == VariantMallacc {
+	if opt.Variant == multicore.Mallacc {
 		cfg.Mode = tcmalloc.ModeMallacc
 	}
 	cfg.Seed = opt.Seed
@@ -49,11 +50,11 @@ func runHoard(opt Options) *Result {
 	h := hoard.New(cfg)
 	defer h.Em.Recycle()
 	th := h.NewThread()
-	d := newDriver(opt)
-	d.em = h.Em
-	d.malloc = func(size uint64) (uint64, bool) { return h.Malloc(th, size), false }
-	d.free = func(addr, hint uint64) { h.Free(th, addr, hint) }
-	res := d.run(opt)
+	res := multicore.RunSolo(opt.Config(), &multicore.Hooks{
+		Em:     h.Em,
+		Malloc: func(size uint64) uint64 { return h.Malloc(th, size) },
+		Free:   func(addr, hint uint64) { h.Free(th, addr, hint) },
+	})
 	h.CheckInvariants()
 	return res
 }
@@ -70,13 +71,14 @@ func CrossAlloc(opt ExpOptions) *Report {
 		"jemalloc/hoard run the malloc cache in generic raw-size mode (no TCMalloc index hardware); 32 entries everywhere",
 		"hoard's warm fast path hides latency gains behind its per-heap lock (the accelerator targets lock-free fast paths); its gains come from cache isolation under pressure")
 	tb := &table{header: []string{"workload", "tcmalloc malloc-imp", "jemalloc malloc-imp", "hoard malloc-imp", "tcmalloc alloc-imp", "jemalloc alloc-imp", "hoard alloc-imp"}}
-	// TCMalloc through the standard driver (raw-size mode for parity).
+	// TCMalloc through Run (raw-size mode for parity).
 	var opts []Options
 	for _, wn := range crossWorkloads {
 		w := mustWorkload(wn)
 		opts = append(opts,
-			Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed},
-			Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, IndexModeOff: true, Calls: opt.Calls, Seed: opt.Seed})
+			Options{Workload: w, Variant: multicore.Baseline, Calls: opt.Calls, Seed: opt.Seed},
+			Options{Workload: w, Variant: multicore.Mallacc, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed,
+				CoreConfig: multicore.CoreConfig{IndexModeOff: true}})
 	}
 	results := opt.runGrid(opts)
 	for i, wn := range crossWorkloads {
@@ -84,11 +86,11 @@ func CrossAlloc(opt ExpOptions) *Report {
 		tb0, tb1 := results[2*i], results[2*i+1]
 		// jemalloc and Hoard run off the grid: they are experiment-only
 		// substrates, not backends a service job can name.
-		cell := func(run func(Options) *Result, v Variant) *Result {
+		cell := func(run func(Options) *Result, v multicore.Variant) *Result {
 			return run(Options{Workload: w, Variant: v, Calls: opt.Calls, Seed: opt.Seed})
 		}
-		je0, je1 := cell(runJemalloc, VariantBaseline), cell(runJemalloc, VariantMallacc)
-		ho0, ho1 := cell(runHoard, VariantBaseline), cell(runHoard, VariantMallacc)
+		je0, je1 := cell(runJemalloc, multicore.Baseline), cell(runJemalloc, multicore.Mallacc)
+		ho0, ho1 := cell(runHoard, multicore.Baseline), cell(runHoard, multicore.Mallacc)
 		imp := func(base, acc uint64) string {
 			return pct(100 * (float64(base) - float64(acc)) / float64(base))
 		}

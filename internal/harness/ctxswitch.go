@@ -1,6 +1,10 @@
 package harness
 
-import "fmt"
+import (
+	"fmt"
+
+	"mallacc/internal/multicore"
+)
 
 // The context-switch study is an extension probing a design property the
 // paper asserts but does not evaluate: because the malloc cache only holds
@@ -41,10 +45,10 @@ func CtxSwitch(opt ExpOptions) *Report {
 		w := mustWorkload(wn)
 		for _, iv := range ctxIntervals {
 			opts = append(opts,
-				Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed,
-					Threads: 4, SwitchEvery: iv},
-				Options{Workload: w, Variant: VariantMallacc, MCEntries: 16, Calls: opt.Calls, Seed: opt.Seed,
-					Threads: 4, SwitchEvery: iv})
+				Options{Workload: w, Variant: multicore.Baseline, Calls: opt.Calls, Seed: opt.Seed,
+					CoreConfig: multicore.CoreConfig{Threads: 4, SwitchEvery: iv}},
+				Options{Workload: w, Variant: multicore.Mallacc, MCEntries: 16, Calls: opt.Calls, Seed: opt.Seed,
+					CoreConfig: multicore.CoreConfig{Threads: 4, SwitchEvery: iv}})
 		}
 	}
 	results := opt.runGrid(opts)

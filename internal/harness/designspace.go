@@ -11,20 +11,6 @@ import (
 // ExpOptions.Cores, like the scaling study).
 var designSweep = []int{1, 2, 4, 8, 16}
 
-// multicoreVariant maps a catalog variant name onto the multicore enum.
-func multicoreVariant(name string) multicore.Variant {
-	switch name {
-	case catalog.VariantMallacc:
-		return multicore.Mallacc
-	case catalog.VariantLimit:
-		return multicore.Limit
-	case catalog.VariantOffload:
-		return multicore.Offload
-	default:
-		return multicore.Baseline
-	}
-}
-
 // DesignSpace is the fig13-style design-space study: every cataloged
 // allocation strategy — stock TCMalloc, Mallacc acceleration, the
 // offload-core variant, the lock-free stack backend, and lock-free plus
@@ -68,11 +54,12 @@ func DesignSpace(opt ExpOptions) *Report {
 			continue
 		}
 		for i, s := range strategies {
+			variant, _ := multicore.VariantByName(s.Variant) // catalog names are valid
 			cells = append(cells, cell{cores: cores, si: i})
 			cfgs = append(cfgs, multicore.Config{
 				Cores:        cores,
 				Backend:      s.Backend,
-				Variant:      multicoreVariant(s.Variant),
+				Variant:      variant,
 				Workload:     w,
 				CallsPerCore: callsPerCore,
 				Seed:         opt.Seed,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mallacc/internal/catalog"
+	"mallacc/internal/multicore"
 	"mallacc/internal/workload"
 )
 
@@ -58,7 +59,7 @@ func TestDesignSpaceDeterministic(t *testing.T) {
 // lock-free backend for both supported variants.
 func TestRunLockfreeBackend(t *testing.T) {
 	w, _ := workload.ByName("ubench.gauss_free")
-	for _, v := range []Variant{VariantBaseline, VariantMallacc} {
+	for _, v := range []multicore.Variant{multicore.Baseline, multicore.Mallacc} {
 		snap := func() *Result {
 			return Run(Options{Workload: w, Backend: catalog.BackendLockFree, Variant: v, Calls: 5000, Seed: 1})
 		}
@@ -81,7 +82,7 @@ func TestRunLockfreeBackend(t *testing.T) {
 		if _, ok := r.Telemetry.Get("lockfree.allocs"); !ok {
 			t.Fatalf("%v: lockfree.* telemetry missing", v)
 		}
-		if v == VariantMallacc {
+		if v == multicore.Mallacc {
 			if r.MC == nil || r.MC.LookupHits == 0 {
 				t.Fatal("mallacc: size-class cache never hit")
 			}
@@ -100,7 +101,7 @@ func TestRunLockfreeBackend(t *testing.T) {
 // offload-core variant.
 func TestRunOffloadVariant(t *testing.T) {
 	w, _ := workload.ByName("ubench.gauss_free")
-	r := Run(Options{Workload: w, Variant: VariantOffload, Calls: 5000, Seed: 1})
+	r := Run(Options{Workload: w, Variant: multicore.Offload, Calls: 5000, Seed: 1})
 	if r.Offload == nil || r.Offload.Mallocs == 0 {
 		t.Fatal("no offload stats")
 	}
@@ -130,8 +131,8 @@ func TestRunOffloadVariant(t *testing.T) {
 func TestRunRejectsInvalidCombos(t *testing.T) {
 	w, _ := workload.ByName("ubench.tp_small")
 	for _, opt := range []Options{
-		{Workload: w, Backend: catalog.BackendLockFree, Variant: VariantOffload},
-		{Workload: w, Backend: catalog.BackendLockFree, Variant: VariantLimit},
+		{Workload: w, Backend: catalog.BackendLockFree, Variant: multicore.Offload},
+		{Workload: w, Backend: catalog.BackendLockFree, Variant: multicore.Limit},
 		{Workload: w, Backend: "slab"},
 		{Workload: w, Backend: catalog.BackendJemalloc},
 	} {

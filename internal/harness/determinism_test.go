@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"mallacc/internal/multicore"
 	"mallacc/internal/workload"
 )
 
@@ -50,7 +51,7 @@ func TestFig13Deterministic(t *testing.T) {
 // snapshots across all three variants.
 func TestRunDeterministicSnapshots(t *testing.T) {
 	w, _ := workload.ByName("ubench.tp_small")
-	for _, v := range []Variant{VariantBaseline, VariantMallacc, VariantLimit} {
+	for _, v := range []multicore.Variant{multicore.Baseline, multicore.Mallacc, multicore.Limit} {
 		snap := func() []byte {
 			r := Run(Options{Workload: w, Variant: v, Calls: 6000, Seed: 1})
 			b, err := json.Marshal(r.Telemetry)

@@ -297,7 +297,7 @@ func mustWorkloads(names []string) []workload.Workload {
 
 // variantGrid is, per workload, one run of each variant at the
 // experiment's budget and seed, with the paper's 32-entry malloc cache.
-func variantGrid(opt ExpOptions, ws []workload.Workload, vs ...Variant) []Options {
+func variantGrid(opt ExpOptions, ws []workload.Workload, vs ...multicore.Variant) []Options {
 	opts := make([]Options, 0, len(ws)*len(vs))
 	for _, w := range ws {
 		for _, v := range vs {
@@ -312,7 +312,7 @@ func variantGrid(opt ExpOptions, ws []workload.Workload, vs ...Variant) []Option
 // 10^3, and span/page-allocator work around 10^4+.
 func Figure1(opt ExpOptions) *Report {
 	opt = opt.withDefaults()
-	r := opt.run(Options{Workload: mustWorkload("400.perlbench"), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
+	r := opt.run(Options{Workload: mustWorkload("400.perlbench"), Variant: multicore.Baseline, Calls: opt.Calls, Seed: opt.Seed})
 	rep := &Report{ID: "fig1", Title: "Time in malloc calls by duration, 400.perlbench (baseline)"}
 	rep.Notes = append(rep.Notes,
 		"paper: three peaks — fast path, central free list, page allocator; miss >= 3 orders of magnitude costlier than a hit",
@@ -391,7 +391,7 @@ func Figure2(opt ExpOptions) *Report {
 	rep.Notes = append(rep.Notes, "paper: >60% of malloc time below 100 cycles for SPEC; masstree perf tests >30% on the fast path")
 	tb := &table{header: []string{"workload", "<32cy", "<100cy", "<1k", "<10k", "<100k"}}
 	ws := workload.Macro()
-	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline))
+	results := opt.runGrid(variantGrid(opt, ws, multicore.Baseline))
 	for i, w := range ws {
 		r := results[i]
 		tb.addRow(w.Name(),
@@ -436,7 +436,7 @@ func Table1(opt ExpOptions) *Report {
 	tb := &table{header: []string{"benchmark", "analytic(cyc)", "detailed(cyc)", "error", "paper-native(cyc)"}}
 	var opts []Options
 	for _, c := range table1Benchmarks {
-		det := Options{Workload: mustWorkload(c.name), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed}
+		det := Options{Workload: mustWorkload(c.name), Variant: multicore.Baseline, Calls: opt.Calls, Seed: opt.Seed}
 		ana := det
 		ana.AnalyticCPU = true
 		opts = append(opts, det, ana)
@@ -491,7 +491,8 @@ func Figure4(opt ExpOptions) *Report {
 			for _, s := range a.steps {
 				drop[s] = true
 			}
-			opts = append(opts, Options{Workload: w, Variant: VariantBaseline, UseDropSteps: true, DropSteps: drop, Calls: opt.Calls, Seed: opt.Seed})
+			opts = append(opts, Options{Workload: w, Variant: multicore.Baseline, Calls: opt.Calls, Seed: opt.Seed,
+				CoreConfig: multicore.CoreConfig{UseDropSteps: true, DropSteps: drop}})
 		}
 	}
 	results := opt.runGrid(opts)
@@ -523,7 +524,7 @@ func Figure6(opt ExpOptions) *Report {
 	rep.Notes = append(rep.Notes, "paper: all but one workload use <5 classes on 90% of calls; xalancbmk needs ~30; masstree ~1")
 	tb := &table{header: []string{"workload", "classes", "50%", "90%", "99%"}}
 	ws := workload.Macro()
-	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline))
+	results := opt.runGrid(variantGrid(opt, ws, multicore.Baseline))
 	for i, w := range ws {
 		r := results[i]
 		counts := make([]uint64, 0, len(r.ClassCounts))
@@ -555,7 +556,7 @@ func Figure6(opt ExpOptions) *Report {
 // returns per-workload improvements of the chosen metric.
 func improvementRows(opt ExpOptions, rep *Report, metric func(*Result) float64) (names []string, mallacc, limit []float64) {
 	ws := workload.Macro()
-	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline, VariantMallacc, VariantLimit))
+	results := opt.runGrid(variantGrid(opt, ws, multicore.Baseline, multicore.Mallacc, multicore.Limit))
 	for i, w := range ws {
 		base, mall, lim := results[3*i], results[3*i+1], results[3*i+2]
 		rep.addRun(opt.Metrics, w.Name()+"/baseline", base)
@@ -619,7 +620,7 @@ func Figure14(opt ExpOptions) *Report {
 func durationComparison(id, title, wname string, opt ExpOptions, note string) *Report {
 	rep := &Report{ID: id, Title: title}
 	rep.Notes = append(rep.Notes, note)
-	variants := []Variant{VariantBaseline, VariantLimit, VariantMallacc}
+	variants := []multicore.Variant{multicore.Baseline, multicore.Limit, multicore.Mallacc}
 	results := opt.runGrid(variantGrid(opt, []workload.Workload{mustWorkload(wname)}, variants...))
 	for i, v := range variants {
 		rep.addRun(opt.Metrics, wname+"/"+v.String(), results[i])
@@ -691,11 +692,11 @@ func Figure17(opt ExpOptions) *Report {
 	ws := workload.Micro()
 	var opts []Options
 	for _, w := range ws {
-		opts = append(opts, Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
+		opts = append(opts, Options{Workload: w, Variant: multicore.Baseline, Calls: opt.Calls, Seed: opt.Seed})
 		for _, s := range sizes {
-			opts = append(opts, Options{Workload: w, Variant: VariantMallacc, MCEntries: s, Calls: opt.Calls, Seed: opt.Seed})
+			opts = append(opts, Options{Workload: w, Variant: multicore.Mallacc, MCEntries: s, Calls: opt.Calls, Seed: opt.Seed})
 		}
-		opts = append(opts, Options{Workload: w, Variant: VariantLimit, Calls: opt.Calls, Seed: opt.Seed})
+		opts = append(opts, Options{Workload: w, Variant: multicore.Limit, Calls: opt.Calls, Seed: opt.Seed})
 	}
 	results := opt.runGrid(opts)
 	stride := len(sizes) + 2
@@ -725,7 +726,7 @@ func Figure18(opt ExpOptions) *Report {
 	tb := &table{header: []string{"workload", "fraction", ""}}
 	tb.addRow("WSC (Kanev et al.)", pct(figure18WSC), bar(figure18WSC, 20, 40))
 	ws := workload.Macro()
-	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline))
+	results := opt.runGrid(variantGrid(opt, ws, multicore.Baseline))
 	for i, w := range ws {
 		f := 100 * results[i].AllocatorFraction()
 		tb.addRow(w.Name(), pct(f), bar(f, 20, 40))
@@ -749,8 +750,8 @@ func Table2(opt ExpOptions) *Report {
 		for s := 0; s < opt.Seeds; s++ {
 			seed := opt.Seed + uint64(s)*7919
 			opts = append(opts,
-				Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: seed},
-				Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: seed})
+				Options{Workload: w, Variant: multicore.Baseline, Calls: opt.Calls, Seed: seed},
+				Options{Workload: w, Variant: multicore.Mallacc, MCEntries: 32, Calls: opt.Calls, Seed: seed})
 		}
 	}
 	results := opt.runGrid(opts)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"mallacc/internal/catalog"
+	"mallacc/internal/multicore"
 	"mallacc/internal/workload"
 )
 
@@ -199,7 +201,7 @@ func TestTable2Significance(t *testing.T) {
 
 func TestResultMetrics(t *testing.T) {
 	w, _ := workload.ByName("ubench.tp_small")
-	r := Run(Options{Workload: w, Variant: VariantBaseline, Calls: 3000, Seed: 2})
+	r := Run(Options{Workload: w, Variant: multicore.Baseline, Calls: 3000, Seed: 2})
 	if r.AllocatorFraction() <= 0 || r.AllocatorFraction() > 1 {
 		t.Errorf("allocator fraction %v", r.AllocatorFraction())
 	}
@@ -215,7 +217,7 @@ func TestResultMetrics(t *testing.T) {
 	if r.MC != nil {
 		t.Error("baseline run has accelerator stats")
 	}
-	m := Run(Options{Workload: w, Variant: VariantMallacc, Calls: 3000, Seed: 2})
+	m := Run(Options{Workload: w, Variant: multicore.Mallacc, Calls: 3000, Seed: 2})
 	if m.MC == nil {
 		t.Error("mallacc run missing accelerator stats")
 	}
@@ -223,19 +225,19 @@ func TestResultMetrics(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	w, _ := workload.ByName("ubench.gauss_free")
-	a := Run(Options{Workload: w, Variant: VariantMallacc, Calls: 4000, Seed: 9})
-	b := Run(Options{Workload: w, Variant: VariantMallacc, Calls: 4000, Seed: 9})
+	a := Run(Options{Workload: w, Variant: multicore.Mallacc, Calls: 4000, Seed: 9})
+	b := Run(Options{Workload: w, Variant: multicore.Mallacc, Calls: 4000, Seed: 9})
 	if a.TotalCycles != b.TotalCycles || a.MallocCycles != b.MallocCycles {
 		t.Fatalf("same seed diverged: %d/%d vs %d/%d", a.TotalCycles, a.MallocCycles, b.TotalCycles, b.MallocCycles)
 	}
-	c := Run(Options{Workload: w, Variant: VariantMallacc, Calls: 4000, Seed: 10})
+	c := Run(Options{Workload: w, Variant: multicore.Mallacc, Calls: 4000, Seed: 10})
 	if c.TotalCycles == a.TotalCycles {
 		t.Error("different seeds produced identical totals (suspicious)")
 	}
 }
 
 func TestVariantString(t *testing.T) {
-	if VariantBaseline.String() != "baseline" || VariantMallacc.String() != "mallacc" || VariantLimit.String() != "limit" {
+	if multicore.Baseline.String() != "baseline" || multicore.Mallacc.String() != "mallacc" || multicore.Limit.String() != "limit" {
 		t.Error("variant names wrong")
 	}
 }
@@ -277,8 +279,8 @@ func TestAblationShape(t *testing.T) {
 func TestMultithreadedRunWithSwitches(t *testing.T) {
 	w, _ := workload.ByName("ubench.gauss_free")
 	r := Run(Options{
-		Workload: w, Variant: VariantMallacc, Calls: 6000, Seed: 2,
-		Threads: 4, SwitchEvery: 500,
+		Workload: w, Variant: multicore.Mallacc, Calls: 6000, Seed: 2,
+		CoreConfig: multicore.CoreConfig{Threads: 4, SwitchEvery: 500},
 	})
 	if r.ContextSwitches == 0 {
 		t.Fatal("no context switches recorded")
@@ -296,10 +298,27 @@ func TestMultithreadedRunWithSwitches(t *testing.T) {
 	}
 }
 
+// TestLockfreeSwitchFlushesMallocCache: a context switch flushes the
+// core's malloc cache on the lock-free backend too (Sec. 4.1), not only on
+// TCMalloc.
+func TestLockfreeSwitchFlushesMallocCache(t *testing.T) {
+	w, _ := workload.ByName("ubench.gauss_free")
+	r := Run(Options{
+		Workload: w, Backend: catalog.BackendLockFree, Variant: multicore.Mallacc, Calls: 6000, Seed: 2,
+		CoreConfig: multicore.CoreConfig{Threads: 4, SwitchEvery: 500},
+	})
+	if r.ContextSwitches == 0 {
+		t.Fatal("no context switches recorded")
+	}
+	if r.MC.Flushes != r.ContextSwitches {
+		t.Fatalf("flushes %d != switches %d", r.MC.Flushes, r.ContextSwitches)
+	}
+}
+
 func TestFragAccountingPlacementNeutral(t *testing.T) {
 	w, _ := workload.ByName("471.omnetpp")
-	base := Run(Options{Workload: w, Variant: VariantBaseline, Calls: 6000, Seed: 3})
-	mall := Run(Options{Workload: w, Variant: VariantMallacc, Calls: 6000, Seed: 3})
+	base := Run(Options{Workload: w, Variant: multicore.Baseline, Calls: 6000, Seed: 3})
+	mall := Run(Options{Workload: w, Variant: multicore.Mallacc, Calls: 6000, Seed: 3})
 	if base.OSBytes != mall.OSBytes || base.PeakLiveBytes != mall.PeakLiveBytes {
 		t.Fatalf("Mallacc changed placement: %d/%d vs %d/%d",
 			mall.OSBytes, mall.PeakLiveBytes, base.OSBytes, base.PeakLiveBytes)

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"mallacc/internal/multicore"
 	"mallacc/internal/workload"
 )
 
@@ -23,7 +24,7 @@ func Frag(opt ExpOptions) *Report {
 		"churn-heavy workloads with tiny live sets show the allocator's retention floor (thread caches, kept spans), not waste per object")
 	tb := &table{header: []string{"workload", "OS MiB", "peak live MiB", "overhead", "mallacc overhead"}}
 	ws := workload.Macro()
-	results := opt.runGrid(variantGrid(opt, ws, VariantBaseline, VariantMallacc))
+	results := opt.runGrid(variantGrid(opt, ws, multicore.Baseline, multicore.Mallacc))
 	for i, w := range ws {
 		base, mall := results[2*i], results[2*i+1]
 		ratio := func(r *Result) float64 {

@@ -288,7 +288,7 @@ func TestExperimentSubmitPanicPropagates(t *testing.T) {
 		got := func() (r any) {
 			defer func() { r = recover() }()
 			Figure13(ExpOptions{Calls: 500, Seed: 1, Submit: func(o Options) *Result {
-				if o.Workload.Name() == "masstree.same" && o.Variant == VariantMallacc {
+				if o.Workload.Name() == "masstree.same" && o.Variant == multicore.Mallacc {
 					panic(want)
 				}
 				return Run(o)

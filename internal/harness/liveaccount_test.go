@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mallacc/internal/multicore"
 	"mallacc/internal/workload"
 )
 
@@ -21,7 +22,7 @@ import (
 func TestPeakLiveBytesGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, w := range append(workload.Macro(), workload.Micro()...) {
-		for _, v := range []Variant{VariantBaseline, VariantMallacc, VariantLimit} {
+		for _, v := range []multicore.Variant{multicore.Baseline, multicore.Mallacc, multicore.Limit} {
 			r := Run(Options{Workload: w, Variant: v, Calls: 3000, Seed: 1})
 			fmt.Fprintf(&buf, "%-22s %-8s %d\n", w.Name(), v, r.PeakLiveBytes)
 		}

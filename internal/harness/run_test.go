@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 
+	"mallacc/internal/multicore"
+	"mallacc/internal/uop"
 	"mallacc/internal/workload"
 )
 
@@ -16,9 +18,9 @@ func TestRunVariantsOnKeyWorkloads(t *testing.T) {
 		if !ok {
 			t.Fatalf("workload %s missing", name)
 		}
-		base := Run(Options{Workload: w, Variant: VariantBaseline, Calls: 20000, Seed: 3})
-		mall := Run(Options{Workload: w, Variant: VariantMallacc, Calls: 20000, Seed: 3})
-		lim := Run(Options{Workload: w, Variant: VariantLimit, Calls: 20000, Seed: 3})
+		base := Run(Options{Workload: w, Variant: multicore.Baseline, Calls: 20000, Seed: 3})
+		mall := Run(Options{Workload: w, Variant: multicore.Mallacc, Calls: 20000, Seed: 3})
+		lim := Run(Options{Workload: w, Variant: multicore.Limit, Calls: 20000, Seed: 3})
 		impAll := 100 * (1 - float64(mall.AllocatorCycles())/float64(base.AllocatorCycles()))
 		impLim := 100 * (1 - float64(lim.AllocatorCycles())/float64(base.AllocatorCycles()))
 		impM := 100 * (1 - float64(mall.MallocCycles)/float64(base.MallocCycles))
@@ -37,7 +39,7 @@ func TestRunVariantsOnKeyWorkloads(t *testing.T) {
 // snapshot, including per-step cycle attribution, for all three variants.
 func TestRunTelemetrySnapshot(t *testing.T) {
 	w, _ := workload.ByName("ubench.tp_small")
-	for _, v := range []Variant{VariantBaseline, VariantMallacc, VariantLimit} {
+	for _, v := range []multicore.Variant{multicore.Baseline, multicore.Mallacc, multicore.Limit} {
 		r := Run(Options{Workload: w, Variant: v, Calls: 4000, Seed: 1})
 		for _, name := range []string{"step.sizeclass.cycles", "step.pushpop.cycles", "step.sampling.cycles",
 			"cpu.cycles", "l1d.misses", "heap.mallocs", "pageheap.spans.split"} {
@@ -48,7 +50,7 @@ func TestRunTelemetrySnapshot(t *testing.T) {
 		if got := r.Telemetry.Value("cpu.cycles"); got != float64(r.CPU.Cycles) {
 			t.Errorf("%s: cpu.cycles = %v, want %d", v, got, r.CPU.Cycles)
 		}
-		if v == VariantBaseline {
+		if v == multicore.Baseline {
 			if r.Telemetry.Value("step.sizeclass.cycles") == 0 {
 				t.Errorf("baseline: step.sizeclass.cycles should be nonzero")
 			}
@@ -56,7 +58,7 @@ func TestRunTelemetrySnapshot(t *testing.T) {
 				t.Errorf("baseline: step.sampling.cycles should be nonzero")
 			}
 		}
-		if v == VariantMallacc {
+		if v == multicore.Mallacc {
 			if _, ok := r.Telemetry.Get("mc.pop.hits"); !ok {
 				t.Errorf("mallacc: mc.pop.hits missing")
 			}
@@ -67,7 +69,7 @@ func TestRunTelemetrySnapshot(t *testing.T) {
 			sum += r.CPU.StepCycles[i]
 		}
 		var snapSum float64
-		for _, n := range StepNames() {
+		for _, n := range uop.StepNames() {
 			snapSum += r.Telemetry.Value("step." + n + ".cycles")
 		}
 		if snapSum != float64(sum) {

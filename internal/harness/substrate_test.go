@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mallacc/internal/catalog"
+	"mallacc/internal/multicore"
 	"mallacc/internal/workload"
 )
 
@@ -31,14 +32,14 @@ func TestSubstrateGolden(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"tcmalloc/baseline", Options{Variant: VariantBaseline}},
-		{"tcmalloc/mallacc", Options{Variant: VariantMallacc}},
-		{"tcmalloc/limit", Options{Variant: VariantLimit}},
-		{"tcmalloc/offload", Options{Variant: VariantOffload}},
-		{"lockfree/baseline", Options{Backend: catalog.BackendLockFree, Variant: VariantBaseline}},
-		{"lockfree/mallacc", Options{Backend: catalog.BackendLockFree, Variant: VariantMallacc}},
-		{"tcmalloc/mallacc/t4s500", Options{Variant: VariantMallacc, Threads: 4, SwitchEvery: 500}},
-		{"lockfree/baseline/t4s500", Options{Backend: catalog.BackendLockFree, Variant: VariantBaseline, Threads: 4, SwitchEvery: 500}},
+		{"tcmalloc/baseline", Options{Variant: multicore.Baseline}},
+		{"tcmalloc/mallacc", Options{Variant: multicore.Mallacc}},
+		{"tcmalloc/limit", Options{Variant: multicore.Limit}},
+		{"tcmalloc/offload", Options{Variant: multicore.Offload}},
+		{"lockfree/baseline", Options{Backend: catalog.BackendLockFree, Variant: multicore.Baseline}},
+		{"lockfree/mallacc", Options{Backend: catalog.BackendLockFree, Variant: multicore.Mallacc}},
+		{"tcmalloc/mallacc/t4s500", Options{Variant: multicore.Mallacc, CoreConfig: multicore.CoreConfig{Threads: 4, SwitchEvery: 500}}},
+		{"lockfree/baseline/t4s500", Options{Backend: catalog.BackendLockFree, Variant: multicore.Baseline, CoreConfig: multicore.CoreConfig{Threads: 4, SwitchEvery: 500}}},
 	}
 	var buf bytes.Buffer
 	for _, c := range combos {

@@ -4,6 +4,7 @@ import (
 	"mallacc/internal/core"
 	"mallacc/internal/cpu"
 	"mallacc/internal/stats"
+	"mallacc/internal/tcmalloc"
 	"mallacc/internal/uop"
 	"mallacc/internal/workload"
 )
@@ -33,9 +34,9 @@ type CoreStats struct {
 }
 
 // coreState is one simulated core: it implements workload.App, so each
-// shard drives its own core exactly the way the single-core harness driver
-// drives its one core — but malloc/free execute against the shared heap,
-// and every entry point is a scheduling checkpoint.
+// shard drives its own core — malloc/free execute against the shared heap,
+// and every entry point is a scheduling checkpoint. A single-core run is
+// the one core of a solo engine.
 type coreState struct {
 	eng *Engine
 	id  int
@@ -45,11 +46,18 @@ type coreState struct {
 	rng *stats.RNG
 
 	// The substrate, bound once by New: the emitter this core's allocator
-	// calls write their traces to, and hooks that execute one call
-	// functionally, malloc reporting whether it took the fast path.
-	em     *uop.Emitter
-	malloc func(size uint64) (addr uint64, fast bool)
-	free   func(addr, hint uint64)
+	// calls write their traces to, the size map its mallocs are classed by
+	// (nil for a hooked allocator), and hooks that execute one call
+	// functionally on thread cur, malloc reporting whether it took the
+	// fast path.
+	em      *uop.Emitter
+	sizeMap *tcmalloc.SizeMap
+	malloc  func(size uint64) (addr uint64, fast bool)
+	free    func(addr, hint uint64)
+
+	// The thread rotation (CoreConfig.Threads/SwitchEvery).
+	threads, cur       int
+	switchEvery, calls int
 
 	// resume runs the core's shard coroutine until it yields the token or
 	// retires; stop unwinds it; yield, called from inside the shard,
@@ -74,12 +82,22 @@ func (cs *coreState) Malloc(size uint64) uint64 {
 	cs.drainInbox()
 	cs.em.Reset()
 	addr, fast := cs.malloc(size)
+	cs.tick()
 	cyc := cs.cpu.RunTrace(cs.em.Trace())
 	cs.res.MallocCycles += cyc
 	cs.res.MallocCalls++
 	if fast {
 		cs.res.FastMallocCycles += cyc
 		cs.res.FastMallocCalls++
+	}
+	if b := cs.eng.solo; b != nil {
+		b.mallocHist.Add(cyc)
+		if cs.sizeMap != nil {
+			if cl, _, ok := cs.sizeMap.ClassFor(size); ok {
+				b.classCounts[cl]++
+			}
+		}
+		cs.eng.track.Observe(cs.cpu.Cycle(), cs.eng.fillSnapshot)
 	}
 	return addr
 }
@@ -121,9 +139,42 @@ func (cs *coreState) pickPeer() int {
 func (cs *coreState) freeLocal(addr, sizeHint uint64) {
 	cs.em.Reset()
 	cs.free(addr, sizeHint)
+	cs.tick()
 	cyc := cs.cpu.RunTrace(cs.em.Trace())
 	cs.res.FreeCycles += cyc
 	cs.res.FreeCalls++
+	if b := cs.eng.solo; b != nil {
+		b.freeHist.Add(cyc)
+		cs.eng.track.Observe(cs.cpu.Cycle(), cs.eng.fillSnapshot)
+	}
+}
+
+// contextSwitchCycles is the OS switch itself: a few microseconds of
+// kernel time.
+const contextSwitchCycles = 3000
+
+// tick counts an allocator call and injects context switches: every
+// switchEvery calls execution rotates to the core's next thread, the malloc
+// cache is flushed (no writebacks needed — Sec. 4.1), and the core drains
+// and pays for the OS switch.
+func (cs *coreState) tick() {
+	if cs.switchEvery <= 0 {
+		return
+	}
+	cs.calls++
+	if cs.calls%cs.switchEvery != 0 {
+		return
+	}
+	cs.cur = (cs.cur + 1) % cs.threads
+	if cs.mc != nil {
+		cs.mc.Flush()
+	}
+	cs.cpu.ContextSwitch()
+	cs.cpu.AdvanceApp(contextSwitchCycles, nil)
+	cs.res.AppCycles += contextSwitchCycles
+	if b := cs.eng.solo; b != nil {
+		b.switches++
+	}
 }
 
 // drainInbox executes the frees peers have posted since this core last ran.

@@ -1,4 +1,4 @@
-// Package multicore is the N-core concurrent simulation engine: each
+// Package multicore is the simulation engine, for one core or N: each
 // simulated core owns a private cpu.Core, cache hierarchy, thread cache and
 // (in the Mallacc variant) malloc cache, runs its workload shard as its own
 // coroutine, and shares one tcmalloc.Heap whose central free lists, transfer
@@ -6,7 +6,9 @@
 // (spinlock.go). The paper's macro evaluation is multithreaded server code —
 // masstree, xapian — where TCMalloc's whole design is per-thread caches in
 // front of shared pools; this engine is what lets the reproduction ask how
-// the per-core malloc cache behaves when those pools are contended.
+// the per-core malloc cache behaves when those pools are contended. A
+// single-core run, the paper's own setup, is the one core of a solo engine
+// (solo.go).
 //
 // # Determinism
 //
@@ -42,6 +44,7 @@ import (
 	"mallacc/internal/core"
 	"mallacc/internal/cpu"
 	"mallacc/internal/lockfree"
+	"mallacc/internal/mem"
 	"mallacc/internal/offload"
 	"mallacc/internal/progress"
 	"mallacc/internal/stats"
@@ -51,9 +54,7 @@ import (
 	"mallacc/internal/workload"
 )
 
-// Variant selects the simulated configuration, mirroring the single-core
-// harness variants (redeclared here so harness can depend on multicore
-// without a cycle).
+// Variant selects the simulated configuration of every core.
 type Variant uint8
 
 const (
@@ -82,6 +83,57 @@ func (v Variant) String() string {
 	}
 }
 
+// VariantByName maps a catalog variant name to the enum ("" is baseline);
+// unknown names return false.
+func VariantByName(name string) (Variant, bool) {
+	if name == "" {
+		return Baseline, true
+	}
+	for _, v := range []Variant{Baseline, Mallacc, Limit, Offload} {
+		if v.String() == name {
+			return v, true
+		}
+	}
+	return Baseline, false
+}
+
+// CoreConfig holds the knobs each simulated core is built with beyond the
+// variant: the timing model, the malloc-cache design ablations, and the
+// thread rotation. Their zero values are the paper's design; the
+// single-core studies (Table 1, Fig. 4, the ablation and ctxswitch
+// extensions) set them.
+type CoreConfig struct {
+	// AnalyticCPU swaps the detailed out-of-order model for the
+	// dependence-graph reference model (Table 1 validation).
+	AnalyticCPU bool
+	// DropSteps selects which fast-path steps timing ignores; used by the
+	// Figure 4 per-step ablations. Ignored unless UseDropSteps is set (the
+	// Limit variant drops the three fast-path steps on its own).
+	DropSteps    [uop.NumSteps]bool
+	UseDropSteps bool
+	// NoPrefetchBlocking removes the entry-blocking consistency rule from
+	// timing.
+	NoPrefetchBlocking bool
+
+	// Ablation controls (Mallacc on tcmalloc only): disable individual
+	// accelerator components or design rules. IndexModeOff drops the
+	// TCMalloc-specific index keying.
+	IndexModeOff      bool
+	Ablate            tcmalloc.Ablation
+	MCReplacement     core.Replacement
+	MCNoNextSlot      bool
+	MCNoRestoreOnMiss bool
+
+	// Threads runs each core's shard over several allocator threads
+	// round-robin (default 1). Frees may land on a different thread than
+	// the matching malloc, migrating memory through the shared tiers.
+	Threads int
+	// SwitchEvery injects a context switch every N allocator calls:
+	// execution rotates to the core's next thread and its malloc cache is
+	// flushed (no writebacks needed — Sec. 4.1). 0 disables switches.
+	SwitchEvery int
+}
+
 // Config parameterizes one multi-core run.
 type Config struct {
 	// Cores is the number of simulated cores (default 2).
@@ -104,6 +156,9 @@ type Config struct {
 	CoreCalls []int
 	// Seed drives all randomness.
 	Seed uint64
+	// Core configures every core's timing model, malloc-cache design and
+	// thread rotation.
+	Core CoreConfig
 	// EpochCycles is the lockstep scheduling quantum on the logical
 	// clocks (default 2000).
 	EpochCycles uint64
@@ -140,6 +195,7 @@ func (cfg Config) WithDefaults() Config {
 	if cfg.CallsPerCore <= 0 {
 		cfg.CallsPerCore = 20000
 	}
+	cfg.Core.Threads = max(cfg.Core.Threads, 1)
 	if cfg.EpochCycles == 0 {
 		cfg.EpochCycles = 2000
 	}
@@ -155,19 +211,23 @@ func (cfg Config) WithDefaults() Config {
 }
 
 // Engine owns the shared heap, the per-core states and the scheduler.
-// Exactly one of heap / lf is the shared allocator substrate; off, when
-// non-nil, owns its own TCMalloc heap on the allocation core and the
-// shared heap is absent.
+// Exactly one of heap / lf / off / hooks is the allocator substrate: off
+// owns its own TCMalloc heap on the allocation core, and hooks is an
+// allocator a solo run's caller built (see Hooks).
 type Engine struct {
 	cfg   Config
 	heap  *tcmalloc.Heap
 	lf    *lockfree.Heap  // Backend == "lockfree"
 	off   *offload.Engine // Variant == Offload
 	offEm *uop.Emitter    // scratch emitter for requester-side offload traces
+	hooks *Hooks
 	cores []*coreState
 	locks *lockTable
 	cas   *casTable
 	reg   *telemetry.Registry
+	// solo is the single-core bookkeeping of an engine RunSolo built; nil
+	// for clusters.
+	solo *soloBook
 
 	turn   int // ID of the core holding the token; -1 when all done
 	active *coreState
@@ -176,8 +236,13 @@ type Engine struct {
 	track  *progress.Tracker
 }
 
-// New builds an engine. The workload is required.
-func New(cfg Config) *Engine {
+// New builds a cluster engine. The workload is required.
+func New(cfg Config) *Engine { return newEngine(cfg, nil, nil) }
+
+// newEngine builds an engine: a cluster when solo is nil, otherwise the one
+// core of a single-core run that keeps solo's bookkeeping, driving hooks'
+// allocator when that is non-nil.
+func newEngine(cfg Config, solo *soloBook, hooks *Hooks) *Engine {
 	cfg = cfg.WithDefaults()
 	if cfg.Workload == nil {
 		panic("multicore: Config.Workload is required")
@@ -189,14 +254,25 @@ func New(cfg Config) *Engine {
 	eng := &Engine{
 		cfg:   cfg,
 		reg:   cfg.Registry,
+		hooks: hooks,
+		solo:  solo,
 		track: progress.NewTracker(cfg.Progress, cfg.ProgressEvery),
 	}
 
 	// Build the allocator substrate. Per-core accelerator state (malloc
 	// cache, sampling counter) is swapped in by setActive, so any
-	// heap-owned instance is discarded before metric registration.
-	mcCfg := core.Config{Entries: cfg.MCEntries, IndexMode: true}
+	// heap-owned instance is discarded before metric registration. A solo
+	// core shares nothing, so it gets no lock or CAS model.
+	cc := cfg.Core
+	mcCfg := core.Config{
+		Entries:         cfg.MCEntries,
+		IndexMode:       !cc.IndexModeOff,
+		Replacement:     cc.MCReplacement,
+		NoNextSlot:      cc.MCNoNextSlot,
+		NoRestoreOnMiss: cc.MCNoRestoreOnMiss,
+	}
 	switch {
+	case hooks != nil:
 	case cfg.Variant == Offload:
 		// One TCMalloc heap lives on the dedicated allocation core; the
 		// requester cores share nothing, so there is no lock model and
@@ -213,36 +289,52 @@ func New(cfg Config) *Engine {
 			lfCfg.Mode = tcmalloc.ModeMallacc
 		}
 		eng.lf = lockfree.New(lfCfg)
-		eng.cas = newCASTable(eng)
-		eng.lf.Contention = eng.cas
+		if solo == nil {
+			eng.cas = newCASTable(eng)
+			eng.lf.Contention = eng.cas
+		}
 	default:
 		hCfg := tcmalloc.DefaultConfig()
 		hCfg.Seed = cfg.Seed
 		if cfg.Variant == Mallacc {
 			hCfg.Mode = tcmalloc.ModeMallacc
 			hCfg.MallocCache = mcCfg
+			hCfg.Ablate = cc.Ablate
 		}
 		eng.heap = tcmalloc.New(hCfg)
-		eng.locks = newLockTable(eng)
-		eng.heap.SetLockModel(eng.locks)
+		if solo == nil {
+			eng.locks = newLockTable(eng)
+			eng.heap.SetLockModel(eng.locks)
+		}
 	}
 
 	cCfg := cpu.DefaultConfig()
-	if cfg.Variant == Limit {
+	switch {
+	case cc.UseDropSteps:
+		cCfg.DropSteps = cc.DropSteps
+	case cfg.Variant == Limit:
 		cCfg.DropSteps[uop.StepSizeClass] = true
 		cCfg.DropSteps[uop.StepSampling] = true
 		cCfg.DropSteps[uop.StepPushPop] = true
 	}
+	cCfg.NoPrefetchBlocking = cc.NoPrefetchBlocking
 
 	for i := 0; i < cfg.Cores; i++ {
-		cs := &coreState{
-			eng:  eng,
-			id:   i,
-			cpu:  cpu.New(cCfg, cachesim.NewDefaultHierarchy()),
-			rng:  stats.NewRNG(cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77 + 0xc2b2),
-			foot: workload.NewToucher(cfg.Workload),
+		rngSeed := cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77 + 0xc2b2
+		if solo != nil {
+			rngSeed = cfg.Seed*0x9e3779b9 + 0x1234
 		}
-		if cfg.Variant == Mallacc {
+		cs := &coreState{
+			eng:         eng,
+			id:          i,
+			cpu:         cpu.New(cCfg, cachesim.NewDefaultHierarchy()),
+			rng:         stats.NewRNG(rngSeed),
+			foot:        workload.NewToucher(cfg.Workload),
+			threads:     cc.Threads,
+			switchEvery: cc.SwitchEvery,
+		}
+		cs.cpu.SetAnalytic(cc.AnalyticCPU)
+		if cfg.Variant == Mallacc && hooks == nil {
 			if eng.lf != nil {
 				// Raw-size keyed: the lock-free backend has no Figure-5
 				// class index, and no sampling machinery to count.
@@ -265,46 +357,119 @@ func New(cfg Config) *Engine {
 	if eng.lf != nil {
 		eng.lf.MC = nil
 	}
+	if solo != nil {
+		solo.metaBytes = eng.sbrkBytes()
+	}
 	eng.registerMetrics()
 	return eng
 }
 
 // bind gives cs its substrate: the emitter its allocator calls write their
-// traces to and the malloc/free hooks that execute them.
+// traces to, the size map its malloc sizes are classed by, and the
+// malloc/free hooks that execute a call on the core's current thread. On a
+// solo core the hooks also keep the live-byte ledger.
 func (eng *Engine) bind(cs *coreState) {
 	switch {
+	case eng.hooks != nil:
+		hk := eng.hooks
+		cs.em = hk.Em
+		cs.malloc = func(size uint64) (uint64, bool) { return hk.Malloc(size), false }
+		cs.free = hk.Free
 	case eng.off != nil:
 		// Every core's calls cross to the one allocation core, so none is
 		// served locally.
-		em := eng.offEm
-		cs.em = em
+		em, h := eng.offEm, eng.off.Heap
+		cs.em, cs.sizeMap = em, h.SizeMap
 		cs.malloc = func(size uint64) (uint64, bool) {
-			return eng.off.Malloc(em, cs.cpu.Cycle(), size), false
+			addr := eng.off.Malloc(em, cs.cpu.Cycle(), size)
+			if eng.solo != nil {
+				eng.solo.allocated(spanSize(h, addr))
+			}
+			return addr, false
 		}
-		cs.free = func(addr, hint uint64) { eng.off.Free(em, cs.cpu.Cycle(), addr, hint) }
+		cs.free = func(addr, hint uint64) {
+			if eng.solo != nil {
+				eng.solo.freed(spanSize(h, addr))
+			}
+			eng.off.Free(em, cs.cpu.Cycle(), addr, hint)
+		}
 	case eng.lf != nil:
-		h, t := eng.lf, eng.lf.NewThread()
-		cs.em = h.Em
+		h := eng.lf
+		ts := make([]*lockfree.Thread, cs.threads)
+		for i := range ts {
+			ts[i] = h.NewThread()
+		}
+		cs.em, cs.sizeMap = h.Em, h.SizeMap
+		// A large block's header holds RoundUp(size+8, PageSize), not the
+		// accounted RoundUp(size, PageSize), so a solo core remembers each
+		// live block's accounted size.
+		var live map[uint64]uint64
+		if eng.solo != nil {
+			live = map[uint64]uint64{}
+		}
 		cs.malloc = func(size uint64) (uint64, bool) {
 			popBefore := h.Stats.PopHits
-			addr := h.Alloc(t, size)
+			addr := h.Alloc(ts[cs.cur], size)
+			if live != nil {
+				rounded := mem.RoundUp(size, mem.PageSize)
+				if _, r, ok := h.SizeMap.ClassFor(size); ok {
+					rounded = r
+				}
+				live[addr] = rounded
+				eng.solo.allocated(rounded)
+			}
 			return addr, h.Stats.PopHits != popBefore
 		}
-		cs.free = func(addr, _ uint64) { h.Free(t, addr) }
+		cs.free = func(addr, _ uint64) {
+			if r, ok := live[addr]; ok {
+				eng.solo.freed(r)
+				delete(live, addr)
+			}
+			h.Free(ts[cs.cur], addr)
+		}
 	default:
 		// The shared heap resolves accelerator state and the trace
 		// emitter through the thread cache, so concurrent cores never
 		// touch heap-level fields.
-		h, tc := eng.heap, eng.heap.NewThread()
-		cs.em = uop.NewEmitter()
-		tc.Em, tc.MC, tc.HW = cs.em, cs.mc, cs.hw
+		h := eng.heap
+		cs.em, cs.sizeMap = uop.NewEmitter(), h.SizeMap
+		tcs := make([]*tcmalloc.ThreadCache, cs.threads)
+		for i := range tcs {
+			tcs[i] = h.NewThread()
+			tcs[i].Em, tcs[i].MC, tcs[i].HW = cs.em, cs.mc, cs.hw
+		}
 		cs.malloc = func(size uint64) (uint64, bool) {
+			tc := tcs[cs.cur]
 			fastBefore := tc.Stats.FastHits
 			addr := h.Malloc(tc, size)
+			if eng.solo != nil {
+				eng.solo.allocated(spanSize(h, addr))
+			}
 			return addr, tc.Stats.FastHits != fastBefore
 		}
-		cs.free = func(addr, hint uint64) { h.Free(tc, addr, hint) }
+		cs.free = func(addr, hint uint64) {
+			if eng.solo != nil {
+				// Before the free: a freed large span may be coalesced
+				// away.
+				eng.solo.freed(spanSize(h, addr))
+			}
+			h.Free(tcs[cs.cur], addr, hint)
+		}
 	}
+}
+
+// sbrkBytes returns what the allocator substrate has requested from the
+// simulated OS so far (0 for a hooked allocator).
+func (eng *Engine) sbrkBytes() uint64 {
+	switch {
+	case eng.heap != nil:
+		return eng.heap.Space.SbrkBytes
+	case eng.lf != nil:
+		return eng.lf.Space.SbrkBytes
+	case eng.off != nil:
+		return eng.off.Heap.Space.SbrkBytes
+	}
+	return 0
 }
 
 // beginQuantum stamps the token holder's execution deadline for the current
@@ -331,7 +496,10 @@ func (eng *Engine) advanceTurn() *coreState {
 			// Epoch count and cycle counts are deterministic, so the
 			// snapshot stream is too. The reporter runs on the token
 			// holder's coroutine and must not call back into the engine.
-			eng.track.Observe(eng.epoch*eng.cfg.EpochCycles, eng.fillSnapshot)
+			// A solo core reports after each call instead.
+			if eng.solo == nil {
+				eng.track.Observe(eng.epoch*eng.cfg.EpochCycles, eng.fillSnapshot)
+			}
 		}
 		eng.setActive(next)
 		return eng.cores[next]

@@ -12,7 +12,8 @@ import (
 // Result is everything a multi-core run produces: the per-core breakdown,
 // the machine-wide aggregates, and the full telemetry snapshot (per-core
 // metrics under "core<i>.", shared-heap metrics at the root, lock and
-// engine counters under "lock.*" / "engine.*" / "agg.*").
+// engine counters under "lock.*" / "engine.*" / "agg.*"). A single-core
+// run's SoloResult embeds it, with its one core's metrics at the root.
 type Result struct {
 	Cores    int
 	Variant  Variant
@@ -66,6 +67,15 @@ func (r *Result) MeanMallocCycles() float64 {
 		return 0
 	}
 	return float64(r.MallocCycles) / float64(r.MallocCalls)
+}
+
+// MeanFastMallocCycles returns the average latency of thread-cache-hit
+// malloc calls (the fast path of Figure 4).
+func (r *Result) MeanFastMallocCycles() float64 {
+	if r.FastMallocCalls == 0 {
+		return 0
+	}
+	return float64(r.FastMallocCycles) / float64(r.FastMallocCalls)
 }
 
 // LockCyclesPerCall returns central-lock contention cycles charged per
@@ -136,13 +146,15 @@ func (eng *Engine) collect() *Result {
 			mcAgg.Flushes += s.Flushes
 		}
 	}
-	if eng.cfg.Variant == Mallacc {
+	if eng.cores[0].mc != nil {
 		res.MC = &mcAgg
 	}
 	switch {
 	case eng.heap != nil:
-		res.CentralLock = eng.locks.stats[tcmalloc.LockCentral]
-		res.PageHeapLock = eng.locks.stats[tcmalloc.LockPageHeap]
+		if eng.locks != nil {
+			res.CentralLock = eng.locks.stats[tcmalloc.LockCentral]
+			res.PageHeapLock = eng.locks.stats[tcmalloc.LockPageHeap]
+		}
 		res.Heap = eng.heap.StatsSnapshot()
 		eng.heap.CheckInvariants()
 	case eng.lf != nil:
@@ -162,7 +174,9 @@ func (eng *Engine) collect() *Result {
 // registerMetrics wires the whole engine into the root registry: shared
 // heap tiers at the root, each core's private hardware under "core<i>.",
 // lock contention under "lock.<site>.", and machine-wide aggregates under
-// "engine.*" / "agg.*".
+// "engine.*" / "agg.*". A solo engine registers its core's hardware at the
+// root too, and no per-core run counters or machine-wide groups: the
+// single-core namespace.
 func (eng *Engine) registerMetrics() {
 	reg := eng.reg
 	switch {
@@ -178,14 +192,13 @@ func (eng *Engine) registerMetrics() {
 		eng.off.Core.Memory().RegisterMetrics(alloccore)
 	}
 
-	stepNames := make([]string, uop.NumSteps)
-	for i := range stepNames {
-		stepNames[i] = uop.Step(i).String()
-	}
 	for _, cs := range eng.cores {
 		cs := cs
-		sub := reg.Sub(coreName(cs.id))
-		prof := telemetry.NewStepProfiler(stepNames)
+		sub := reg
+		if eng.solo == nil {
+			sub = reg.Sub(coreName(cs.id))
+		}
+		prof := telemetry.NewStepProfiler(uop.StepNames())
 		prof.Register(sub)
 		cs.cpu.SetStepObserver(prof.ObserveCall)
 		cs.cpu.RegisterMetrics(sub)
@@ -196,6 +209,9 @@ func (eng *Engine) registerMetrics() {
 		if cs.hw != nil {
 			sub.Counter("sampler.hw.interrupts", func() uint64 { return cs.hw.Interrupts })
 			sub.Counter("sampler.hw.bytes", func() uint64 { return cs.hw.BytesAccumulated })
+		}
+		if eng.solo != nil {
+			return // a solo engine's one core, without machine-wide groups
 		}
 		sub.Counter("run.mallocs", func() uint64 { return cs.res.MallocCalls })
 		sub.Counter("run.frees", func() uint64 { return cs.res.FreeCalls })

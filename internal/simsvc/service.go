@@ -421,9 +421,10 @@ func memoize[R any](s *Service, results map[string]R, flights map[string]*flight
 // runOptions lowers a canonical run spec to harness options, with the
 // spec's workload already resolved (stock generator or recorded trace).
 func (s JobSpec) runOptions(w workload.Workload) harness.Options {
+	v, _ := multicore.VariantByName(s.Variant) // Canonicalize validated it
 	return harness.Options{
 		Workload:  w,
-		Variant:   runVariantOf(s.Variant),
+		Variant:   v,
 		Backend:   s.Backend,
 		MCEntries: s.MCEntries,
 		Calls:     s.Calls,
@@ -438,39 +439,14 @@ func (s JobSpec) clusterConfig(w workload.Workload) multicore.Config {
 	if perCore < 1 {
 		perCore = 1
 	}
+	v, _ := multicore.VariantByName(s.Variant) // Canonicalize validated it
 	return multicore.Config{
 		Cores:        s.Cores,
-		Variant:      clusterVariantOf(s.Variant),
+		Variant:      v,
 		Backend:      s.Backend,
 		MCEntries:    s.MCEntries,
 		Workload:     w,
 		CallsPerCore: perCore,
 		Seed:         s.Seed,
-	}
-}
-
-func runVariantOf(v string) harness.Variant {
-	switch v {
-	case "mallacc":
-		return harness.VariantMallacc
-	case "limit":
-		return harness.VariantLimit
-	case "offload":
-		return harness.VariantOffload
-	default:
-		return harness.VariantBaseline
-	}
-}
-
-func clusterVariantOf(v string) multicore.Variant {
-	switch v {
-	case "mallacc":
-		return multicore.Mallacc
-	case "limit":
-		return multicore.Limit
-	case "offload":
-		return multicore.Offload
-	default:
-		return multicore.Baseline
 	}
 }

@@ -138,35 +138,17 @@ func TestRunLevelDedup(t *testing.T) {
 	}
 }
 
-// TestRunKeyCoversOptions is the reflection guard: runKey must mirror
-// every harness.Options field by name, so adding an option without
-// teaching the run-level cache about it breaks this test instead of
-// silently aliasing different runs.
-func TestRunKeyCoversOptions(t *testing.T) {
-	opts := reflect.TypeOf(harness.Options{})
-	key := reflect.TypeOf(runKey{})
-	keyFields := map[string]bool{}
-	for i := 0; i < key.NumField(); i++ {
-		keyFields[key.Field(i).Name] = true
-	}
-	for i := 0; i < opts.NumField(); i++ {
-		if name := opts.Field(i).Name; !keyFields[name] {
-			t.Errorf("harness.Options.%s has no runKey counterpart — extend runKey and runKeyOf", name)
-		}
-	}
-	if key.NumField() != opts.NumField() {
-		t.Errorf("runKey has %d fields, harness.Options has %d — keep them in lockstep",
-			key.NumField(), opts.NumField())
-	}
-}
-
-// TestClusterKeyCoversConfig is the same guard for multicore.Config.
-// CoreCalls and Registry are deliberately excluded: configs setting either
-// are uncacheable (clusterKeyOf rejects them).
-func TestClusterKeyCoversConfig(t *testing.T) {
+// TestSimKeyCoversConfig is the reflection guard: simKey must mirror every
+// multicore.Config field by name, so adding a knob without teaching the
+// run-level cache about it breaks this test instead of silently aliasing
+// different runs. Single-core runs key by the config harness.Options
+// lowers to, so the guard covers them too. CoreCalls and Registry are
+// deliberately excluded: configs setting either are uncacheable
+// (simKeyOf rejects them).
+func TestSimKeyCoversConfig(t *testing.T) {
 	excluded := map[string]bool{"CoreCalls": true, "Registry": true}
 	cfg := reflect.TypeOf(multicore.Config{})
-	key := reflect.TypeOf(clusterKey{})
+	key := reflect.TypeOf(simKey{})
 	keyFields := map[string]bool{}
 	for i := 0; i < key.NumField(); i++ {
 		keyFields[key.Field(i).Name] = true
@@ -179,11 +161,11 @@ func TestClusterKeyCoversConfig(t *testing.T) {
 		}
 		covered++
 		if !keyFields[name] {
-			t.Errorf("multicore.Config.%s has no clusterKey counterpart — extend clusterKey and clusterKeyOf", name)
+			t.Errorf("multicore.Config.%s has no simKey counterpart — extend simKey and simKeyOf", name)
 		}
 	}
 	if key.NumField() != covered {
-		t.Errorf("clusterKey has %d fields, multicore.Config has %d cacheable — keep them in lockstep",
+		t.Errorf("simKey has %d fields, multicore.Config has %d cacheable — keep them in lockstep",
 			key.NumField(), covered)
 	}
 }
@@ -210,7 +192,7 @@ func TestRunKeyNormalization(t *testing.T) {
 
 	// Mallacc does not.
 	m1, m2 := base, base
-	m1.Variant, m2.Variant = harness.VariantMallacc, harness.VariantMallacc
+	m1.Variant, m2.Variant = multicore.Mallacc, multicore.Mallacc
 	m2.MCEntries = 16
 	k1, _ := runKeyOf(m1)
 	k2, _ := runKeyOf(m2)

@@ -194,13 +194,6 @@ func (h *Heap) StatsSnapshot() HeapStats {
 	return s
 }
 
-// FlushMallocCache invalidates the accelerator state (context switch).
-func (h *Heap) FlushMallocCache() {
-	if h.MC != nil {
-		h.MC.Flush()
-	}
-}
-
 // RegisterMetrics adds every allocator tier's counters to reg: top-level
 // events under "heap.*", the span allocator under "pageheap.*", the central
 // free lists (aggregated across size classes) under "central.*", the thread
@@ -286,7 +279,7 @@ func (h *Heap) RegisterMetrics(reg *telemetry.Registry) {
 //
 // Contract in ModeMallacc: the malloc cache models a single in-core
 // structure, so changing the active thread between calls must be
-// accompanied by FlushMallocCache — on real hardware that change is a
+// accompanied by a malloc-cache Flush — on real hardware that change is a
 // context switch, and Sec. 4.1's flush rule applies. Violations are
 // detected and panic ("malloc cache out of sync").
 func (h *Heap) Malloc(tc *ThreadCache, size uint64) uint64 {

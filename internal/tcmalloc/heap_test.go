@@ -454,7 +454,9 @@ func TestMultiThreadedChurn(t *testing.T) {
 		// allocator's sync panic guards exactly that contract.
 		if i%500 == 499 {
 			cur = rng.Intn(len(threads))
-			d.h.FlushMallocCache()
+			if d.h.MC != nil {
+				d.h.MC.Flush()
+			}
 			d.core.ContextSwitch()
 		}
 		tc := threads[cur]

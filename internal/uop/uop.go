@@ -107,6 +107,13 @@ func (s Step) String() string {
 	return "unknown"
 }
 
+// StepNames returns the step tag names in Step order — the labels the
+// per-step attribution metrics are registered under.
+func StepNames() []string {
+	names := stepNames
+	return names[:]
+}
+
 // Val identifies the micro-op whose result a later op consumes. NoDep means
 // the operand is immediately available (immediate or long-ago register).
 type Val int32

@@ -49,21 +49,21 @@ import (
 )
 
 // Variant selects the simulated configuration.
-type Variant = harness.Variant
+type Variant = multicore.Variant
 
 // The evaluated configurations: the paper's three plus the offload-core
 // design point from the design-space study.
 const (
 	// Baseline is unmodified TCMalloc on the stock core.
-	Baseline = harness.VariantBaseline
+	Baseline = multicore.Baseline
 	// Mallacc runs the accelerated fast path (Figures 10 and 12).
-	Mallacc = harness.VariantMallacc
+	Mallacc = multicore.Mallacc
 	// Limit is the limit study: fast-path step instructions ignored by
 	// timing.
-	Limit = harness.VariantLimit
+	Limit = multicore.Limit
 	// Offload dispatches malloc/free over a modeled queue to a dedicated
 	// lightweight allocation core (internal/offload).
-	Offload = harness.VariantOffload
+	Offload = multicore.Offload
 )
 
 // Allocator substrates (RunOptions.Backend / ClusterConfig.Backend).
@@ -247,7 +247,7 @@ type Metric = telemetry.Metric
 // core's per-call callback, then every layer's counters.
 func (s *System) initTelemetry() {
 	s.reg = telemetry.NewRegistry()
-	prof := telemetry.NewStepProfiler(harness.StepNames())
+	prof := telemetry.NewStepProfiler(uop.StepNames())
 	prof.Register(s.reg)
 	s.core.SetStepObserver(prof.ObserveCall)
 	s.core.RegisterMetrics(s.reg)
@@ -466,7 +466,7 @@ type Cluster struct {
 func NewCluster(cfg ClusterConfig) *Cluster {
 	return &Cluster{cfg: multicore.Config{
 		Cores:          cfg.Cores,
-		Variant:        clusterVariant(cfg.Variant),
+		Variant:        cfg.Variant,
 		Backend:        cfg.Backend,
 		MCEntries:      cfg.MCEntries,
 		Workload:       cfg.Workload,
@@ -483,19 +483,6 @@ func (c *Cluster) Run() *ClusterResult { return multicore.Run(c.cfg) }
 
 // RunCluster is the one-shot form of NewCluster(cfg).Run().
 func RunCluster(cfg ClusterConfig) *ClusterResult { return NewCluster(cfg).Run() }
-
-func clusterVariant(v Variant) multicore.Variant {
-	switch v {
-	case Mallacc:
-		return multicore.Mallacc
-	case Limit:
-		return multicore.Limit
-	case Offload:
-		return multicore.Offload
-	default:
-		return multicore.Baseline
-	}
-}
 
 // SizeClassInfo describes one allocator size class.
 type SizeClassInfo struct {

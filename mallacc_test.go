@@ -60,10 +60,9 @@ func TestSystemBaselineVsMallaccLatency(t *testing.T) {
 
 func TestRunContextSwitchFlushesMallocCache(t *testing.T) {
 	w, _ := mallacc.WorkloadByName("ubench.tp_small")
-	r := mallacc.Run(mallacc.RunOptions{
-		Workload: w, Variant: mallacc.Mallacc, Calls: 2000, Seed: 1,
-		Threads: 2, SwitchEvery: 100,
-	})
+	opt := mallacc.RunOptions{Workload: w, Variant: mallacc.Mallacc, Calls: 2000, Seed: 1}
+	opt.Threads, opt.SwitchEvery = 2, 100
+	r := mallacc.Run(opt)
 	if r.ContextSwitches == 0 {
 		t.Fatal("no context switches injected")
 	}
