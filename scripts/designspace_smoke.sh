@@ -5,9 +5,10 @@
 #      cores, full telemetry) twice at seed 1 and requires the two JSON
 #      reports to be byte-identical,
 #   2. checks every cataloged strategy actually contributed runs,
-#   3. when the pinned digest results/metrics/designspace.json exists,
-#      requires today's report to match it byte-for-byte (regenerate with
-#      `make baseline` after an intentional simulator change).
+#   3. requires today's report to match the pinned digest
+#      results/metrics/designspace.json byte-for-byte, and fails when it is
+#      missing (regenerate with `make baseline` after an intentional
+#      simulator change).
 #
 # Needs: go. jq is used for nicer diagnostics when present.
 set -euo pipefail
@@ -40,16 +41,13 @@ done
 echo "designspace-smoke: all 5 strategies present"
 
 pinned=results/metrics/designspace.json
-if [ -f "$pinned" ]; then
-    if ! cmp -s "$workdir/a.json" "$pinned"; then
-        if command -v jq >/dev/null 2>&1; then
-            diff <(jq -S . "$pinned") <(jq -S . "$workdir/a.json") | head -40 >&2 || true
-        fi
-        fail "report drifted from pinned $pinned (regenerate with 'make baseline' if intentional)"
+[ -f "$pinned" ] || fail "no pinned digest at $pinned (run 'make baseline' to create it)"
+if ! cmp -s "$workdir/a.json" "$pinned"; then
+    if command -v jq >/dev/null 2>&1; then
+        diff <(jq -S . "$pinned") <(jq -S . "$workdir/a.json") | head -40 >&2 || true
     fi
-    echo "designspace-smoke: matches pinned $pinned"
-else
-    echo "designspace-smoke: no pinned digest at $pinned (run 'make baseline' to create it)"
+    fail "report drifted from pinned $pinned (regenerate with 'make baseline' if intentional)"
 fi
+echo "designspace-smoke: matches pinned $pinned"
 
 echo "designspace-smoke: PASS"

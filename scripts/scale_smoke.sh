@@ -11,9 +11,10 @@
 #   1. runs the seed-1 scale experiment (1..16 cores) at GOMAXPROCS=1 —
 #      every cell on a single P — and at the host's full
 #      GOMAXPROCS, and requires the two JSON reports to be byte-identical,
-#   2. when the pinned digest results/metrics/multicore.json exists,
-#      requires both reports to match it byte-for-byte (regenerate with
-#      `make baseline` after an intentional simulator change).
+#   2. requires both reports to match the pinned digest
+#      results/metrics/multicore.json byte-for-byte, and fails when it is
+#      missing (regenerate with `make baseline` after an intentional
+#      simulator change).
 #
 # Needs: go. jq is used for nicer diagnostics when present.
 set -euo pipefail
@@ -40,16 +41,13 @@ cmp -s "$workdir/p1.json" "$workdir/pn.json" \
 echo "scale-smoke: reports byte-identical across GOMAXPROCS ($(wc -c <"$workdir/p1.json") bytes)"
 
 pinned=results/metrics/multicore.json
-if [ -f "$pinned" ]; then
-    if ! cmp -s "$workdir/p1.json" "$pinned"; then
-        if command -v jq >/dev/null 2>&1; then
-            diff <(jq -S . "$pinned") <(jq -S . "$workdir/p1.json") | head -40 >&2 || true
-        fi
-        fail "report drifted from pinned $pinned (regenerate with 'make baseline' if intentional)"
+[ -f "$pinned" ] || fail "no pinned digest at $pinned (run 'make baseline' to create it)"
+if ! cmp -s "$workdir/p1.json" "$pinned"; then
+    if command -v jq >/dev/null 2>&1; then
+        diff <(jq -S . "$pinned") <(jq -S . "$workdir/p1.json") | head -40 >&2 || true
     fi
-    echo "scale-smoke: matches pinned $pinned"
-else
-    echo "scale-smoke: no pinned digest at $pinned (run 'make baseline' to create it)"
+    fail "report drifted from pinned $pinned (regenerate with 'make baseline' if intentional)"
 fi
+echo "scale-smoke: matches pinned $pinned"
 
 echo "scale-smoke: PASS"
