@@ -45,11 +45,11 @@ type coreState struct {
 	hw  *core.SampleCounter // nil unless Variant == Mallacc on tcmalloc
 	rng *stats.RNG
 
-	// The substrate, bound once by New: the emitter this core's allocator
-	// calls write their traces to, the size map its mallocs are classed by
-	// (nil for a hooked allocator), and hooks that execute one call
-	// functionally on thread cur, malloc reporting whether it took the
-	// fast path.
+	// The substrate, bound once by Engine.bind: the emitter this core's
+	// allocator calls write their traces to, the size map its mallocs are
+	// classed by (nil for a hooked allocator), and hooks that execute one
+	// call functionally on thread cur, malloc reporting whether it took
+	// the fast path.
 	em      *uop.Emitter
 	sizeMap *tcmalloc.SizeMap
 	malloc  func(size uint64) (addr uint64, fast bool)
