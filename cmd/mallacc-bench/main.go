@@ -28,7 +28,6 @@ import (
 
 	"mallacc/internal/harness"
 	"mallacc/internal/simsvc"
-	"mallacc/internal/telemetry"
 )
 
 func main() {
@@ -149,29 +148,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: done in %.1fs\n", e.ID, st.ElapsedSeconds)
 		}
 
-		switch *format {
-		case "json":
+		b, err := rep.Render(*format)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if *format == "json" {
 			reports = append(reports, rep) // emitted as one document below
-		case "csv":
-			b, err := rep.CSV()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		} else {
 			os.Stdout.Write(b)
 			fmt.Println()
-		default:
-			fmt.Println(rep.String())
-			if *metrics {
-				printMetricsText(rep)
-			}
 		}
 		if *out != "" {
-			b, err := rep.Render(*format)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			path := filepath.Join(*out, e.ID+formatExt(*format))
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -209,21 +197,5 @@ func formatExt(format string) string {
 		return ".csv"
 	default:
 		return ".txt"
-	}
-}
-
-// printMetricsText dumps each attached run snapshot as name/value lines.
-func printMetricsText(rep *harness.Report) {
-	for _, run := range rep.Runs {
-		fmt.Printf("-- metrics: %s --\n", run.Name)
-		for _, m := range run.Metrics.Metrics {
-			if m.Kind == telemetry.KindHistogram {
-				fmt.Printf("%-32s count=%d sum=%d mean=%.1f p50=%.1f p99=%.1f\n",
-					m.Name, m.Count, m.Sum, m.Mean, m.P50, m.P99)
-			} else {
-				fmt.Printf("%-32s %g\n", m.Name, m.Value)
-			}
-		}
-		fmt.Println()
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
+
+	"mallacc/internal/telemetry"
 )
 
 // JSON renders the report as indented JSON: identity, notes, text lines,
@@ -16,8 +19,10 @@ func (r *Report) JSON() ([]byte, error) {
 
 // CSV renders the report's typed data as CSV: each table as a header record
 // plus data records (numeric cells as plain numbers, nulls empty), tables
-// separated by a blank line, and each series as label,value records headed
-// by the series name. Reports with neither tables nor series yield only the
+// separated by a blank line, each series as label,value records headed by
+// the series name, and each attached run's telemetry as name,value records
+// headed by "metrics,<run>" (a histogram as its .count, .sum, .mean, .p50
+// and .p99 values). Reports with no tables, series or runs yield only the
 // id/title record.
 func (r *Report) CSV() ([]byte, error) {
 	var buf bytes.Buffer
@@ -61,7 +66,29 @@ func (r *Report) CSV() ([]byte, error) {
 			return nil, err
 		}
 		for _, p := range s.Points {
-			if err := w.Write([]string{p.Label, strconv.FormatFloat(p.Value, 'g', -1, 64)}); err != nil {
+			if err := w.Write([]string{p.Label, csvFloat(p.Value)}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, run := range r.Runs {
+		w.Flush()
+		buf.WriteByte('\n')
+		if err := w.Write([]string{"metrics", run.Name}); err != nil {
+			return nil, err
+		}
+		for _, m := range run.Metrics.Metrics {
+			recs := [][]string{{m.Name, csvFloat(m.Value)}}
+			if m.Kind == telemetry.KindHistogram {
+				recs = [][]string{
+					{m.Name + ".count", strconv.FormatUint(m.Count, 10)},
+					{m.Name + ".sum", strconv.FormatUint(m.Sum, 10)},
+					{m.Name + ".mean", csvFloat(m.Mean)},
+					{m.Name + ".p50", csvFloat(m.P50)},
+					{m.Name + ".p99", csvFloat(m.P99)},
+				}
+			}
+			if err := w.WriteAll(recs); err != nil {
 				return nil, err
 			}
 		}
@@ -75,7 +102,7 @@ func csvCell(cell any) string {
 	case nil:
 		return ""
 	case float64:
-		return strconv.FormatFloat(v, 'g', -1, 64)
+		return csvFloat(v)
 	case string:
 		return v
 	default:
@@ -83,12 +110,34 @@ func csvCell(cell any) string {
 	}
 }
 
+func csvFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// text renders the report as String does, followed by each attached run's
+// telemetry as aligned name/value lines under a "-- metrics: <run> --"
+// heading.
+func (r *Report) text() string {
+	var sb strings.Builder
+	sb.WriteString(r.String())
+	for _, run := range r.Runs {
+		fmt.Fprintf(&sb, "\n-- metrics: %s --\n", run.Name)
+		for _, m := range run.Metrics.Metrics {
+			if m.Kind == telemetry.KindHistogram {
+				fmt.Fprintf(&sb, "%-32s count=%d sum=%d mean=%.1f p50=%.1f p99=%.1f\n",
+					m.Name, m.Count, m.Sum, m.Mean, m.P50, m.P99)
+			} else {
+				fmt.Fprintf(&sb, "%-32s %g\n", m.Name, m.Value)
+			}
+		}
+	}
+	return sb.String()
+}
+
 // Render returns the report in the requested format: "text" (the String
-// rendering), "json", or "csv".
+// rendering plus any attached run telemetry), "json", or "csv".
 func (r *Report) Render(format string) ([]byte, error) {
 	switch format {
 	case "", "text":
-		return []byte(r.String()), nil
+		return []byte(r.text()), nil
 	case "json":
 		b, err := r.JSON()
 		if err != nil {

@@ -88,7 +88,8 @@ func (r *Report) addRun(enabled bool, name string, res *Result) {
 	}
 }
 
-// String renders the report as text.
+// String renders the report as text, without the attached run telemetry
+// (Render("text") appends it).
 func (r *Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s: %s ==\n", r.ID, r.Title)

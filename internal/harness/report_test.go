@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"mallacc/internal/telemetry"
 )
 
 func TestTableRenderAligns(t *testing.T) {
@@ -179,5 +181,31 @@ func TestRenderFormats(t *testing.T) {
 	}
 	if _, err := r.Render("xml"); err == nil {
 		t.Error("Render(xml) should fail")
+	}
+}
+
+func TestRenderCarriesRunMetrics(t *testing.T) {
+	r := &Report{ID: "t", Title: "T", Lines: []string{"l"}}
+	r.Runs = append(r.Runs, RunMetrics{Name: "w/baseline", Metrics: telemetry.Snapshot{Metrics: []telemetry.Metric{
+		{Name: "heap.fast_hits", Kind: telemetry.KindCounter, Value: 7},
+		{Name: "cpu.ipc", Kind: telemetry.KindGauge, Value: 1.5},
+		{Name: "step.other.percall", Kind: telemetry.KindHistogram, Count: 3, Sum: 30, Mean: 10, P50: 9, P99: 12},
+	}}})
+	names := []string{"w/baseline", "heap.fast_hits", "cpu.ipc", "step.other.percall"}
+	for _, f := range []string{"text", "csv"} {
+		b, err := r.Render(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			if !strings.Contains(string(b), n) {
+				t.Errorf("Render(%q) lacks %q:\n%s", f, n, b)
+			}
+		}
+	}
+	for _, n := range names {
+		if strings.Contains(r.String(), n) {
+			t.Errorf("String() carries run metric %q:\n%s", n, r.String())
+		}
 	}
 }

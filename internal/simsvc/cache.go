@@ -157,7 +157,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		if b, err := os.ReadFile(path); err == nil {
 			payload, derr := decodeEntry(b)
 			if derr != nil {
-				c.quarantine(key, path)
+				c.quarantined.Add(1)
+				quarantineEntry(c.dir, path)
 			} else {
 				c.diskHits.Add(1)
 				c.hits.Add(1)
@@ -170,14 +171,13 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// quarantine moves a corrupt entry aside (never deletes it — the bytes
-// are evidence) and counts it. If the move itself fails the file is
-// removed so it cannot be re-read forever.
-func (c *Cache) quarantine(key, path string) {
-	c.quarantined.Add(1)
-	qdir := filepath.Join(c.dir, QuarantineDir)
+// quarantineEntry moves a corrupt disk entry into dir/quarantine/ under
+// its own name (never deletes it — the bytes are evidence). If the move
+// itself fails the file is removed so it cannot be re-read forever.
+func quarantineEntry(dir, path string) {
+	qdir := filepath.Join(dir, QuarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
-		if os.Rename(path, filepath.Join(qdir, key+".json")) == nil {
+		if os.Rename(path, filepath.Join(qdir, filepath.Base(path))) == nil {
 			return
 		}
 	}
@@ -185,10 +185,8 @@ func (c *Cache) quarantine(key, path string) {
 }
 
 // Put stores a report under key in memory and, when the disk tier is
-// enabled, on disk: framed with a checksummed header, written to a temp
-// file, fsynced, and renamed into place — so a crash at any instant
-// leaves either the old entry, no entry, or the complete new entry, and
-// never a short-but-renamed file.
+// enabled, on disk (writeEntry). The disk tier is best-effort: a failed
+// write leaves the report in memory only.
 func (c *Cache) Put(key string, val []byte) {
 	c.insert(key, val)
 	if c.dir == "" {
@@ -197,27 +195,34 @@ func (c *Cache) Put(key string, val []byte) {
 	if faults.Inject(faults.PointCacheWrite) != nil {
 		return // disk tier is best-effort; memory tier already holds it
 	}
-	path := filepath.Join(c.dir, key+".json")
-	tmp, err := os.CreateTemp(c.dir, "put-*")
+	_ = writeEntry(c.dir, filepath.Join(c.dir, key+".json"), val) // best-effort, as above
+}
+
+// writeEntry stores val at path framed with a checksummed header
+// (encodeEntry): written to a temp file in dir, fsynced, and renamed into
+// place — so a crash at any instant leaves either the old entry, no entry,
+// or the complete new entry, and never a short-but-renamed file.
+func writeEntry(dir, path string, val []byte) error {
+	tmp, err := os.CreateTemp(dir, "put-*")
 	if err != nil {
-		return
+		return err
 	}
-	if _, err := tmp.Write(encodeEntry(val)); err == nil {
-		// fsync before rename: rename is atomic in the namespace, but
-		// without the sync a crash can persist the rename and not the
-		// data, leaving a short-but-renamed entry.
-		if err := tmp.Sync(); err == nil {
-			if err := tmp.Close(); err == nil {
-				os.Rename(tmp.Name(), path)
-				return
-			}
-		} else {
-			tmp.Close()
-		}
-	} else {
+	defer os.Remove(tmp.Name()) // fails harmlessly once renamed
+	if _, err := tmp.Write(encodeEntry(val)); err != nil {
 		tmp.Close()
+		return err
 	}
-	os.Remove(tmp.Name())
+	// fsync before rename: rename is atomic in the namespace, but without
+	// the sync a crash can persist the rename and not the data, leaving a
+	// short-but-renamed entry.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 func (c *Cache) insert(key string, val []byte) {

@@ -281,7 +281,7 @@ func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.R
 		if err != nil {
 			return nil, err
 		}
-		opt := spec.runOptions(w)
+		opt := spec.RunOptions(w)
 		opt.Progress = prog
 		opt.ProgressEvery = s.progressEvery
 		return harness.ReportForRun(s.cachedRun(opt, nil), spec.Metrics), nil
@@ -290,7 +290,7 @@ func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.R
 		if err != nil {
 			return nil, err
 		}
-		cfg := spec.clusterConfig(w)
+		cfg := spec.ClusterConfig(w)
 		cfg.Progress = prog
 		cfg.ProgressEvery = s.progressEvery
 		return harness.ReportForCluster(s.cachedCluster(cfg, nil), spec.Metrics), nil
@@ -418,9 +418,10 @@ func memoize[R any](s *Service, results map[string]R, flights map[string]*flight
 	}
 }
 
-// runOptions lowers a canonical run spec to harness options, with the
+// RunOptions lowers a canonical run spec to harness options, with the
 // spec's workload already resolved (stock generator or recorded trace).
-func (s JobSpec) runOptions(w workload.Workload) harness.Options {
+// The service and mallacc-sim's local path both run specs through it.
+func (s JobSpec) RunOptions(w workload.Workload) harness.Options {
 	v, _ := multicore.VariantByName(s.Variant) // Canonicalize validated it
 	return harness.Options{
 		Workload:  w,
@@ -432,9 +433,9 @@ func (s JobSpec) runOptions(w workload.Workload) harness.Options {
 	}
 }
 
-// clusterConfig lowers a canonical cluster spec to a multicore config,
-// splitting the call budget across cores the way mallacc-sim does.
-func (s JobSpec) clusterConfig(w workload.Workload) multicore.Config {
+// ClusterConfig lowers a canonical cluster spec to a multicore config,
+// splitting the call budget evenly across cores (at least one call each).
+func (s JobSpec) ClusterConfig(w workload.Workload) multicore.Config {
 	perCore := s.Calls / s.Cores
 	if perCore < 1 {
 		perCore = 1

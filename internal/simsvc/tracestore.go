@@ -172,7 +172,8 @@ func (ts *TraceStore) Get(key string) (*workload.Trace, bool) {
 					return tr, true
 				}
 			}
-			ts.quarantineFile(key, path)
+			ts.quarantined.Add(1)
+			quarantineEntry(ts.dir, path)
 		}
 	}
 	ts.misses.Add(1)
@@ -180,7 +181,7 @@ func (ts *TraceStore) Get(key string) (*workload.Trace, bool) {
 }
 
 // put stores a trace in memory and, when the disk tier is enabled, on disk
-// with the crash-safe write protocol the result cache uses.
+// through the result cache's crash-safe writeEntry.
 func (ts *TraceStore) put(key string, tr *workload.Trace) error {
 	ts.mu.Lock()
 	ts.mem[key] = tr
@@ -192,39 +193,10 @@ func (ts *TraceStore) put(key string, tr *workload.Trace) error {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		return fmt.Errorf("serialize trace: %w", err)
 	}
-	path := filepath.Join(ts.dir, key+".trace")
-	tmp, err := os.CreateTemp(ts.dir, "trace-*")
-	if err != nil {
+	if err := writeEntry(ts.dir, filepath.Join(ts.dir, key+".trace"), buf.Bytes()); err != nil {
 		return fmt.Errorf("trace write: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(encodeEntry(buf.Bytes())); err != nil {
-		tmp.Close()
-		return fmt.Errorf("trace write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("trace sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("trace close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("trace rename: %w", err)
 	}
 	return nil
-}
-
-// quarantineFile moves a corrupt trace aside, mirroring Cache.quarantine.
-func (ts *TraceStore) quarantineFile(key, path string) {
-	ts.quarantined.Add(1)
-	qdir := filepath.Join(ts.dir, QuarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err == nil {
-		if os.Rename(path, filepath.Join(qdir, key+".trace")) == nil {
-			return
-		}
-	}
-	os.Remove(path)
 }
 
 // Len returns the number of in-memory traces.

@@ -1,12 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-	"sort"
-	"strings"
-)
+import "math/bits"
 
 // DurationHist is a log-bucketed histogram of call durations (in cycles).
 // It is the structure behind the paper's Figures 1, 2, 15 and 16, which plot
@@ -165,68 +159,4 @@ func (h *DurationHist) PercentileCycles(p float64) float64 {
 	}
 	_, hi := bucketBounds(last)
 	return float64(hi)
-}
-
-// RenderPDF produces an ASCII rendering of the time-in-calls PDF on a log
-// duration axis, similar in spirit to the paper's Figure 1. maxWidth is the
-// bar width in characters for the largest bucket.
-func (h *DurationHist) RenderPDF(maxWidth int) string {
-	bs := h.coalesceLog()
-	var peak float64
-	for _, b := range bs {
-		if b.TimePct > peak {
-			peak = b.TimePct
-		}
-	}
-	var sb strings.Builder
-	for _, b := range bs {
-		w := 0
-		if peak > 0 {
-			w = int(math.Round(b.TimePct / peak * float64(maxWidth)))
-		}
-		fmt.Fprintf(&sb, "%10d-%-10d %6.2f%% |%s\n", b.Lo, b.Hi, b.TimePct, strings.Repeat("#", w))
-	}
-	return sb.String()
-}
-
-// coalesceLog merges sub-buckets into whole power-of-two buckets for
-// compact display.
-func (h *DurationHist) coalesceLog() []Bucket {
-	type agg struct {
-		count, cycles uint64
-	}
-	byExp := map[int]agg{}
-	for i := range h.counts {
-		c := h.counts[i]
-		if c == 0 {
-			continue
-		}
-		lo, _ := bucketBounds(i)
-		exp := 0
-		for v := lo; v > 1; v >>= 1 {
-			exp++
-		}
-		a := byExp[exp]
-		a.count += c
-		a.cycles += h.sums[i]
-		byExp[exp] = a
-	}
-	exps := make([]int, 0, len(byExp))
-	for e := range byExp {
-		exps = append(exps, e)
-	}
-	sort.Ints(exps)
-	out := make([]Bucket, 0, len(exps))
-	for _, e := range exps {
-		a := byExp[e]
-		b := Bucket{Lo: 1 << uint(e), Hi: 1 << uint(e+1), Count: a.count, Cycles: a.cycles}
-		if h.total > 0 {
-			b.TimePct = 100 * float64(a.cycles) / float64(h.total)
-		}
-		if h.n > 0 {
-			b.CallPct = 100 * float64(a.count) / float64(h.n)
-		}
-		out = append(out, b)
-	}
-	return out
 }

@@ -66,7 +66,7 @@ const (
 	Offload = multicore.Offload
 )
 
-// Allocator substrates (RunOptions.Backend / ClusterConfig.Backend).
+// Allocator substrates (RunOptions.Backend / JobSpec.Backend).
 const (
 	// BackendTCMalloc is the default simulated TCMalloc heap.
 	BackendTCMalloc = catalog.BackendTCMalloc
@@ -419,70 +419,9 @@ func (s *System) CheckInvariants() {
 type RNG = stats.RNG
 
 // App is what a Workload sees of one simulated core: allocator entry points
-// plus hooks to model the application in between. In a Cluster each core's
-// shard drives its own App.
+// plus hooks to model the application in between. In a multi-core run (a
+// cluster JobSpec) each core's shard drives its own App.
 type App = workload.App
-
-// ClusterConfig parameterizes a multi-core simulation (see
-// internal/multicore): N cores, each with a private CPU, cache hierarchy,
-// thread cache and malloc cache, sharing one allocator whose central lists
-// and page heap charge contention through a spinlock model.
-type ClusterConfig struct {
-	// Cores is the simulated core count (default 2).
-	Cores int
-	// Variant picks baseline, Mallacc, the limit study, or the offload
-	// core.
-	Variant Variant
-	// Backend selects the allocator substrate ("" or BackendTCMalloc for
-	// the default heap, BackendLockFree for the lock-free stacks).
-	Backend string
-	// MCEntries sizes each core's malloc cache (default 32).
-	MCEntries int
-	// Workload generates every core's shard (each with its own RNG).
-	Workload Workload
-	// CallsPerCore is each shard's allocator-call budget (default 20000).
-	CallsPerCore int
-	// Seed drives all randomness; same seed + same Cores is byte-identical.
-	Seed uint64
-	// RemoteFreeProb is the fraction of frees executed on a peer core
-	// (default 0.15; negative disables cross-core traffic).
-	RemoteFreeProb float64
-}
-
-// ClusterResult is the multi-core measurement set: per-core breakdowns,
-// machine-wide aggregates, lock-contention accounting, and the full
-// telemetry snapshot (per-core metrics under "core<i>.").
-type ClusterResult = multicore.Result
-
-// CoreStats is one core's share of a ClusterResult.
-type CoreStats = multicore.CoreStats
-
-// Cluster is a configured multi-core simulation.
-type Cluster struct {
-	cfg multicore.Config
-}
-
-// NewCluster builds a multi-core simulation from cfg.
-func NewCluster(cfg ClusterConfig) *Cluster {
-	return &Cluster{cfg: multicore.Config{
-		Cores:          cfg.Cores,
-		Variant:        cfg.Variant,
-		Backend:        cfg.Backend,
-		MCEntries:      cfg.MCEntries,
-		Workload:       cfg.Workload,
-		CallsPerCore:   cfg.CallsPerCore,
-		Seed:           cfg.Seed,
-		RemoteFreeProb: cfg.RemoteFreeProb,
-	}}
-}
-
-// Run executes every core's shard (one coroutine per core, interleaved in
-// deterministic lockstep epochs) and returns the collected result. Repeated
-// Runs are byte-identical.
-func (c *Cluster) Run() *ClusterResult { return multicore.Run(c.cfg) }
-
-// RunCluster is the one-shot form of NewCluster(cfg).Run().
-func RunCluster(cfg ClusterConfig) *ClusterResult { return NewCluster(cfg).Run() }
 
 // SizeClassInfo describes one allocator size class.
 type SizeClassInfo struct {

@@ -52,25 +52,31 @@ func TestResultsTextMatchesPinned(t *testing.T) {
 }
 
 // TestResultsTextMatchesRendered keeps the text views that no pinned
-// digest covers (the crossalloc, buddy, ablation and ctxswitch extensions,
-// Figures 17 and 18) equal to the reports the code renders at seed 1 and
-// the default call budget.
+// digest covers equal to the reports the code renders at seed 1 and the
+// default call budget. The experiments render as parallel subtests, so
+// the test takes about as long as the slowest one.
 func TestResultsTextMatchesRendered(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders six experiments at the default call budget")
+		t.Skip("renders sixteen experiments at the default call budget")
 	}
-	for _, id := range []string{"crossalloc", "buddy", "fig17", "ablation", "ctxswitch", "fig18"} {
-		rep, err := mallacc.RunExperiment(id, mallacc.ExpOptions{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join("results", id+".txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := rep.String(); string(got) != want {
-			t.Errorf("results/%s.txt drifted from the code; regenerate it with mallacc-bench -run %s -seed 1:\n--- file\n%s--- rendered\n%s", id, id, got, want)
-		}
+	for _, id := range []string{
+		"fig1", "fig2", "fig4", "fig6", "fig15", "fig16", "fig17", "fig18",
+		"table1", "table2", "area", "frag", "crossalloc", "buddy", "ablation", "ctxswitch",
+	} {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			rep, err := mallacc.RunExperiment(id, mallacc.ExpOptions{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join("results", id+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := rep.String(); string(got) != want {
+				t.Errorf("results/%s.txt drifted from the code; regenerate it with mallacc-bench -run %s -seed 1:\n--- file\n%s--- rendered\n%s", id, id, got, want)
+			}
+		})
 	}
 }
 

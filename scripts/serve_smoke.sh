@@ -6,9 +6,14 @@
 #   2. submits a job with curl and polls it to completion,
 #   3. resubmits the identical spec and checks the answer is served from
 #      the cache with a byte-identical report and simsvc.cache.hits > 0,
-#   4. sends SIGTERM while a long job is in flight and checks the daemon
+#   4. builds mallacc-sim and requires its stdout to be byte-identical run
+#      locally and with -serve, for a run spec and a 4-core cluster spec,
+#      in text, json and csv, with and without -metrics; and requires a
+#      spec the daemon rejects (mc_entries 5000: HTTP 400) to make local
+#      mallacc-sim exit non-zero too,
+#   5. sends SIGTERM while a long job is in flight and checks the daemon
 #      drains cleanly with exit code 0,
-#   5. recomputes the service digest (mallacc-serve -digest: five seed-1
+#   6. recomputes the service digest (mallacc-serve -digest: five seed-1
 #      run jobs through a fresh in-memory service, then again from its
 #      cache) and requires it to be byte-identical to the pinned
 #      results/metrics/simsvc.json.
@@ -96,7 +101,31 @@ curl -fsS "$base/v1/metrics?format=openmetrics" \
     || fail "openmetrics exposition failed promlint"
 echo "serve-smoke: openmetrics exposition lints clean"
 
-# --- 4. SIGTERM with a job in flight drains cleanly ---------------------
+# --- 4. mallacc-sim prints the same bytes locally and via the daemon -----
+go build -o "$workdir/mallacc-sim" ./cmd/mallacc-sim
+for cores in 1 4; do
+    for format in text json csv; do
+        for metrics in "" -metrics; do
+            args=(-workload ubench.gauss -variant mallacc -calls 20000 -cores "$cores" -format "$format" $metrics)
+            "$workdir/mallacc-sim" "${args[@]}" >"$workdir/local.out" \
+                || fail "local mallacc-sim ${args[*]} failed"
+            "$workdir/mallacc-sim" -serve "$base" "${args[@]}" >"$workdir/remote.out" 2>/dev/null \
+                || fail "mallacc-sim -serve ${args[*]} failed"
+            cmp -s "$workdir/local.out" "$workdir/remote.out" \
+                || fail "mallacc-sim ${args[*]}: local and -serve output differ"
+        done
+    done
+done
+bad='{"workload":"ubench.gauss","variant":"mallacc","mc_entries":5000}'
+code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST -d "$bad" "$base/v1/jobs") \
+    || fail "submit of the out-of-range spec failed"
+[ "$code" = 400 ] || fail "daemon answered mc_entries 5000 with HTTP $code, want 400"
+if "$workdir/mallacc-sim" -workload ubench.gauss -variant mallacc -entries 5000 >/dev/null 2>&1; then
+    fail "local mallacc-sim accepted -entries 5000, which the daemon rejects"
+fi
+echo "serve-smoke: mallacc-sim output identical locally and via -serve; both reject -entries 5000"
+
+# --- 5. SIGTERM with a job in flight drains cleanly ---------------------
 long=$(curl -fsS -X POST -d '{"experiment":"fig13"}' "$base/v1/jobs") \
     || fail "long submit failed"
 lid=$(echo "$long" | jq -r .id)
@@ -110,7 +139,7 @@ server_pid=""
 grep -q "drained cleanly" "$workdir/serve.log" || fail "daemon did not log a clean drain"
 echo "serve-smoke: SIGTERM drained cleanly with job $lid in flight"
 
-# --- 5. the service digest matches the pinned one -----------------------
+# --- 6. the service digest matches the pinned one -----------------------
 "$workdir/mallacc-serve" -digest >"$workdir/simsvc.json" || fail "-digest failed"
 cmp -s "$workdir/simsvc.json" results/metrics/simsvc.json \
     || fail "service digest differs from results/metrics/simsvc.json"
