@@ -27,7 +27,9 @@ race:
 # benchstat summary (when installed) and a refreshed BENCH_baseline.json,
 # each twinned benchmark next to its frozen reference timed in the same
 # run — gated on the core scheduler bench staying >=3.5x over its twin
-# with 0 allocs/op (gate), the cache hierarchy and micro-op emitter at
+# with 0 allocs/op (gate), its schedule-memo hit path at >=1.8x over the
+# same core without a memo with 0 allocs/op (memo_gate), the cache
+# hierarchy and micro-op emitter at
 # >=1.5x over theirs (cachesim_gate, emit_gate), and the engine's
 # allocation ceilings (engine_gate).
 bench:

@@ -62,6 +62,19 @@ func BenchmarkRunTraceFastPath(b *testing.B) { benchFastPath(b, newBenchCore()) 
 
 func BenchmarkRunTraceFastPathReference(b *testing.B) { benchFastPath(b, newBenchRefCore()) }
 
+// BenchmarkRunTraceFastPathMemo replays the same warm trace on a core with
+// a schedule memo attached: after warmup every call is a memo hit, so it
+// times pass 1 plus the replay. scripts/bench.sh's memo_gate divides
+// BenchmarkRunTraceFastPath, the same core without a memo, by it.
+func BenchmarkRunTraceFastPathMemo(b *testing.B) {
+	c := New(DefaultConfig(), cachesim.NewDefaultHierarchy())
+	c.SetMemo(NewMemo())
+	benchFastPath(b, c.RunTrace)
+	if c.memo.Stats.Hits == 0 {
+		b.Fatal("no call was a memo hit")
+	}
+}
+
 func benchFastPath(b *testing.B, run func(uop.Trace) uint64) {
 	tr := fastPathTrace(1 << 20)
 	// Warm caches and predictor.

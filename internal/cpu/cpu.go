@@ -7,11 +7,17 @@
 // stores and Mallacc prefetches, and a data cache hierarchy (package
 // cachesim) for load latencies.
 //
-// The scheduling algorithm is a single in-program-order pass that computes,
-// for every micro-op, its fetch, issue, completion and commit cycles under
+// The scheduling algorithm is an in-program-order pass that computes, for
+// every micro-op, its fetch, issue, completion and commit cycles under
 // dataflow, bandwidth, port, ROB and fetch-redirect constraints — a greedy
 // list schedule that closely tracks what an ideal out-of-order window would
 // do on traces of fast-path length (tens to a few thousand micro-ops).
+// Cache and predictor state never depend on timing, so a core with a
+// schedule memo (Memo) splits short calls in two: a functional pass makes
+// the hierarchy accesses and predictor updates and builds an exact key of
+// the call's timing input, and the schedule pass runs only when no earlier
+// call had the same key; otherwise its result is replayed. Long calls, and
+// cores without a memo, take the single fused pass.
 //
 // The limit study of the paper ("instructions ... are simply ignored by
 // performance simulation") is reproduced by DropSteps: micro-ops whose step
@@ -20,6 +26,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"mallacc/internal/cachesim"
 	"mallacc/internal/telemetry"
 	"mallacc/internal/uop"
@@ -197,6 +205,15 @@ type Core struct {
 	limit [numPortClasses]uint8
 	// missEnd is the analytic model's fill-buffer scratch.
 	missEnd []uint64
+
+	// memo, when set, replays repeated short calls (see Memo); memoGen is
+	// the memo tag generation this core last validated. memoKey, carved
+	// from the fetchC/doneC/commitC allocation, and memoLat hold pass 1's
+	// key and per-op memory latencies.
+	memo    *Memo
+	memoGen uint32
+	memoKey []uint64
+	memoLat [memoMaxOps]uint64
 }
 
 // New builds a core over the given cache hierarchy. It panics if
@@ -228,6 +245,17 @@ func New(cfg Config, mem *cachesim.Hierarchy) *Core {
 		c.limit[p] = uint8(n)
 	}
 	return c
+}
+
+// SetMemo attaches a schedule memo (nil detaches it). Cores sharing one
+// memo must run one at a time; a memo tagged with another Config or L1D
+// latency is cleared on this core's first call. Cores with more than 64
+// line-fill buffers, and the analytic model, schedule every call.
+func (c *Core) SetMemo(m *Memo) {
+	if len(c.mshr) > memoMaxMSHRs {
+		m = nil
+	}
+	c.memo, c.memoGen = m, 0
 }
 
 // Memory exposes the cache hierarchy (for antagonist callbacks and stats).
@@ -465,6 +493,12 @@ func (c *Core) runAnalytic(ops []uop.UOp) uint64 {
 // RunTrace schedules one call trace starting at the current global clock
 // and returns the call's duration in cycles. Cache, predictor and
 // malloc-cache blocking state persist to the next call.
+//
+// With a memo attached, a trace of at most 64 ops takes two passes: pass 1
+// (functional) makes its hierarchy accesses and predictor updates and
+// builds its timing key, and pass 2 (schedule), fed pass 1's latencies
+// and branch outcomes, runs only when the memo has no schedule for the
+// key. Longer traces, and cores without a memo, take one fused pass.
 func (c *Core) RunTrace(t uop.Trace) uint64 {
 	ops := t.Ops
 	n := len(ops)
@@ -472,24 +506,166 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 		return 0
 	}
 	if cap(c.fetchC) < n {
-		c.fetchC = make([]uint64, n)
-		c.doneC = make([]uint64, n)
-		c.commitC = make([]uint64, n)
+		c.growScratch(n)
 	}
 	if c.analytic {
 		return c.runAnalytic(ops)
 	}
-	fetchC := c.fetchC[:n]
-	doneC := c.doneC[:n]
-	commitC := c.commitC[:n]
 	// A new generation invalidates every table slot of earlier calls in
 	// O(1) — the replacement for clearing eight maps per call. Generation
-	// 0 is never live: on wrap the table is cleared (see ring.go).
+	// 0 is never live: on wrap the table is cleared (see ring.go). A
+	// replayed call takes a generation too, so generations count calls.
 	c.resGen++
 	if c.resGen == 0 {
 		clear(c.res.s)
 		c.resGen = 1
 	}
+
+	start := c.cycle
+	var dur uint64
+	if m := c.memo; m != nil && n <= memoMaxOps {
+		if c.memoGen != m.gen {
+			m.claim(c)
+		}
+		key, h, mispred, exact := c.functional(ops, start)
+		r := -1
+		if exact {
+			r = m.lookup(key, h)
+		}
+		if r >= 0 {
+			m.Stats.Hits++
+			dur = m.replay(c, r, start)
+		} else {
+			m.Stats.Misses++
+			var mshrMask uint64
+			dur, mshrMask = c.schedule(ops, true, mispred)
+			if exact {
+				m.insert(c, ops, key, h, start, dur, mshrMask)
+			}
+		}
+	} else {
+		dur, _ = c.schedule(ops, false, 0)
+	}
+	c.cycle = start + dur
+	c.Stats.Calls++
+	c.Stats.Cycles += dur
+	c.finishCallAttribution()
+	return dur
+}
+
+// growScratch sizes the per-call scratch for n ops in one allocation:
+// fetchC, doneC and commitC, then the memo key (at most two words per op
+// of a memoized trace, plus one per line-fill buffer).
+func (c *Core) growScratch(n int) {
+	k := 2*memoMaxOps + len(c.mshr)
+	buf := make([]uint64, 3*n+k)
+	c.fetchC, c.doneC, c.commitC = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n]
+	c.memoKey = buf[3*n : 3*n : 3*n+k]
+}
+
+// memoHashMul is the multiplier of the memo key hash (2^64 over the
+// golden ratio, odd).
+const memoHashMul = 0x9e3779b97f4a7c15
+
+// callRel returns cycle t relative to a call starting at start, with every
+// t at or before start+1 as 0: no op of the call issues before start+1, so
+// the scheduler treats all such t alike (a free buffer, an unblocked
+// entry).
+func callRel(t, start uint64) uint64 {
+	if t > start+1 {
+		return t - start
+	}
+	return 0
+}
+
+// functional is pass 1 of a memoized call: the call's hierarchy accesses
+// and predictor updates in program order, leaving each memory op's
+// latency in memoLat and returning the mispredicted ops as a bit mask. It
+// packs the call's timing key into memoKey (see Memo) and returns it with
+// its hash; exact is false when an input does not fit the packing (a
+// forward dependency, an unknown kind, a latency of 2^17 cycles or more),
+// and the call is then scheduled without the memo.
+func (c *Core) functional(ops []uop.UOp, start uint64) (key []uint64, h, mispred uint64, exact bool) {
+	n := len(ops)
+	key = c.memoKey[:n]
+	mem, bp := c.mem, c.bp
+	l1 := mem.L1D.Latency()
+	drops := c.cfg.DropSteps != [uop.NumSteps]bool{}
+	blocking := !c.cfg.NoPrefetchBlocking
+	// bad collects out-of-range inputs: a kind or step wider than its
+	// field, a dependency on the op itself or a later one (whose doneC
+	// slot still holds another call's time), a latency of 2^17 or more.
+	var anyMiss bool
+	var bad uint64
+	for i := range ops {
+		op := &ops[i]
+		// One word per op: kind 0-3, step 4-6, drop 7, Dep1+1 8-14,
+		// Dep2+1 15-21, MCEntry 22-37, LatOverride 38-45, mispredict 46,
+		// memory latency 47-63.
+		d1, d2 := uint64(int64(op.Dep1)+1), uint64(int64(op.Dep2)+1)
+		bad |= ((uint64(i)-d1)|(uint64(i)-d2))>>63 | uint64(op.Kind)>>4 | uint64(op.Step)>>3
+		w := uint64(op.Kind) | uint64(op.Step)<<4 | d1<<8 | d2<<15 |
+			uint64(uint16(op.MCEntry))<<22 | uint64(op.LatOverride)<<38
+		if drops && c.cfg.DropSteps[op.Step] && !op.Kind.IsMallacc() {
+			w |= 1 << 7
+		} else {
+			switch op.Kind {
+			case uop.Load, uop.Store, uop.McNxtPrefetch:
+				var memLat uint64
+				switch {
+				case op.Kind == uop.Load:
+					memLat = mem.Load(op.Addr)
+				case op.Kind == uop.Store:
+					memLat = mem.Store(op.Addr)
+				case op.MCEntry >= 0 && op.Addr != 0:
+					memLat = mem.Prefetch(op.Addr)
+				}
+				c.memoLat[i] = memLat
+				anyMiss = anyMiss || memLat > l1
+				bad |= memLat >> 17
+				w |= memLat << 47
+			case uop.McHdPop, uop.McHdPush:
+				if blocking && op.MCEntry >= 0 {
+					key = append(key, callRel(c.entryReadyAt(op.MCEntry), start))
+				}
+			case uop.Branch:
+				c.Stats.Branches++
+				if bp.PredictAndUpdate(op.Site, op.Taken) != op.Taken {
+					c.Stats.Mispredicts++
+					mispred |= 1 << i
+					w |= 1 << 46
+				}
+			}
+		}
+		key[i] = w
+	}
+	if anyMiss {
+		for _, end := range c.mshr {
+			key = append(key, callRel(end, start))
+		}
+	}
+	for _, w := range key {
+		h = bits.RotateLeft64(h+w*memoHashMul, 29)
+	}
+	// Fold the high bits into the low bits the slot index takes.
+	h ^= h >> 33
+	h *= memoHashMul
+	h ^= h >> 29
+	return key, h, mispred, bad == 0
+}
+
+// schedule is pass 2: the list schedule of one call starting at the
+// current clock, accumulating its per-step attribution. It returns the
+// call's duration and the line-fill buffers it wrote, as a bit mask of
+// the first 64. With fed set, each op's memory latency comes from
+// memoLat and its branch outcome from mispred, as pass 1 left them;
+// otherwise this pass makes the hierarchy accesses and predictor updates
+// itself, in program order.
+func (c *Core) schedule(ops []uop.UOp, fed bool, mispred uint64) (dur, mshrMask uint64) {
+	n := len(ops)
+	fetchC := c.fetchC[:n]
+	doneC := c.doneC[:n]
+	commitC := c.commitC[:n]
 	gen := c.resGen
 
 	start := c.cycle
@@ -553,18 +729,24 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 			}
 		}
 
-		// Memory ops access the hierarchy now (state changes in program
-		// order); the returned latency also tells us whether this is an
-		// L1 miss needing a line-fill buffer.
+		// Memory ops access the hierarchy in program order; the latency
+		// also tells us whether this is an L1 miss needing a line-fill
+		// buffer.
 		var memLat uint64
-		switch op.Kind {
-		case uop.Load:
-			memLat = c.mem.Load(op.Addr)
-		case uop.Store:
-			memLat = c.mem.Store(op.Addr)
-		case uop.McNxtPrefetch:
-			if op.MCEntry >= 0 && op.Addr != 0 {
-				memLat = c.mem.Prefetch(op.Addr)
+		if fed {
+			if op.Kind.IsMemory() {
+				memLat = c.memoLat[i]
+			}
+		} else {
+			switch op.Kind {
+			case uop.Load:
+				memLat = c.mem.Load(op.Addr)
+			case uop.Store:
+				memLat = c.mem.Store(op.Addr)
+			case uop.McNxtPrefetch:
+				if op.MCEntry >= 0 && op.Addr != 0 {
+					memLat = c.mem.Prefetch(op.Addr)
+				}
 			}
 		}
 		isMiss := memLat > c.mem.L1D.Latency()
@@ -580,6 +762,7 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 		}
 		if isMiss {
 			c.mshr[mshrSlot] = issue + memLat
+			mshrMask |= 1 << mshrSlot
 		}
 
 		// Execute.
@@ -602,9 +785,16 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 			}
 		case uop.Branch:
 			done = issue + c.fixedLatency(op)
-			c.Stats.Branches++
-			if c.bp.PredictAndUpdate(op.Site, op.Taken) != op.Taken {
-				c.Stats.Mispredicts++
+			var miss bool
+			if fed {
+				miss = mispred>>i&1 != 0
+			} else {
+				c.Stats.Branches++
+				if miss = c.bp.PredictAndUpdate(op.Site, op.Taken) != op.Taken; miss {
+					c.Stats.Mispredicts++
+				}
+			}
+			if miss {
 				c.stepCyc[op.Step] += c.cfg.MispredictPenalty
 				if r := done + c.cfg.MispredictPenalty; r > redirect {
 					redirect = r
@@ -631,16 +821,10 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 		c.Stats.Uops++
 	}
 
-	end := lastCommit
-	if end < start {
-		end = start
+	if lastCommit < start {
+		lastCommit = start
 	}
-	dur := end - start
-	c.cycle = end
-	c.Stats.Calls++
-	c.Stats.Cycles += dur
-	c.finishCallAttribution()
-	return dur
+	return lastCommit - start, mshrMask
 }
 
 // bpTableSize is the direct-mapped predictor capacity. Branch sites are

@@ -79,3 +79,45 @@ func TestSteadyStateMemoryBoundedAnalytic(t *testing.T) {
 		t.Fatalf("analytic RunTrace allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestMemoBounded feeds a memo-attached core a stream of distinct short
+// traces, far more schedules than the memo holds: it must clear itself
+// when full rather than grow, and a call, hit or miss, must allocate
+// nothing.
+func TestMemoBounded(t *testing.T) {
+	c := New(DefaultConfig(), cachesim.NewDefaultHierarchy())
+	m := NewMemo()
+	c.SetMemo(m)
+	em := uop.NewEmitter()
+	defer em.Recycle()
+	// Distinct traces by construction: the ALU latency overrides spell
+	// out the call index.
+	var i int
+	distinct := func() uop.Trace {
+		em.Reset()
+		v := em.Load(1<<20, uop.NoDep)
+		for k := i; k > 0; k >>= 2 {
+			v = em.ALUWithLat(uint8(1+k&3), v, uop.NoDep)
+		}
+		em.Branch(3, true, v)
+		i++
+		return em.Trace()
+	}
+	for range 256 {
+		c.RunTrace(distinct())
+	}
+	slots, arena := len(m.slots), cap(m.arena)
+	allocs := testing.AllocsPerRun(50000, func() {
+		c.RunTrace(distinct())
+		c.RunTrace(warmTrace(em))
+	})
+	if allocs != 0 {
+		t.Fatalf("memoized RunTrace allocates %.1f times per call pair, want 0", allocs)
+	}
+	if len(m.slots) != slots || cap(m.arena) != arena {
+		t.Fatalf("memo grew: %d slots, %d arena words; want %d, %d", len(m.slots), cap(m.arena), slots, arena)
+	}
+	if m.Stats.Resets == 0 || m.Stats.Hits == 0 {
+		t.Fatalf("want the memo both full (reset) and serving: %+v", m.Stats)
+	}
+}

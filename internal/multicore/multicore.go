@@ -228,6 +228,9 @@ type Engine struct {
 	// solo is the single-core bookkeeping of an engine RunSolo built; nil
 	// for clusters.
 	solo *soloBook
+	// memo is the schedule memo every core shares (nil for the analytic
+	// model); Run returns it to the free list.
+	memo *cpu.Memo
 
 	turn   int // ID of the core holding the token; -1 when all done
 	active *coreState
@@ -318,6 +321,9 @@ func newEngine(cfg Config, solo *soloBook, hooks *Hooks) *Engine {
 		cCfg.DropSteps[uop.StepPushPop] = true
 	}
 	cCfg.NoPrefetchBlocking = cc.NoPrefetchBlocking
+	if !cc.AnalyticCPU {
+		eng.memo = takeMemo()
+	}
 
 	for i := 0; i < cfg.Cores; i++ {
 		rngSeed := cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77 + 0xc2b2
@@ -334,6 +340,7 @@ func newEngine(cfg Config, solo *soloBook, hooks *Hooks) *Engine {
 			switchEvery: cc.SwitchEvery,
 		}
 		cs.cpu.SetAnalytic(cc.AnalyticCPU)
+		cs.cpu.SetMemo(eng.memo)
 		if cfg.Variant == Mallacc && hooks == nil {
 			if eng.lf != nil {
 				// Raw-size keyed: the lock-free backend has no Figure-5
@@ -537,8 +544,16 @@ func (eng *Engine) setActive(id int) {
 	}
 }
 
-// recycleEmitters returns every emitter's trace slabs once the run is over.
+// recycleEmitters returns every emitter's trace slabs, and the schedule
+// memo, once the run is over.
 func (eng *Engine) recycleEmitters() {
+	if eng.memo != nil {
+		for _, cs := range eng.cores {
+			cs.cpu.SetMemo(nil)
+		}
+		putMemo(eng.memo)
+		eng.memo = nil
+	}
 	switch {
 	case eng.heap != nil:
 		eng.heap.Em.Recycle()

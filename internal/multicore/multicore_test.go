@@ -159,3 +159,47 @@ func TestVariantString(t *testing.T) {
 		t.Fatal("variant labels changed")
 	}
 }
+
+// TestMemoReuseDeterminism runs engines of three cpu Configs (baseline,
+// limit with dropped steps, mallacc) concurrently, twice over, so that
+// each engine takes a schedule memo another engine of the same or of a
+// different Config returned to the free list: every snapshot must equal
+// the one the same config gave when run alone, and none may carry the
+// process-wide memo counters.
+func TestMemoReuseDeterminism(t *testing.T) {
+	var cfgs []Config
+	for _, v := range []Variant{Baseline, Limit, Mallacc} {
+		cfgs = append(cfgs, Config{Cores: 2, Variant: v, Workload: wl(t, "ubench.tp_small"), CallsPerCore: 1500, Seed: 3})
+	}
+	want := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = snapshotJSON(t, Run(cfg))
+		if bytes.Contains(want[i], []byte("cpu.memo")) {
+			t.Fatal("a run's telemetry carries the process-wide memo counters")
+		}
+	}
+	hits := memoHits.Load()
+	got := make([][]byte, 2*len(cfgs))
+	done := make(chan struct{})
+	for i := range got {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			b, err := json.Marshal(Run(cfgs[i%len(cfgs)]).Telemetry)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = b
+		}()
+	}
+	for range got {
+		<-done
+	}
+	for i, b := range got {
+		if !bytes.Equal(b, want[i%len(cfgs)]) {
+			t.Fatalf("run %d (variant %v) differs from its solo run", i, cfgs[i%len(cfgs)].Variant)
+		}
+	}
+	if memoHits.Load() == hits {
+		t.Fatal("no engine's memo served a call")
+	}
+}

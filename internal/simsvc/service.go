@@ -163,6 +163,7 @@ func New(cfg Config) (*Service, error) {
 	reg.Counter("simsvc.cache.peer.served", s.peerServed.Load)
 	reg.Counter("simsvc.cache.peer.notfound", s.peerNotFound.Load)
 	reg.Counter("simsvc.cache.peer.stored", s.peerStored.Load)
+	multicore.RegisterMemoMetrics(reg)
 	return s, nil
 }
 

@@ -43,6 +43,27 @@ func submitWait(t *testing.T, svc *Service, spec JobSpec) JobStatus {
 	return st
 }
 
+// TestMemoCountersOnServiceRegistry: the process-wide schedule-memo
+// counters appear on the service's registry and move when a job
+// simulates, but never in a run report.
+func TestMemoCountersOnServiceRegistry(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1})
+	hits0 := svc.Registry().Snapshot().Value("cpu.memo.hits")
+	misses0 := svc.Registry().Snapshot().Value("cpu.memo.misses")
+	st := submitWait(t, svc, JobSpec{Workload: "ubench.tp_small", Variant: "mallacc", Calls: 3000, Seed: 11})
+	snap := svc.Registry().Snapshot()
+	if snap.Value("cpu.memo.hits") <= hits0 || snap.Value("cpu.memo.misses") <= misses0 {
+		t.Fatalf("memo counters did not move: hits %v -> %v, misses %v -> %v",
+			hits0, snap.Value("cpu.memo.hits"), misses0, snap.Value("cpu.memo.misses"))
+	}
+	if _, ok := snap.Get("cpu.memo.resets"); !ok {
+		t.Fatal("cpu.memo.resets not registered")
+	}
+	if bytes.Contains(st.Report, []byte("cpu.memo")) {
+		t.Fatal("a run report carries the process-wide memo counters")
+	}
+}
+
 // TestCacheHitByteIdentity is the service's core promise: resubmitting an
 // identical job returns the byte-identical report from the cache, without
 // re-simulating, and the simsvc.cache.hits counter records it.

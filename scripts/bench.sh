@@ -11,14 +11,17 @@
 #     and
 #   - gates on the core per-cycle microbenchmark (>=3.5x vs its
 #     frozen map-based reference twin, both measured in this run, and zero
-#     allocations per scheduled call), on the cache hierarchy's random
+#     allocations per scheduled call), on the schedule memo's hit path
+#     (memo_gate: >=1.8x for the same warm replay on the same core with a
+#     memo attached over it without one, both measured in this run, and
+#     zero allocations per replayed call), on the cache hierarchy's random
 #     footprint touch (cachesim_gate: >=1.5x vs its frozen reference twin,
 #     both measured in this run), on the micro-op emitter's fast-path
 #     sequence (emit_gate: >=1.5x vs its frozen literal-copying reference
 #     twin, both measured in this run) and on the multicore engine's
 #     allocations per fresh-built run (engine_gate: allocs/op and bytes/op
 #     may not exceed the recorded ceilings) (BENCH_NO_GATE=1 skips all
-#     four).
+#     five).
 #   - records the host's core count (nproc) and the GOMAXPROCS the
 #     benchmarks ran at.
 #
@@ -110,7 +113,7 @@ END {
     printf "  \"nproc\": %d,\n", nproc >> out
     printf "  \"gomaxprocs\": %d,\n", procs >> out
     printf "  \"count\": %d,\n", count >> out
-    printf "  \"note\": \"before = the frozen ...Reference twin of a benchmark (the map-based cpu scheduler, the stamped cachesim hierarchy or the literal-copying uop emitter), measured in the same run; benchmarks without a twin carry no before figure. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so only ratios measured in one run are compared. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. emit_gate divides the frozen literal-copying emitter by the current one on a 33-op fast-path sequence, both timed in this run. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
+    printf "  \"note\": \"before = the frozen ...Reference twin of a benchmark (the map-based cpu scheduler, the stamped cachesim hierarchy or the literal-copying uop emitter), measured in the same run; benchmarks without a twin carry no before figure. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so only ratios measured in one run are compared. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. memo_gate divides that replay on a core without a schedule memo by the same replay on a core with one (every call a memo hit), both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. emit_gate divides the frozen literal-copying emitter by the current one on a 33-op fast-path sequence, both timed in this run. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
     printf "  \"benchmarks\": {\n" >> out
     for (i = 1; i <= n; i++) {
         name = order[i]
@@ -131,6 +134,16 @@ END {
     pass = (sp >= 3.5 && apo[core] + 0 == 0) ? "true" : "false"
     printf "  \"gate\": {\"benchmark\": \"%s\", \"reference\": \"%sReference\", \"min_speedup\": 3.5, \"speedup\": %.2f, \"allocs_per_op\": %d, \"pass\": %s}\n", \
         core, core, sp, apo[core] + 0, pass >> out
+
+    # Memo gate: the warm fast-path replay on a core with a schedule memo
+    # (every call a hit: pass 1 plus the replay) must stay >=1.8x faster
+    # than on the same core without one, both timed in this run, with zero
+    # allocations per call.
+    memo = "BenchmarkRunTraceFastPathMemo"
+    msp = (core in ns && memo in ns) ? ns[core] / ns[memo] : 0
+    memo_pass = (msp >= 1.8 && apo[memo] + 0 == 0) ? "true" : "false"
+    printf "  ,\"memo_gate\": {\"benchmark\": \"%s\", \"reference\": \"%s\", \"min_speedup\": 1.8, \"speedup\": %.2f, \"allocs_per_op\": %d, \"pass\": %s}\n", \
+        memo, core, msp, apo[memo] + 0, memo_pass >> out
 
     # Cache-hierarchy gate: a driver-style random footprint touch must stay
     # >=1.5x faster than the frozen stamped model, both timed in this run.
@@ -169,9 +182,10 @@ END {
     close(out)
     printf "\nwrote %s\n", out
     printf "gate: %s speedup %.2fx over its reference (floor 3.5x), %d allocs/op\n", core, sp, apo[core] + 0
+    printf "memo gate: %s speedup %.2fx over %s (floor 1.8x), %d allocs/op\n", memo, msp, core, apo[memo] + 0
     printf "cachesim gate: %s speedup %.2fx over its reference (floor 1.5x)\n", touch, tsp
     printf "emit gate: %s speedup %.2fx over its reference (floor 1.5x)\n", emit, esp
-    if ((pass != "true" || cache_pass != "true" || emit_pass != "true" || eng_pass != "true") && nogate != "1") {
+    if ((pass != "true" || memo_pass != "true" || cache_pass != "true" || emit_pass != "true" || eng_pass != "true") && nogate != "1") {
         print "BENCH GATE FAILED (set BENCH_NO_GATE=1 to bypass)" > "/dev/stderr"
         exit 1
     }

@@ -53,7 +53,7 @@ echo "obs-smoke: daemon up at $base"
 curl -fsS "$base/v1/metrics?format=openmetrics" >"$workdir/om.txt" \
     || fail "openmetrics scrape failed"
 go run ./scripts/promlint \
-    -require mallacc_simsvc_jobs_submitted,mallacc_simsvc_cache_hits,mallacc_simsvc_traces_recorded,mallacc_simsvc_sse_streams \
+    -require mallacc_simsvc_jobs_submitted,mallacc_simsvc_cache_hits,mallacc_simsvc_traces_recorded,mallacc_simsvc_sse_streams,mallacc_cpu_memo_hits,mallacc_cpu_memo_misses,mallacc_cpu_memo_resets \
     <"$workdir/om.txt" || fail "exposition failed promlint"
 curl -fsS "$base/v1/metrics" | jq -e '."simsvc.jobs.submitted" >= 0' >/dev/null \
     || fail "JSON metrics default lost the compact snapshot map"
