@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet unreached test race bench bench-smoke baseline serve-smoke chaos-smoke obs-smoke fleet-smoke fleet-chaos membership-chaos designspace-smoke scale-smoke baseline-smoke clean
+.PHONY: all build vet unreached test race bench bench-smoke baseline serve-smoke chaos-smoke obs-smoke fleet-smoke fleet-chaos membership-chaos digest-smoke clean
 
 all: build vet test
 
@@ -23,15 +23,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full performance baseline: every microbenchmark suite at -count=5 with a
-# benchstat summary (when installed) and a refreshed BENCH_baseline.json,
-# each twinned benchmark next to its frozen reference timed in the same
-# run — gated on the core scheduler bench staying >=3.5x over its twin
-# with 0 allocs/op (gate), its schedule-memo hit path at >=1.8x over the
-# same core without a memo with 0 allocs/op (memo_gate), the cache
-# hierarchy and micro-op emitter at
-# >=1.5x over theirs (cachesim_gate, emit_gate), and the engine's
-# allocation ceilings (engine_gate).
+# Full performance baseline: every microbenchmark suite in five passes of
+# -count=1 (each pass times a benchmark next to its frozen reference twin)
+# with a benchstat summary (when installed) and a refreshed
+# BENCH_baseline.json — gated on the core scheduler bench staying >=3.5x
+# over its twin with 0 allocs/op (gate), its schedule-memo hit path at
+# >=1.8x over the same core without a memo with 0 allocs/op (memo_gate),
+# the cache hierarchy and micro-op emitter at >=1.5x over theirs
+# (cachesim_gate, emit_gate), and the engine's allocation ceilings
+# (engine_gate).
 bench:
 	./scripts/bench.sh
 
@@ -80,24 +80,14 @@ obs-smoke:
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
-# Design-space smoke test: the designspace experiment (5 strategies x
-# 1..16 cores) run twice at seed 1 must be byte-identical and must match
-# the pinned digest under results/metrics/.
-designspace-smoke:
-	./scripts/designspace_smoke.sh
-
-# Scale smoke test: the seed-1 scale sweep run at GOMAXPROCS=1 and at the
-# host's full GOMAXPROCS must be byte-identical to each other and to the
-# pinned digest — the relay scheduler's determinism contract.
-scale-smoke:
-	./scripts/scale_smoke.sh
-
-# Baseline smoke test: seed-1 fig13+fig14 run at GOMAXPROCS=1 and at the
-# host's full GOMAXPROCS must be byte-identical to each other and to the
-# pinned results/metrics/baseline.json — the experiment grid's fan-out
-# must not change any report.
-baseline-smoke:
-	./scripts/baseline_smoke.sh
+# Pinned-digest smoke test: each mallacc-bench command `make baseline`
+# runs (fig13+fig14, scale, designspace) is run at seed 1 at GOMAXPROCS=1
+# and at the host's full GOMAXPROCS; the two reports must be
+# byte-identical to each other and to the pinned results/metrics/ digest,
+# which must exist, and designspace must carry all five strategies. Cell
+# fan-out and the multicore relay scheduler must not change any report.
+digest-smoke:
+	./scripts/digest_smoke.sh
 
 # Fleet chaos test: the same grid sweep on a clean fleet and on a fleet
 # with seeded faults on every hop plus a node kill -9'd mid-sweep; the two

@@ -8,12 +8,15 @@
 // nodes, which health probes and proxy outcomes mark suspect so they are
 // tried last, and SSE progress fan-out.
 //
-// Membership is dynamic: nodes may be seeded statically with -nodes, join
-// at runtime via POST /v1/fleet/join (mallacc-serve -coord does this
-// automatically), and are aged out by a failure detector (healthy →
-// suspect → dead) when their heartbeats and probes stop. Several
-// coordinators can share one membership view via -peers gossip; any of
-// them accepts joins and routes identically.
+// Membership is dynamic: nodes may be seeded statically with -nodes, or
+// join at runtime via POST /v1/fleet/join (mallacc-serve -coord does this
+// automatically and re-announces itself on a cadence, so a coordinator
+// restarted cold relearns its nodes). Health probes and proxy outcomes
+// are the only liveness evidence: a failure detector ages a member out
+// (healthy → suspect → dead) when its probes keep failing. Several
+// coordinators can share one membership view via -peers gossip (each
+// round sends the full view); any of them accepts joins and routes
+// identically.
 //
 // Usage:
 //

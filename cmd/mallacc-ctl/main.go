@@ -96,8 +96,8 @@ func main() {
 }
 
 // cmdStatus renders the fleet membership view: the epoch, and per node its
-// membership state (or "draining"), last-heartbeat age, ownership, and
-// occupancy.
+// membership state (or "draining"), the age of its last liveness evidence
+// (probe or proxy success), ownership, and occupancy.
 func cmdStatus(ctx context.Context, c *simsvc.Client) error {
 	var h fleet.FleetHealth
 	if err := c.Do(ctx, http.MethodGet, "/v1/healthz", nil, &h); err != nil {

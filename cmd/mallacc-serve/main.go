@@ -14,7 +14,8 @@
 //	                                       # static fleet member: peer cache fill on miss
 //	mallacc-serve -self n1 -coord http://127.0.0.1:7070
 //	                                       # dynamic fleet member: join the coordinator
-//	                                       # at startup, heartbeat, track the live ring
+//	                                       # at startup, re-announce on a cadence, track
+//	                                       # the live ring
 //
 // API:
 //
@@ -65,9 +66,9 @@ func main() {
 		faultSpec = flag.String("faults", "", "fault-injection spec for chaos testing: JSON, @file, or compact form\n(e.g. \"seed=7;simsvc.exec,prob=0.2\"); overrides $"+faults.EnvVar)
 		fleetSpec = flag.String("fleet", "", "static fleet membership \"name=url,name=url,...\" — enables peer cache fill\n(ask the job key's ring candidates before simulating); requires -self")
 		selfName  = flag.String("self", "", "this node's name in the fleet")
-		coordSpec = flag.String("coord", "", "coordinator base URLs, comma separated — join the fleet dynamically at\nstartup and heartbeat; requires -self, mutually exclusive with -fleet")
+		coordSpec = flag.String("coord", "", "coordinator base URLs, comma separated — join the fleet dynamically at\nstartup and re-announce on -heartbeat-every; requires -self, mutually exclusive with -fleet")
 		advertise = flag.String("advertise", "", "base URL coordinators and peers reach this node at\n(default: http://<addr>, with a loopback host substituted for a wildcard)")
-		hbEvery   = flag.Duration("heartbeat-every", fleet.DefaultHeartbeatEvery, "membership heartbeat cadence (dynamic fleet only)")
+		hbEvery   = flag.Duration("heartbeat-every", fleet.DefaultHeartbeatEvery, "how often the node re-sends its join to every coordinator (dynamic fleet only);\nbounds how long a coordinator restarted cold takes to relearn it")
 	)
 	flag.Parse()
 
@@ -207,7 +208,8 @@ func main() {
 
 	if agent != nil {
 		// Deregister before draining so the coordinators stop routing new
-		// work here while in-flight jobs finish.
+		// work here while in-flight jobs finish. The agent stops first, so
+		// no later re-announce can re-admit the departing node.
 		agent.Close()
 		agent.Leave()
 	}

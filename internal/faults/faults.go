@@ -57,14 +57,12 @@ const (
 	// PointPeerFill gates a node's outbound peer cache-fill requests; an
 	// injected error degrades the fill to a miss (the node recomputes).
 	PointPeerFill = "fleet.fill"
-	// PointFleetJoin gates a node agent's outbound join/register requests
-	// to a coordinator; an injected error delays membership (the agent
-	// retries on its heartbeat cadence).
+	// PointFleetJoin gates each of a node agent's outbound joins to a
+	// coordinator, the first and every re-announce; an injected error
+	// drops that join, which delays admission (the agent re-sends on its
+	// -heartbeat-every cadence). It never demotes a member: the
+	// coordinators' probes, not joins, are the liveness evidence.
 	PointFleetJoin = "fleet.join"
-	// PointFleetHeartbeat gates a node agent's outbound heartbeats; an
-	// injected error drops the heartbeat on the floor, driving the
-	// coordinator's suspicion state machine.
-	PointFleetHeartbeat = "fleet.heartbeat"
 	// PointFleetHandoff gates each per-key report push during a drain
 	// hand-off; an injected error loses that key's push (the fleet falls
 	// back to peer fill or recompute — answers never change).

@@ -14,9 +14,9 @@ import (
 	"mallacc/internal/telemetry"
 )
 
-// DefaultHeartbeatEvery is the node agent's heartbeat cadence. It must sit
-// comfortably inside the coordinator's SuspectAfter window (default 5s) so
-// a single dropped heartbeat never demotes a healthy node.
+// DefaultHeartbeatEvery is the node agent's re-announce cadence: how
+// often it re-sends its join to every coordinator. It bounds how long a
+// coordinator restarted cold takes to relearn the node.
 const DefaultHeartbeatEvery = 1 * time.Second
 
 // AgentConfig sizes a membership Agent.
@@ -25,15 +25,16 @@ type AgentConfig struct {
 	// URL coordinators and peers reach it at.
 	Self Node
 	// Coordinators are the coordinator base URLs to register with. The
-	// agent joins and heartbeats every one of them — with gossiping
+	// agent joins every one of them on every round — with gossiping
 	// coordinators that is redundant by design, so membership survives any
 	// single coordinator restarting.
 	Coordinators []string
-	// HeartbeatEvery is the renewal cadence (DefaultHeartbeatEvery when <= 0).
+	// HeartbeatEvery is the re-announce cadence (DefaultHeartbeatEvery
+	// when <= 0).
 	HeartbeatEvery time.Duration
 	// OnView, when set, receives every strictly newer membership view the
-	// coordinators return (joins and stale-epoch heartbeats carry one);
-	// wire PeerFiller.SetView here so fills track the live ring.
+	// coordinators' join replies carry; wire PeerFiller.SetView here so
+	// fills track the live ring.
 	OnView func(View)
 	// Client performs the HTTP; a 5s-timeout default applies when nil.
 	Client *http.Client
@@ -41,25 +42,21 @@ type AgentConfig struct {
 	Registry *telemetry.Registry
 }
 
-// coordState is the agent's per-coordinator bookkeeping.
-type coordState struct {
-	url    string
-	joined bool
-}
-
 // Agent is the node-side half of dynamic membership: it announces the node
-// to every coordinator at startup (POST /v1/fleet/join), renews liveness on
-// a cadence (POST /v1/fleet/heartbeat), re-joins automatically when a
-// coordinator answers 404 (it restarted, or declared us dead), and feeds
-// returned membership views to OnView. Leave deregisters gracefully.
+// to every coordinator (POST /v1/fleet/join) at startup and again on every
+// round of its cadence, and feeds the full views the replies carry to
+// OnView. Re-announcing an on-ring member changes nothing on the
+// coordinator, not even its epoch; a coordinator restarted cold, or one
+// that declared the node dead, relearns it within one round. The
+// agent is not a liveness source — the coordinators' probes and proxy
+// outcomes are. Leave deregisters gracefully.
 //
-// The join and heartbeat requests pass the fleet.join / fleet.heartbeat
-// fault points first, so the chaos harness can isolate a node from its
-// coordinators without touching either process.
+// Each join passes the fleet.join fault point first, so the chaos harness
+// can isolate a node from its coordinators without touching either
+// process.
 type Agent struct {
 	cfg    AgentConfig
 	client *http.Client
-	coords []*coordState
 
 	mu    sync.Mutex
 	epoch uint64 // highest view epoch seen across coordinators
@@ -68,10 +65,8 @@ type Agent struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	joins      atomic.Uint64
-	heartbeats atomic.Uint64
-	errs       atomic.Uint64
-	rejoins    atomic.Uint64
+	joins atomic.Uint64
+	errs  atomic.Uint64
 }
 
 // NewAgent validates the config and builds the agent; Start begins the loop.
@@ -97,22 +92,16 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		client: client,
 		stop:   make(chan struct{}),
 	}
-	for _, u := range cfg.Coordinators {
-		a.coords = append(a.coords, &coordState{url: u})
-	}
 	if cfg.Registry != nil {
 		cfg.Registry.Counter("fleet.agent.joins", a.joins.Load)
-		cfg.Registry.Counter("fleet.agent.heartbeats", a.heartbeats.Load)
-		cfg.Registry.Counter("fleet.agent.rejoins", a.rejoins.Load)
 		cfg.Registry.Counter("fleet.agent.errors", a.errs.Load)
 		cfg.Registry.Gauge("fleet.agent.epoch", func() float64 { return float64(a.Epoch()) })
 	}
 	return a, nil
 }
 
-// Start launches the join/heartbeat loop. An initial join round runs
-// synchronously-ish (in the loop's first iteration, immediately), so a
-// node is typically routable within one heartbeat of starting.
+// Start launches the join loop. The first round runs immediately, and a
+// join admits the node healthy, so it is routable as soon as that lands.
 func (a *Agent) Start() {
 	a.wg.Add(1)
 	go a.loop()
@@ -147,28 +136,18 @@ func (a *Agent) loop() {
 	}
 }
 
-// round touches every coordinator once: join if not yet joined there,
-// heartbeat otherwise, re-join on 404.
+// round announces the node to every coordinator once.
 func (a *Agent) round() {
-	for _, cs := range a.coords {
-		if !cs.joined {
-			if a.join(cs) != nil {
-				continue
-			}
-		}
-		if err := a.heartbeat(cs); err != nil {
-			cs.joined = false
-		}
+	for _, url := range a.cfg.Coordinators {
+		a.join(url)
 	}
 }
 
-// joinRequest / joinResponse are the join and heartbeat wire documents.
-// Heartbeats carry the node's last-seen epoch so the coordinator only
-// ships a view when the node is actually behind.
+// joinRequest / joinResponse are the join and leave wire documents; a
+// join reply carries the full view.
 type joinRequest struct {
-	Name  string `json:"name"`
-	URL   string `json:"url,omitempty"`
-	Epoch uint64 `json:"epoch,omitempty"`
+	Name string `json:"name"`
+	URL  string `json:"url,omitempty"`
 }
 
 type joinResponse struct {
@@ -176,63 +155,29 @@ type joinResponse struct {
 	View  *View  `json:"view,omitempty"`
 }
 
-func (a *Agent) join(cs *coordState) error {
+func (a *Agent) join(coord string) {
 	if err := faults.Inject(faults.PointFleetJoin); err != nil {
 		a.errs.Add(1)
-		return err
+		return
 	}
-	resp, err := a.post(cs.url+"/v1/fleet/join", joinRequest{Name: a.cfg.Self.Name, URL: a.cfg.Self.URL})
+	resp, err := a.post(coord+"/v1/fleet/join", joinRequest{Name: a.cfg.Self.Name, URL: a.cfg.Self.URL})
 	if err != nil {
 		a.errs.Add(1)
-		return err
+		return
 	}
-	cs.joined = true
 	a.joins.Add(1)
 	a.adoptView(resp)
-	return nil
 }
 
-func (a *Agent) heartbeat(cs *coordState) error {
-	if err := faults.Inject(faults.PointFleetHeartbeat); err != nil {
-		a.errs.Add(1)
-		return err
-	}
-	resp, err := a.post(cs.url+"/v1/fleet/heartbeat", joinRequest{Name: a.cfg.Self.Name, Epoch: a.Epoch()})
-	if err != nil {
-		a.errs.Add(1)
-		if errIsNotFound(err) {
-			// The coordinator does not know us (restart, or it declared us
-			// dead): re-join on the next round.
-			a.rejoins.Add(1)
-		}
-		return err
-	}
-	a.heartbeats.Add(1)
-	a.adoptView(resp)
-	return nil
-}
-
-// Leave deregisters the node from every coordinator (graceful departure;
-// the drain hand-off calls this after the cache push).
+// Leave deregisters the node from every coordinator (graceful departure).
+// Close the agent first, or its next round re-admits the node.
 func (a *Agent) Leave() {
-	for _, cs := range a.coords {
-		if _, err := a.post(cs.url+"/v1/fleet/leave", joinRequest{Name: a.cfg.Self.Name}); err == nil {
-			cs.joined = false
-		}
+	for _, url := range a.cfg.Coordinators {
+		a.post(url+"/v1/fleet/leave", joinRequest{Name: a.cfg.Self.Name})
 	}
 }
 
-// notFoundError marks a 404 from a coordinator, which means "re-join".
-type notFoundError struct{ msg string }
-
-func (e *notFoundError) Error() string { return e.msg }
-
-func errIsNotFound(err error) bool {
-	_, ok := err.(*notFoundError)
-	return ok
-}
-
-// post sends one JSON document and decodes the join/heartbeat response.
+// post sends one JSON document and decodes the join/leave response.
 func (a *Agent) post(url string, req joinRequest) (joinResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -246,9 +191,6 @@ func (a *Agent) post(url string, req joinRequest) (joinResponse, error) {
 	b, err := io.ReadAll(io.LimitReader(resp.Body, maxFillBytes))
 	if err != nil {
 		return joinResponse{}, err
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		return joinResponse{}, &notFoundError{msg: fmt.Sprintf("fleet: %s: %s", url, bytes.TrimSpace(b))}
 	}
 	if resp.StatusCode != http.StatusOK {
 		return joinResponse{}, fmt.Errorf("fleet: %s: status %s", url, resp.Status)

@@ -44,15 +44,13 @@ const maxProxyBytes = 16 << 20
 //	                     deregisters it (permanent departure)
 //	POST   /v1/fleet/join
 //	                     a node announcing itself: {"name","url"}; returns
-//	                     the membership view it should route by
-//	POST   /v1/fleet/heartbeat
-//	                     liveness renewal: {"name","epoch"}; 404 tells the
-//	                     node to re-join (coordinator restart / declared
-//	                     dead); a stale epoch gets the fresh view back
+//	                     the full membership view it should route by.
+//	                     Idempotent: agents re-send it on a cadence, and
+//	                     re-announcing an on-ring member changes nothing
 //	POST   /v1/fleet/leave
 //	                     graceful deregistration
 //	POST   /v1/fleet/gossip
-//	                     coordinator-to-coordinator view exchange
+//	                     coordinator-to-coordinator full-view exchange
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
@@ -64,7 +62,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/fleet/{node}/drain", c.drainHandler(true))
 	mux.HandleFunc("POST /v1/fleet/{node}/undrain", c.drainHandler(false))
 	mux.HandleFunc("POST /v1/fleet/join", c.handleJoin)
-	mux.HandleFunc("POST /v1/fleet/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/fleet/leave", c.handleLeave)
 	mux.HandleFunc("POST /v1/fleet/gossip", c.handleGossip)
 	return mux
@@ -469,8 +466,9 @@ func (c *Coordinator) orchestrateHandoff(r *http.Request, node string) (*Handoff
 	return &res, nil
 }
 
-// handleJoin admits a node into the membership. The response carries the
-// full view so the node can route peer fills immediately.
+// handleJoin admits a node into the membership, or leaves an on-ring
+// member's record as it is when it re-announces itself. The response
+// carries the full view so the node can route peer fills immediately.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
@@ -486,30 +484,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, joinResponse{Epoch: view.Epoch, View: &view})
 }
 
-// handleHeartbeat renews a member's liveness. Unknown, dead, and departed
-// members get 404 — the node's cue to re-join, which is what makes both a
-// coordinator restart and a premature death verdict self-healing. The view
-// rides along only when the node's epoch is stale.
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req joinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fleet: decode heartbeat: %v", err))
-		return
-	}
-	epoch, ok := c.mem.Heartbeat(req.Name)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("fleet: node %q is not a live member (re-join)", req.Name))
-		return
-	}
-	out := joinResponse{Epoch: epoch}
-	if req.Epoch < epoch {
-		view := c.mem.View()
-		out.Epoch = view.Epoch
-		out.View = &view
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
@@ -523,17 +497,17 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, joinResponse{Epoch: c.mem.Epoch()})
 }
 
-// handleGossip folds a sibling coordinator's view into ours and acks with
-// our epoch and view identity (the sender's delta baseline).
+// handleGossip folds a sibling coordinator's full view into ours and acks
+// with our epoch.
 func (c *Coordinator) handleGossip(w http.ResponseWriter, r *http.Request) {
-	var msg gossipMsg
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxProxyBytes)).Decode(&msg); err != nil {
+	var v View
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxProxyBytes)).Decode(&v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("fleet: decode gossip: %v", err))
 		return
 	}
 	c.gossipRecv.Add(1)
-	if c.mergeView(View{Epoch: msg.Epoch, ViewID: msg.ViewID, Members: msg.Members}) {
+	if c.mergeView(v) {
 		c.gossipMerged.Add(1)
 	}
-	writeJSON(w, http.StatusOK, gossipAck{Epoch: c.mem.Epoch(), ViewID: c.mem.ViewID()})
+	writeJSON(w, http.StatusOK, joinResponse{Epoch: c.mem.Epoch()})
 }

@@ -23,12 +23,6 @@ const DefaultProbeEvery = 2 * time.Second
 // DefaultGossipEvery is the coordinator-to-coordinator gossip cadence.
 const DefaultGossipEvery = 1 * time.Second
 
-// gossipFullEvery forces a full-state snapshot every Nth gossip round per
-// peer; rounds in between send deltas cut at the last acknowledged epoch.
-// Merges are record-wise idempotent, so the periodic full view bounds any
-// drift a lost delta could cause.
-const gossipFullEvery = 8
-
 // CoordinatorConfig sizes a Coordinator.
 type CoordinatorConfig struct {
 	// Nodes seeds the membership (see ParseNodes). Optional: an empty seed
@@ -79,20 +73,12 @@ func (ns *nodeState) snapshot() (h simsvc.Health, lastErr string, probedAt time.
 	return ns.health, ns.lastErr, ns.probedAt
 }
 
-// peerState tracks gossip bookkeeping for one sibling coordinator.
-type peerState struct {
-	url       string
-	viewID    string // peer's last seen process identity
-	sentEpoch uint64 // our epoch as of the last acknowledged send
-	rounds    int
-}
-
 // Coordinator shards /v1/jobs traffic across a fleet of mallacc-serve
 // nodes by consistent hashing on the job key. It speaks the same API as a
 // single node — clients cannot tell the difference beyond the node-prefixed
-// job ids — and layers on dynamic membership (join/heartbeat/leave with a
-// suspicion-based failure detector, fed by heartbeats and by probe and
-// proxy outcomes, driving automatic ring rebuilds), admit-now placement
+// job ids — and layers on dynamic membership (join/leave with a
+// suspicion-based failure detector, fed by probe and proxy outcomes,
+// driving automatic ring rebuilds), admit-now placement
 // within the peer-fill set, failover, drain with cache hand-off, SSE
 // fan-out, and a gossiped membership view shared with sibling
 // coordinators.
@@ -109,7 +95,7 @@ type Coordinator struct {
 	registered map[string]bool // per-node metric families already registered
 
 	gossipEvery time.Duration
-	peers       []*peerState
+	peers       []string
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -163,10 +149,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		nodes:       map[string]*nodeState{},
 		registered:  map[string]bool{},
 		gossipEvery: cfg.GossipEvery,
+		peers:       cfg.Peers,
 		stop:        make(chan struct{}),
-	}
-	for _, p := range cfg.Peers {
-		c.peers = append(c.peers, &peerState{url: p})
 	}
 	for _, n := range cfg.Nodes {
 		if _, err := c.mem.Join(n); err != nil {
@@ -232,13 +216,12 @@ func (c *Coordinator) registerMetrics() {
 	c.reg.Counter("fleet.probe.failures", c.probeErrs.Load)
 	c.reg.Counter("fleet.sse.streams", c.sseOpen.Load)
 	c.reg.Gauge("fleet.membership.epoch", func() float64 { return float64(c.mem.Epoch()) })
-	c.reg.Counter("fleet.membership.joins", func() uint64 { j, _, _, _, _, _, _ := c.mem.Counts(); return j })
-	c.reg.Counter("fleet.membership.leaves", func() uint64 { _, l, _, _, _, _, _ := c.mem.Counts(); return l })
-	c.reg.Counter("fleet.membership.heartbeats", func() uint64 { _, _, h, _, _, _, _ := c.mem.Counts(); return h })
-	c.reg.Counter("fleet.membership.suspects", func() uint64 { _, _, _, s, _, _, _ := c.mem.Counts(); return s })
-	c.reg.Counter("fleet.membership.deaths", func() uint64 { _, _, _, _, d, _, _ := c.mem.Counts(); return d })
-	c.reg.Counter("fleet.membership.revivals", func() uint64 { _, _, _, _, _, r, _ := c.mem.Counts(); return r })
-	c.reg.Counter("fleet.membership.gossip.merged_in", func() uint64 { _, _, _, _, _, _, g := c.mem.Counts(); return g })
+	c.reg.Counter("fleet.membership.joins", func() uint64 { j, _, _, _, _, _ := c.mem.Counts(); return j })
+	c.reg.Counter("fleet.membership.leaves", func() uint64 { _, l, _, _, _, _ := c.mem.Counts(); return l })
+	c.reg.Counter("fleet.membership.suspects", func() uint64 { _, _, s, _, _, _ := c.mem.Counts(); return s })
+	c.reg.Counter("fleet.membership.deaths", func() uint64 { _, _, _, d, _, _ := c.mem.Counts(); return d })
+	c.reg.Counter("fleet.membership.revivals", func() uint64 { _, _, _, _, r, _ := c.mem.Counts(); return r })
+	c.reg.Counter("fleet.membership.gossip.merged_in", func() uint64 { _, _, _, _, _, g := c.mem.Counts(); return g })
 	c.reg.Counter("fleet.membership.handoffs", c.handoffs.Load)
 	c.reg.Counter("fleet.membership.handoff.keys", c.handoffKeys.Load)
 	c.reg.Counter("fleet.membership.gossip.sent", c.gossipSent.Load)
@@ -298,9 +281,9 @@ func (c *Coordinator) registerNodeMetrics(name string) {
 
 // probeLoop polls every member's /v1/healthz on the configured cadence
 // and ticks the failure detector. A probe failure makes the node suspect
-// (routed to last); a probe success counts as liveness evidence, so it
-// revives a suspect and a statically configured fleet with no node agents
-// never trips the suspicion machine.
+// (routed to last); a probe success is liveness evidence, so it revives
+// a suspect. Probes and proxy outcomes are the only liveness evidence, so
+// static and self-joined members age out the same way.
 func (c *Coordinator) probeLoop() {
 	defer c.wg.Done()
 	// Probe once immediately so the first submissions route on real data
@@ -439,7 +422,7 @@ type NodeStatus struct {
 	// before the first probe lands.
 	ProbeAgeSeconds float64 `json:"probe_age_seconds"`
 	// HeartbeatAgeSeconds is the time since the last liveness evidence
-	// (heartbeat, probe success, proxy success); -1 when none recorded.
+	// (probe success, proxy success); -1 when none recorded.
 	HeartbeatAgeSeconds float64 `json:"heartbeat_age_seconds"`
 }
 
@@ -448,14 +431,12 @@ type NodeStatus struct {
 // status renders.
 type FleetHealth struct {
 	OK bool `json:"ok"`
-	// Epoch is the membership view version; it advances on every join,
-	// leave, drain toggle, and failure-detector transition.
-	Epoch uint64 `json:"epoch"`
-	// ViewID identifies this coordinator's membership process instance.
-	ViewID string       `json:"view_id"`
-	Live   int          `json:"live"`
-	Total  int          `json:"total"`
-	Nodes  []NodeStatus `json:"nodes"`
+	// Epoch is the membership view version; it advances on every
+	// admission, leave, drain toggle, and failure-detector transition.
+	Epoch uint64       `json:"epoch"`
+	Live  int          `json:"live"`
+	Total int          `json:"total"`
+	Nodes []NodeStatus `json:"nodes"`
 }
 
 // Healthz aggregates per-node membership states, probe reports and
@@ -469,7 +450,7 @@ func (c *Coordinator) Healthz() FleetHealth {
 		own = ring.Ownership()
 	}
 	now := time.Now()
-	out := FleetHealth{Epoch: view.Epoch, ViewID: view.ViewID}
+	out := FleetHealth{Epoch: view.Epoch}
 	for _, m := range view.Members {
 		st := NodeStatus{
 			Name:                m.Name,
@@ -503,27 +484,10 @@ func (c *Coordinator) Healthz() FleetHealth {
 	return out
 }
 
-// gossipMsg is the coordinator-to-coordinator view exchange: the sender's
-// identity and epoch plus either the full member list or a delta of
-// records changed since the last acknowledged round.
-type gossipMsg struct {
-	From    string   `json:"from"`
-	Epoch   uint64   `json:"epoch"`
-	ViewID  string   `json:"view_id"`
-	Full    bool     `json:"full"`
-	Members []Member `json:"members"`
-}
-
-// gossipAck is the receiver's reply: its own epoch and view identity, so
-// the sender can detect peer restarts and reset its delta baseline.
-type gossipAck struct {
-	Epoch  uint64 `json:"epoch"`
-	ViewID string `json:"view_id"`
-}
-
-// gossipLoop pushes the membership view to every peer coordinator on the
-// configured cadence: a full snapshot on the first round after a peer
-// (re)start or every gossipFullEvery rounds, deltas in between.
+// gossipLoop pushes the full membership view to every peer coordinator
+// on the configured cadence. Merges are record-wise idempotent, so a lost
+// or repeated round costs nothing, and a peer restarted cold relearns the
+// whole view on its first round.
 func (c *Coordinator) gossipLoop() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.gossipEvery)
@@ -540,53 +504,23 @@ func (c *Coordinator) gossipLoop() {
 	}
 }
 
-func (c *Coordinator) gossipTo(p *peerState) {
-	p.rounds++
-	full := p.sentEpoch == 0 || p.rounds%gossipFullEvery == 0
-	var view View
-	if full {
-		view = c.mem.View()
-	} else {
-		view = c.mem.ViewSince(p.sentEpoch)
-	}
-	if !full && len(view.Members) == 0 {
-		return // nothing new; skip the round
-	}
-	msg := gossipMsg{
-		From:    c.mem.ViewID(),
-		Epoch:   view.Epoch,
-		ViewID:  view.ViewID,
-		Full:    full,
-		Members: view.Members,
-	}
-	body, err := json.Marshal(msg)
+func (c *Coordinator) gossipTo(peer string) {
+	body, err := json.Marshal(c.mem.View())
 	if err != nil {
 		return
 	}
-	resp, err := c.client.Post(p.url+"/v1/fleet/gossip", "application/json", bytes.NewReader(body))
+	resp, err := c.client.Post(peer+"/v1/fleet/gossip", "application/json", bytes.NewReader(body))
 	if err != nil {
 		c.gossipSendErrs.Add(1)
-		p.sentEpoch = 0 // resend full next round
 		return
 	}
-	var ack gossipAck
-	aerr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ack)
-	io.Copy(io.Discard, resp.Body)
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || aerr != nil {
+	if resp.StatusCode != http.StatusOK {
 		c.gossipSendErrs.Add(1)
-		p.sentEpoch = 0
 		return
 	}
 	c.gossipSent.Add(1)
-	if ack.ViewID != p.viewID {
-		// Peer restarted (or first contact): everything we think we sent is
-		// gone; start over with a full view next round.
-		p.viewID = ack.ViewID
-		p.sentEpoch = 0
-		return
-	}
-	p.sentEpoch = view.Epoch
 }
 
 // mergeView folds a remote view into the membership and adopts any new

@@ -126,11 +126,12 @@ func postJSON(t *testing.T, url string, in any, out any) *http.Response {
 	return resp
 }
 
-// TestFleetJoinHeartbeatLeaveHTTP drives the membership endpoints directly:
-// an empty coordinator admits a joiner, serves it the view, renews it via
-// heartbeats (with the view riding along only when the epoch is stale),
-// rejects heartbeats after leave, and reflects it all in /v1/healthz.
-func TestFleetJoinHeartbeatLeaveHTTP(t *testing.T) {
+// TestFleetJoinLeaveHTTP drives the membership endpoints directly: an
+// empty coordinator admits a joiner and serves it the view; a re-announce
+// changes nothing and still carries the full view, a draining member stays
+// draining; the heartbeat endpoint is gone; leave takes the member off the
+// ring and a later join admits it again; /v1/healthz reflects it all.
+func TestFleetJoinLeaveHTTP(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, `{"ok":true,"breaker":"healthy","workers":1}`)
 	}))
@@ -161,22 +162,36 @@ func TestFleetJoinHeartbeatLeaveHTTP(t *testing.T) {
 	if c.mem.Ring() == nil || c.mem.Ring().Lookup("anything") != "n1" {
 		t.Fatal("joined node does not own the ring")
 	}
-
-	// Up-to-date heartbeat: no view payload. Stale epoch: view included.
-	var hb joinResponse
-	postJSON(t, ts.URL+"/v1/fleet/heartbeat", joinRequest{Name: "n1", Epoch: jr.Epoch}, &hb)
-	if hb.View != nil {
-		t.Error("up-to-date heartbeat carried a view")
-	}
-	postJSON(t, ts.URL+"/v1/fleet/heartbeat", joinRequest{Name: "n1", Epoch: 0}, &hb)
-	if hb.View == nil {
-		t.Error("stale heartbeat did not carry the view")
+	if _, err := c.mem.Join(Node{Name: "n2", URL: node.URL}); err != nil {
+		t.Fatal(err)
 	}
 
-	// Unknown member heartbeats get 404 (the re-join cue).
-	resp = postJSON(t, ts.URL+"/v1/fleet/heartbeat", joinRequest{Name: "ghost"}, nil)
+	// Drain n1, then let it re-announce: still draining, nothing bumped,
+	// and the reply is the full view at the unchanged epoch.
+	resp = postJSON(t, ts.URL+"/v1/fleet/n1/drain", struct{}{}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("drain status = %d", resp.StatusCode)
+	}
+	epoch := c.mem.Epoch()
+	var rj joinResponse
+	postJSON(t, ts.URL+"/v1/fleet/join", joinRequest{Name: "n1", URL: node.URL}, &rj)
+	if rj.Epoch != epoch || c.mem.Epoch() != epoch {
+		t.Errorf("re-announce bumped the epoch: %d -> %d (reply %d)", epoch, c.mem.Epoch(), rj.Epoch)
+	}
+	if rj.View == nil || len(rj.View.Members) != 2 {
+		t.Fatalf("re-announce reply is not the full view: %+v", rj.View)
+	}
+	if m, _ := c.mem.Member("n1"); !m.Draining || m.State != StateMemberHealthy {
+		t.Errorf("re-announce changed the draining member: %+v", m)
+	}
+	if joins, _, _, _, _, _ := c.mem.Counts(); joins != 2 {
+		t.Errorf("joins counter = %d after a re-announce, want 2", joins)
+	}
+
+	// Liveness comes from probes and proxy outcomes only.
+	resp = postJSON(t, ts.URL+"/v1/fleet/heartbeat", joinRequest{Name: "n1"}, nil)
 	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown heartbeat status = %d, want 404", resp.StatusCode)
+		t.Errorf("heartbeat endpoint status = %d, want 404 (no such route)", resp.StatusCode)
 	}
 
 	// Malformed joins are rejected.
@@ -189,30 +204,50 @@ func TestFleetJoinHeartbeatLeaveHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("leave status = %d", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/v1/fleet/heartbeat", joinRequest{Name: "n1"}, nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("post-leave heartbeat status = %d, want 404", resp.StatusCode)
+	if nodes := c.mem.Ring().nodes; len(nodes) != 1 || nodes[0] != "n2" {
+		t.Fatalf("ring after n1 left = %v, want [n2]", nodes)
 	}
-	if c.mem.Ring() != nil {
-		t.Errorf("ring not empty after the only member left: %v", c.mem.Ring().nodes)
+	if h := c.Healthz(); h.Total != 1 || h.Live != 1 {
+		t.Errorf("healthz after leave: total=%d live=%d, want 1/1", h.Total, h.Live)
+	}
+	// A departed name joining again is a fresh admission.
+	postJSON(t, ts.URL+"/v1/fleet/join", joinRequest{Name: "n1", URL: node.URL}, &rj)
+	if m, _ := c.mem.Member("n1"); m.State != StateMemberHealthy || m.Draining {
+		t.Errorf("re-join after leave = %+v, want healthy and not draining", m)
+	}
+	if rj.Epoch <= epoch || len(c.mem.Ring().nodes) != 2 {
+		t.Errorf("re-join after leave: epoch %d (was %d), ring %v", rj.Epoch, epoch, c.mem.Ring().nodes)
 	}
 }
 
-// TestAgentJoinsHeartbeatsAndRejoins runs a real Agent against a live
-// coordinator: it must appear as a healthy member, survive on heartbeats,
-// and — after the coordinator forcibly forgets it (restart simulation via
-// Leave) — re-join automatically off the 404.
-func TestAgentJoinsHeartbeatsAndRejoins(t *testing.T) {
+// TestAgentReannouncesToRestartedCoordinator runs a real Agent against a
+// live coordinator: it must appear as a healthy member and keep
+// re-announcing without moving the epoch; when the coordinator is replaced
+// by a fresh process behind the same URL (a cold restart), the agent's
+// next round teaches it the node; Close then Leave departs it.
+func TestAgentReannouncesToRestartedCoordinator(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, `{"ok":true,"breaker":"healthy","workers":1}`)
 	}))
 	t.Cleanup(node.Close)
-	c, err := NewCoordinator(CoordinatorConfig{ProbeEvery: time.Hour})
-	if err != nil {
-		t.Fatal(err)
+	newCoord := func() *Coordinator {
+		c, err := NewCoordinator(CoordinatorConfig{ProbeEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return c
 	}
-	t.Cleanup(c.Close)
-	ts := httptest.NewServer(c.Handler())
+	var current atomic.Pointer[http.Handler]
+	serve := func(c *Coordinator) {
+		h := c.Handler()
+		current.Store(&h)
+	}
+	c := newCoord()
+	serve(c)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*current.Load()).ServeHTTP(w, r)
+	}))
 	t.Cleanup(ts.Close)
 
 	var views atomic.Uint64
@@ -232,26 +267,115 @@ func TestAgentJoinsHeartbeatsAndRejoins(t *testing.T) {
 		m, ok := c.mem.Member("dyn1")
 		return ok && m.State == StateMemberHealthy
 	})
-	if agent.Epoch() == 0 {
-		t.Error("agent never adopted an epoch")
+	if agent.Epoch() == 0 || views.Load() == 0 {
+		t.Fatalf("agent never adopted a view (epoch %d, views %d)", agent.Epoch(), views.Load())
 	}
-	hb0 := agent.heartbeats.Load()
-	waitFor(t, "heartbeats", 5*time.Second, func() bool { return agent.heartbeats.Load() > hb0+2 })
+	epoch := c.mem.Epoch()
+	j0 := agent.joins.Load()
+	waitFor(t, "re-announces", 5*time.Second, func() bool { return agent.joins.Load() > j0+3 })
+	if c.mem.Epoch() != epoch {
+		t.Errorf("re-announces moved the epoch: %d -> %d", epoch, c.mem.Epoch())
+	}
+	if joins, _, _, _, _, _ := c.mem.Counts(); joins != 1 {
+		t.Errorf("coordinator counted %d joins for one node, want 1", joins)
+	}
 
-	// Coordinator forgets the node (as a restarted process would): the next
-	// heartbeat 404s and the agent re-joins on its own.
-	if err := c.mem.Leave("dyn1"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "re-join after 404", 5*time.Second, func() bool {
-		m, ok := c.mem.Member("dyn1")
+	// Cold restart: a fresh coordinator with an empty table takes over the
+	// URL. The agent's next round (one in flight to the old process at
+	// most) must teach it the node.
+	fresh := newCoord()
+	j1 := agent.joins.Load()
+	serve(fresh)
+	var learnedAt uint64
+	waitFor(t, "fresh coordinator to learn the node", 5*time.Second, func() bool {
+		m, ok := fresh.mem.Member("dyn1")
+		learnedAt = agent.joins.Load()
 		return ok && m.State == StateMemberHealthy
 	})
-	if agent.rejoins.Load() == 0 {
-		t.Error("rejoin counter did not move")
+	if learnedAt > j1+2 {
+		t.Errorf("fresh coordinator learned the node only after %d more rounds, want at most 2", learnedAt-j1)
 	}
-	if views.Load() == 0 {
-		t.Error("OnView never fired")
+
+	// Close waits for the loop to exit, so nothing re-announces the node
+	// after Leave.
+	agent.Close()
+	agent.Leave()
+	if m, _ := fresh.mem.Member("dyn1"); m.State != StateMemberLeft {
+		t.Fatalf("after Leave the node is %s, want left", m.State)
+	}
+}
+
+// TestGossipIdleEpochsStayFixed runs two coordinators that gossip at each
+// other while probing the same two healthy seed nodes. Every probe round
+// refreshes the members' timestamps, but that is liveness, not a view
+// change: across at least ten gossip rounds each way neither epoch moves
+// and no received view counts as a change.
+func TestGossipIdleEpochsStayFixed(t *testing.T) {
+	healthy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"ok":true,"breaker":"healthy","workers":1}`)
+	})
+	var nodes []Node
+	for _, name := range []string{"s1", "s2"} {
+		srv := httptest.NewServer(healthy)
+		t.Cleanup(srv.Close)
+		nodes = append(nodes, Node{Name: name, URL: srv.URL})
+	}
+	var handlers [2]atomic.Pointer[http.Handler]
+	var urls []string
+	for i := range handlers {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if h := handlers[i].Load(); h != nil {
+				(*h).ServeHTTP(w, r)
+				return
+			}
+			http.Error(w, "starting", http.StatusServiceUnavailable)
+		}))
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	var coords [2]*Coordinator
+	for i := range coords {
+		c, err := NewCoordinator(CoordinatorConfig{
+			Nodes:       nodes,
+			ProbeEvery:  10 * time.Millisecond,
+			Peers:       []string{urls[1-i]},
+			GossipEvery: 10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		h := c.Handler()
+		handlers[i].Store(&h)
+		coords[i] = c
+	}
+	a, b := coords[0], coords[1]
+	waitFor(t, "first gossip rounds", 5*time.Second, func() bool {
+		return a.gossipSent.Load() >= 2 && b.gossipSent.Load() >= 2
+	})
+	epochA, epochB := a.mem.Epoch(), b.mem.Epoch()
+	changedA, changedB := a.gossipMerged.Load(), b.gossipMerged.Load()
+	sentA, sentB := a.gossipSent.Load(), b.gossipSent.Load()
+	probes := a.probes.Load()
+	waitFor(t, "ten more gossip rounds each way", 10*time.Second, func() bool {
+		return a.gossipSent.Load() >= sentA+10 && b.gossipSent.Load() >= sentB+10
+	})
+	if a.probes.Load() < probes+4 {
+		t.Fatalf("probes did not run alongside the gossip (%d -> %d)", probes, a.probes.Load())
+	}
+	if a.mem.Epoch() != epochA || b.mem.Epoch() != epochB {
+		t.Errorf("idle epochs moved: A %d -> %d, B %d -> %d", epochA, a.mem.Epoch(), epochB, b.mem.Epoch())
+	}
+	if a.gossipMerged.Load() != changedA || b.gossipMerged.Load() != changedB {
+		t.Errorf("idle gossip counted view changes: A %d -> %d, B %d -> %d",
+			changedA, a.gossipMerged.Load(), changedB, b.gossipMerged.Load())
+	}
+	for _, c := range coords {
+		for _, m := range c.mem.View().Members {
+			if m.State != StateMemberHealthy {
+				t.Errorf("seed node %s is %s", m.Name, m.State)
+			}
+		}
 	}
 }
 

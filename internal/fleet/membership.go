@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,9 +8,10 @@ import (
 )
 
 // Membership state machine. A member is born healthy on join; a failed
-// probe or proxy hop, or missing liveness evidence (heartbeats, probe
-// successes) long enough, demotes it to suspect; staying silent demotes it
-// to dead; any fresh evidence revives it to healthy. Left is
+// probe or proxy hop, or no liveness evidence (a probe success or a
+// proxied request that worked) for long enough, demotes it to suspect;
+// staying silent demotes it to dead; any fresh evidence revives it to
+// healthy. Left is
 // the terminal state of a graceful departure (drain with hand-off) — a
 // tombstone kept so gossip propagates the departure instead of a peer
 // coordinator resurrecting the record.
@@ -61,10 +60,11 @@ type Member struct {
 	// stays on the ring and keeps serving what it holds.
 	Draining bool `json:"draining"`
 	// UpdatedAt is the unix-nano timestamp of the last observed transition
-	// or heartbeat — the gossip freshness ordering.
+	// or liveness evidence — the gossip freshness ordering, so a fresher
+	// sign of life beats an older death verdict.
 	UpdatedAt int64 `json:"updated_at"`
 	// HeartbeatAt is the unix-nano timestamp of the last liveness evidence
-	// (heartbeat received, probe success, successful proxy hop).
+	// (probe success, successful proxy hop).
 	HeartbeatAt int64 `json:"heartbeat_at"`
 }
 
@@ -74,13 +74,11 @@ type Member struct {
 func (m Member) live() bool { return m.State == StateMemberHealthy && !m.Draining }
 
 // View is a versioned snapshot of the whole membership: the monotonic
-// epoch, the emitting coordinator's process identity (so gossip peers can
-// tell a restart from a lagging view), and every member record sorted by
-// name. Equal member sets produce equal rings on every coordinator, which
-// is what makes N coordinators route identically.
+// epoch and every member record sorted by name. It is also the gossip
+// message. Equal member sets produce equal rings on every coordinator,
+// which is what makes N coordinators route identically.
 type View struct {
 	Epoch   uint64   `json:"epoch"`
-	ViewID  string   `json:"view_id"`
 	Members []Member `json:"members"`
 }
 
@@ -110,8 +108,8 @@ type MembershipConfig struct {
 	now func() time.Time
 }
 
-// DefaultSuspectAfter must comfortably exceed both the heartbeat and the
-// probe cadence so one lost packet never churns the view.
+// DefaultSuspectAfter must comfortably exceed the probe cadence so one
+// lost probe never churns the view.
 const DefaultSuspectAfter = 5 * time.Second
 
 // DefaultDeadAfter is the suspect grace period before the ring rebuild.
@@ -119,30 +117,22 @@ const DefaultSuspectAfter = 5 * time.Second
 // key-moving verdict, so it waits out transient stalls.
 const DefaultDeadAfter = 15 * time.Second
 
-// memberRec is the stored form of a Member plus the local epoch of its
-// last change, the baseline gossip deltas are cut against.
-type memberRec struct {
-	Member
-	updatedEpoch uint64
-}
-
 // Membership is a coordinator's live membership table: the authoritative
 // member records, the monotonic view epoch, and the hash ring derived
 // from the ring-eligible members. Every mutation that changes the view
 // (join, leave, state transition, drain toggle) bumps the epoch and, when
-// the ring-eligible set changed, rebuilds the ring; heartbeats refresh
-// records without bumping the epoch (liveness is not a view change).
-// It is safe for concurrent use.
+// the ring-eligible set changed, rebuilds the ring; liveness evidence and
+// re-announcements refresh or keep records without bumping the epoch
+// (liveness is not a view change). It is safe for concurrent use.
 type Membership struct {
 	mu      sync.RWMutex
 	cfg     MembershipConfig
 	epoch   uint64
-	viewID  string
-	members map[string]*memberRec
+	members map[string]*Member
 	ring    *Ring // nil while no member is ring-eligible
 
 	// transition counters for fleet.membership.* metrics
-	joins, leaves, heartbeats, suspects, deaths, revivals, merges uint64
+	joins, leaves, suspects, deaths, revivals, merges uint64
 }
 
 // NewMembership builds an empty membership table.
@@ -158,20 +148,8 @@ func NewMembership(cfg MembershipConfig) *Membership {
 	}
 	return &Membership{
 		cfg:     cfg,
-		viewID:  newViewID(),
-		members: map[string]*memberRec{},
+		members: map[string]*Member{},
 	}
-}
-
-// newViewID returns a random process-unique view identity.
-func newViewID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Entropy exhaustion is not a real failure mode; fall back to the
-		// clock, which still distinguishes restarts.
-		return fmt.Sprintf("t%x", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // rebuildLocked recomputes the ring from the ring-eligible members. Call
@@ -196,16 +174,14 @@ func (m *Membership) rebuildLocked() {
 	m.ring = ring
 }
 
-// bumpLocked advances the epoch after a view change.
-func (m *Membership) bumpLocked() uint64 {
-	m.epoch++
-	return m.epoch
-}
-
 // Join registers node (or revives/updates an existing record) and returns
-// the resulting view. Joining is idempotent: a node re-announcing itself
-// refreshes its heartbeat; a name coming back from suspect, dead, or left
-// is revived healthy, which puts it back on the ring.
+// the full resulting view. Node agents re-announce on a cadence, so
+// joining is idempotent: a known on-ring (healthy or suspect) member with
+// the same URL is left exactly as it is — state, drain flag, timestamps,
+// epoch and counters — because a join is not evidence of reachability.
+// A new name, or one coming back from dead or left, is admitted healthy,
+// which puts it on the ring; a changed URL replaces the record the same
+// way.
 func (m *Membership) Join(n Node) (View, error) {
 	if !NodeNameRE.MatchString(n.Name) {
 		return View{}, fmt.Errorf("fleet: bad node name %q (want %s)", n.Name, NodeNameRE)
@@ -217,19 +193,17 @@ func (m *Membership) Join(n Node) (View, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rec := m.members[n.Name]
-	if rec == nil {
-		rec = &memberRec{}
-		m.members[n.Name] = rec
+	wasOnRing := rec != nil && stateOnRing(rec.State)
+	if wasOnRing && rec.URL == n.URL {
+		return m.viewLocked(), nil
 	}
-	wasOnRing := rec.Name != "" && stateOnRing(rec.State)
-	rec.Member = Member{
+	m.members[n.Name] = &Member{
 		Node:        n,
 		State:       StateMemberHealthy,
-		Draining:    false,
 		UpdatedAt:   now,
 		HeartbeatAt: now,
 	}
-	rec.updatedEpoch = m.bumpLocked()
+	m.epoch++
 	m.joins++
 	if !wasOnRing {
 		m.rebuildLocked()
@@ -237,36 +211,11 @@ func (m *Membership) Join(n Node) (View, error) {
 	return m.viewLocked(), nil
 }
 
-// Heartbeat refreshes a member's liveness. A suspect member is revived
-// healthy (a view change); a healthy one just gets fresher timestamps.
-// ok is false for unknown, dead, or left members — the caller answers 404
-// and the node re-joins, which is what makes a coordinator restart
-// self-healing.
-func (m *Membership) Heartbeat(name string) (epoch uint64, ok bool) {
-	now := m.cfg.now().UnixNano()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rec := m.members[name]
-	if rec == nil || rec.State == StateMemberDead || rec.State == StateMemberLeft {
-		return m.epoch, false
-	}
-	m.heartbeats++
-	rec.HeartbeatAt = now
-	rec.UpdatedAt = now
-	if rec.State == StateMemberSuspect {
-		rec.State = StateMemberHealthy
-		rec.updatedEpoch = m.bumpLocked()
-		m.revivals++
-		// Suspect members never left the ring; no rebuild needed.
-	}
-	return m.epoch, true
-}
-
-// MarkAlive records out-of-band liveness evidence (a probe success, a
-// proxied request that worked) exactly like a heartbeat, and additionally
-// revives dead members: a probe reaching a "dead" process proves the
-// verdict wrong, so the member returns to the ring. Unknown or left names
-// are ignored.
+// MarkAlive records liveness evidence (a probe success, a proxied request
+// that worked): it refreshes the member's timestamps and revives a
+// suspect or dead member to healthy — a probe reaching a "dead" process
+// proves the verdict wrong, so the member returns to the ring. Unknown or
+// left names are ignored.
 func (m *Membership) MarkAlive(name string) {
 	now := m.cfg.now().UnixNano()
 	m.mu.Lock()
@@ -280,11 +229,11 @@ func (m *Membership) MarkAlive(name string) {
 	switch rec.State {
 	case StateMemberSuspect:
 		rec.State = StateMemberHealthy
-		rec.updatedEpoch = m.bumpLocked()
+		m.epoch++
 		m.revivals++
 	case StateMemberDead:
 		rec.State = StateMemberHealthy
-		rec.updatedEpoch = m.bumpLocked()
+		m.epoch++
 		m.revivals++
 		m.rebuildLocked()
 	}
@@ -294,7 +243,7 @@ func (m *Membership) MarkAlive(name string) {
 // healthy member turns suspect, a view change that keeps it on the ring
 // but sorts it behind healthy members. HeartbeatAt is not refreshed, so a
 // member that stays unreachable goes dead on Tick's schedule; MarkAlive
-// or Heartbeat revives it. Other states and unknown names are unchanged.
+// revives it. Other states and unknown names are unchanged.
 func (m *Membership) Suspect(name string) {
 	now := m.cfg.now().UnixNano()
 	m.mu.Lock()
@@ -305,10 +254,10 @@ func (m *Membership) Suspect(name string) {
 }
 
 // suspectLocked demotes a healthy record to suspect. Call with mu held.
-func (m *Membership) suspectLocked(rec *memberRec, now int64) {
+func (m *Membership) suspectLocked(rec *Member, now int64) {
 	rec.State = StateMemberSuspect
 	rec.UpdatedAt = now
-	rec.updatedEpoch = m.bumpLocked()
+	m.epoch++
 	m.suspects++
 }
 
@@ -329,7 +278,7 @@ func (m *Membership) Leave(name string) error {
 	rec.State = StateMemberLeft
 	rec.Draining = false
 	rec.UpdatedAt = now
-	rec.updatedEpoch = m.bumpLocked()
+	m.epoch++
 	m.leaves++
 	if wasOnRing {
 		m.rebuildLocked()
@@ -352,7 +301,7 @@ func (m *Membership) SetDraining(name string, draining bool) error {
 	}
 	rec.Draining = draining
 	rec.UpdatedAt = now
-	rec.updatedEpoch = m.bumpLocked()
+	m.epoch++
 	return nil
 }
 
@@ -378,7 +327,7 @@ func (m *Membership) Tick() bool {
 			if silent > m.cfg.SuspectAfter+m.cfg.DeadAfter {
 				rec.State = StateMemberDead
 				rec.UpdatedAt = now.UnixNano()
-				rec.updatedEpoch = m.bumpLocked()
+				m.epoch++
 				m.deaths++
 				changed = true
 				rebuild = true
@@ -393,9 +342,9 @@ func (m *Membership) Tick() bool {
 
 // viewLocked snapshots the full view. Call with mu held (read or write).
 func (m *Membership) viewLocked() View {
-	v := View{Epoch: m.epoch, ViewID: m.viewID}
+	v := View{Epoch: m.epoch}
 	for _, rec := range m.members {
-		v.Members = append(v.Members, rec.Member)
+		v.Members = append(v.Members, *rec)
 	}
 	sort.Slice(v.Members, func(i, j int) bool { return v.Members[i].Name < v.Members[j].Name })
 	return v
@@ -408,31 +357,12 @@ func (m *Membership) View() View {
 	return m.viewLocked()
 }
 
-// ViewSince returns the view restricted to members changed after the
-// given local epoch — the gossip delta. since 0 (or >= the current epoch
-// on a fresh process) degenerates to the full view.
-func (m *Membership) ViewSince(since uint64) View {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v := View{Epoch: m.epoch, ViewID: m.viewID}
-	for _, rec := range m.members {
-		if rec.updatedEpoch > since {
-			v.Members = append(v.Members, rec.Member)
-		}
-	}
-	sort.Slice(v.Members, func(i, j int) bool { return v.Members[i].Name < v.Members[j].Name })
-	return v
-}
-
 // Epoch returns the current view epoch.
 func (m *Membership) Epoch() uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.epoch
 }
-
-// ViewID returns the process-unique view identity.
-func (m *Membership) ViewID() string { return m.viewID }
 
 // Ring returns the current hash ring, or nil while no member is
 // ring-eligible. The ring is immutable; callers may hold it across calls.
@@ -450,15 +380,19 @@ func (m *Membership) Member(name string) (Member, bool) {
 	if rec == nil {
 		return Member{}, false
 	}
-	return rec.Member, true
+	return *rec, true
 }
 
-// Merge folds a remote view (full or delta) into the local table:
-// record-wise, the fresher UpdatedAt wins, ties keep the worse state so
-// terminal verdicts are sticky. The local epoch advances to at least the
-// remote's and bumps once more when the merge changed anything, keeping
-// epochs roughly aligned across coordinators while staying monotonic
-// locally. Returns true when the local view changed.
+// Merge folds a remote view into the local table: record-wise, the
+// fresher UpdatedAt wins, ties keep the worse state so terminal verdicts
+// are sticky. A fresher record is always adopted, but it is a view change
+// only when its URL, state or drain flag differs — a record that merely
+// carries a newer probe timestamp is liveness, not a change, so idle
+// coordinators gossiping their probe results keep their epochs fixed.
+// The local epoch advances to at least the remote's and bumps once more
+// when the merge changed the view, keeping epochs roughly aligned across
+// coordinators while staying monotonic locally. Returns true when the
+// local view changed.
 func (m *Membership) Merge(remote View) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -470,9 +404,7 @@ func (m *Membership) Merge(remote View) bool {
 		}
 		rec := m.members[rm.Name]
 		if rec == nil {
-			rec = &memberRec{Member: rm}
-			m.members[rm.Name] = rec
-			rec.updatedEpoch = m.epoch + 1
+			m.members[rm.Name] = &rm
 			changed = true
 			rebuild = rebuild || stateOnRing(rm.State)
 			continue
@@ -483,15 +415,11 @@ func (m *Membership) Merge(remote View) bool {
 		if rm.UpdatedAt == rec.UpdatedAt && stateRank(rm.State) <= stateRank(rec.State) {
 			continue
 		}
-		if rec.Member == rm {
-			continue
+		if rec.URL != rm.URL || rec.State != rm.State || rec.Draining != rm.Draining {
+			changed = true
+			rebuild = rebuild || stateOnRing(rec.State) != stateOnRing(rm.State)
 		}
-		if stateOnRing(rec.State) != stateOnRing(rm.State) {
-			rebuild = true
-		}
-		rec.Member = rm
-		rec.updatedEpoch = m.epoch + 1
-		changed = true
+		*rec = rm
 	}
 	if remote.Epoch > m.epoch {
 		m.epoch = remote.Epoch
@@ -506,10 +434,10 @@ func (m *Membership) Merge(remote View) bool {
 	return changed
 }
 
-// Counts returns the transition counters (joins, leaves, heartbeats,
-// suspects, deaths, revivals, merges) for metric registration.
-func (m *Membership) Counts() (joins, leaves, heartbeats, suspects, deaths, revivals, merges uint64) {
+// Counts returns the transition counters (joins, leaves, suspects,
+// deaths, revivals, merges) for metric registration.
+func (m *Membership) Counts() (joins, leaves, suspects, deaths, revivals, merges uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.joins, m.leaves, m.heartbeats, m.suspects, m.deaths, m.revivals, m.merges
+	return m.joins, m.leaves, m.suspects, m.deaths, m.revivals, m.merges
 }

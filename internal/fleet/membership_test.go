@@ -34,8 +34,8 @@ func memberState(t *testing.T, m *Membership, name string) string {
 }
 
 // TestMembershipLifecycle walks one member through the whole state machine:
-// join → healthy → suspect (silence) → healthy (heartbeat) → suspect →
-// dead (more silence) → healthy (out-of-band revival) → left, with the
+// join → healthy → suspect (silence) → healthy (probe success) → suspect →
+// dead (more silence) → healthy (probe revival) → left, with the
 // epoch strictly increasing across every view change and the ring tracking
 // eligibility.
 func TestMembershipLifecycle(t *testing.T) {
@@ -60,16 +60,14 @@ func TestMembershipLifecycle(t *testing.T) {
 		}
 	}
 
-	// Fresh heartbeats are liveness, not view changes: no epoch bump.
+	// Fresh probe successes are liveness, not view changes: no epoch bump.
 	clk.advance(2 * time.Second)
-	if _, ok := m.Heartbeat("n1"); !ok {
-		t.Fatal("heartbeat for a healthy member rejected")
-	}
+	m.MarkAlive("n1")
 	if m.Tick() {
 		t.Fatal("tick with fresh members changed the view")
 	}
 	if e := m.Epoch(); e != lastEpoch {
-		t.Fatalf("heartbeat bumped the epoch: %d -> %d", lastEpoch, e)
+		t.Fatalf("MarkAlive of a healthy member bumped the epoch: %d -> %d", lastEpoch, e)
 	}
 
 	// n2 goes silent past SuspectAfter: suspect, but still on the ring.
@@ -88,12 +86,10 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatalf("suspect member fell off the ring: %v", nodes)
 	}
 
-	// A heartbeat revives a suspect.
-	if _, ok := m.Heartbeat("n2"); !ok {
-		t.Fatal("heartbeat for a suspect member rejected")
-	}
+	// A probe success revives a suspect.
+	m.MarkAlive("n2")
 	if got := memberState(t, m, "n2"); got != StateMemberHealthy {
-		t.Fatalf("n2 state after heartbeat = %s, want healthy", got)
+		t.Fatalf("n2 state after MarkAlive = %s, want healthy", got)
 	}
 	expectEpochAbove("revival")
 
@@ -110,11 +106,7 @@ func TestMembershipLifecycle(t *testing.T) {
 	if nodes := m.Ring().nodes; len(nodes) != 1 || nodes[0] != "n1" {
 		t.Fatalf("dead member still on ring: %v", nodes)
 	}
-	// Dead members cannot heartbeat back in — they must re-join.
-	if _, ok := m.Heartbeat("n2"); ok {
-		t.Fatal("dead member's heartbeat accepted; want re-join required")
-	}
-	// But out-of-band liveness evidence (a probe success) revives them.
+	// A probe success revives a dead member too.
 	m.MarkAlive("n2")
 	if got := memberState(t, m, "n2"); got != StateMemberHealthy {
 		t.Fatalf("n2 state after MarkAlive = %s, want healthy", got)
@@ -124,7 +116,7 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatalf("revived member not back on ring: %v", nodes)
 	}
 
-	// Graceful departure: tombstoned, off the ring, heartbeats refused.
+	// Graceful departure: tombstoned, off the ring.
 	if err := m.Leave("n2"); err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +127,13 @@ func TestMembershipLifecycle(t *testing.T) {
 	if nodes := m.Ring().nodes; len(nodes) != 1 {
 		t.Fatalf("left member still on ring: %v", nodes)
 	}
-	if _, ok := m.Heartbeat("n2"); ok {
-		t.Fatal("left member's heartbeat accepted")
-	}
 	// MarkAlive must NOT resurrect a tombstone (a probe racing a drain).
 	m.MarkAlive("n2")
 	if got := memberState(t, m, "n2"); got != StateMemberLeft {
 		t.Fatalf("MarkAlive resurrected a left member: %s", got)
 	}
 
-	joins, leaves, _, suspects, deaths, revivals, _ := m.Counts()
+	joins, leaves, suspects, deaths, revivals, _ := m.Counts()
 	if joins != 2 || leaves != 1 || suspects < 2 || deaths != 1 || revivals < 2 {
 		t.Errorf("counters: joins=%d leaves=%d suspects=%d deaths=%d revivals=%d",
 			joins, leaves, suspects, deaths, revivals)
@@ -153,7 +142,7 @@ func TestMembershipLifecycle(t *testing.T) {
 
 // TestMembershipSuspect: failure evidence demotes only a healthy member,
 // bumping the epoch and the suspects counter without refreshing its
-// heartbeat; every other state and unknown names are left as they are.
+// HeartbeatAt; every other state and unknown names are left as they are.
 // MarkAlive revives a suspect, and Tick takes a silent suspect to dead.
 func TestMembershipSuspect(t *testing.T) {
 	for _, tc := range []struct {
@@ -189,7 +178,7 @@ func TestMembershipSuspect(t *testing.T) {
 			}
 			before, _ := m.Member("n")
 			epoch := m.Epoch()
-			_, _, _, suspects, _, _, _ := m.Counts()
+			_, _, suspects, _, _, _ := m.Counts()
 
 			clk.advance(time.Second)
 			m.Suspect("n")
@@ -207,7 +196,7 @@ func TestMembershipSuspect(t *testing.T) {
 			if after.HeartbeatAt != before.HeartbeatAt {
 				t.Error("Suspect refreshed HeartbeatAt")
 			}
-			_, _, _, s, _, _, _ := m.Counts()
+			_, _, s, _, _, _ := m.Counts()
 			changed := tc.start != tc.want
 			if changed != (m.Epoch() > epoch) || changed != (s == suspects+1) {
 				t.Errorf("epoch %d -> %d, suspects %d -> %d; want both to move only on a change",
@@ -230,7 +219,7 @@ func TestMembershipSuspect(t *testing.T) {
 		if got := memberState(t, m, "n"); got != StateMemberHealthy {
 			t.Fatalf("MarkAlive left a suspect %s, want healthy", got)
 		}
-		// Suspected right after its last heartbeat, a silent member dies on
+		// Suspected right after its last probe success, a silent member dies on
 		// Tick's usual schedule: SuspectAfter + DeadAfter after it.
 		clk.advance(time.Second)
 		m.MarkAlive("n")
@@ -238,12 +227,12 @@ func TestMembershipSuspect(t *testing.T) {
 		clk.advance(19 * time.Second)
 		m.Tick()
 		if got := memberState(t, m, "n"); got != StateMemberSuspect {
-			t.Fatalf("state 19s after the last heartbeat = %s, want suspect", got)
+			t.Fatalf("state 19s after the last sign of life = %s, want suspect", got)
 		}
 		clk.advance(2 * time.Second)
 		m.Tick()
 		if got := memberState(t, m, "n"); got != StateMemberDead {
-			t.Fatalf("state 21s after the last heartbeat = %s, want dead", got)
+			t.Fatalf("state 21s after the last sign of life = %s, want dead", got)
 		}
 		if m.Ring() != nil {
 			t.Error("dead member still on the ring")
@@ -331,33 +320,125 @@ func TestMembershipChurnConvergesToFreshRing(t *testing.T) {
 	}
 }
 
-// TestMembershipViewSinceDelta checks the gossip delta cut: only records
-// changed after the baseline epoch are included, and epoch 0 degenerates
-// to the full view.
-func TestMembershipViewSinceDelta(t *testing.T) {
-	clk := newTestClock()
-	m := newTestMembership(clk)
-	for _, n := range []string{"n1", "n2", "n3"} {
-		if _, err := m.Join(Node{Name: n, URL: "http://x/" + n}); err != nil {
-			t.Fatal(err)
+// TestMembershipRejoin pins the join rule node agents rely on when they
+// re-announce themselves every round: a known on-ring member with the same
+// URL is left exactly as it is (state, drain flag, timestamps, epoch and
+// the joins counter), while the reply still carries the full view; a
+// changed URL, a dead member and a left member are admitted healthy, a
+// view change each.
+func TestMembershipRejoin(t *testing.T) {
+	const url = "http://127.0.0.1:1"
+	for _, tc := range []struct {
+		name   string
+		setup  func(m *Membership, clk *testClock)
+		url    string
+		change bool
+	}{
+		{"healthy", func(*Membership, *testClock) {}, url, false},
+		{"draining", func(m *Membership, _ *testClock) { m.SetDraining("n", true) }, url, false},
+		{"suspect", func(m *Membership, _ *testClock) { m.Suspect("n") }, url, false},
+		{"suspect draining", func(m *Membership, _ *testClock) {
+			m.SetDraining("n", true)
+			m.Suspect("n")
+		}, url, false},
+		{"new url", func(*Membership, *testClock) {}, "http://127.0.0.1:2", true},
+		{"dead", func(m *Membership, clk *testClock) {
+			clk.advance(6 * time.Second)
+			m.MarkAlive("other")
+			m.Tick()
+			clk.advance(15 * time.Second)
+			m.MarkAlive("other")
+			m.Tick()
+		}, url, true},
+		{"left", func(m *Membership, _ *testClock) { m.Leave("n") }, url, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newTestClock()
+			m := newTestMembership(clk)
+			for _, n := range []Node{{Name: "n", URL: url}, {Name: "other", URL: "http://127.0.0.1:9"}} {
+				if _, err := m.Join(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.setup(m, clk)
+			before, _ := m.Member("n")
+			epoch := m.Epoch()
+			joins, _, _, _, _, _ := m.Counts()
+
+			clk.advance(time.Second)
+			view, err := m.Join(Node{Name: "n", URL: tc.url})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(view.Members) != 2 || view.Epoch != m.Epoch() {
+				t.Fatalf("join reply is not the full view: %+v (epoch now %d)", view, m.Epoch())
+			}
+			after, _ := m.Member("n")
+			j, _, _, _, _, _ := m.Counts()
+			if !tc.change {
+				if after != before || m.Epoch() != epoch || j != joins {
+					t.Fatalf("re-join of an on-ring member changed something: %+v -> %+v, epoch %d -> %d, joins %d -> %d",
+						before, after, epoch, m.Epoch(), joins, j)
+				}
+				return
+			}
+			if after.State != StateMemberHealthy || after.Draining || after.URL != tc.url {
+				t.Fatalf("re-join did not admit a fresh healthy record: %+v", after)
+			}
+			if m.Epoch() <= epoch || j != joins+1 {
+				t.Fatalf("admission did not count: epoch %d -> %d, joins %d -> %d", epoch, m.Epoch(), joins, j)
+			}
+			if nodes := m.Ring().nodes; len(nodes) != 2 {
+				t.Fatalf("admitted member not on the ring: %v", nodes)
+			}
+		})
+	}
+}
+
+// TestMembershipMergeIgnoresLivenessRefresh: a peer's record that differs
+// only by a fresher MarkAlive timestamp is adopted (so it still beats an
+// older verdict later) but is not a view change — Merge reports false and
+// the epoch stays put. Counting it as a change made idle gossiping
+// coordinators bump their epochs on every probe round.
+func TestMembershipMergeIgnoresLivenessRefresh(t *testing.T) {
+	clkA, clkB := newTestClock(), newTestClock()
+	a, b := newTestMembership(clkA), newTestMembership(clkB)
+	for _, m := range []*Membership{a, b} {
+		for _, n := range []Node{{Name: "n1", URL: "http://x/n1"}, {Name: "n2", URL: "http://x/n2"}} {
+			if _, err := m.Join(n); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	base := m.Epoch()
-	if got := len(m.ViewSince(0).Members); got != 3 {
-		t.Fatalf("ViewSince(0) has %d members, want 3 (full view)", got)
+	a.Merge(b.View())
+	b.Merge(a.View())
+	epochA, epochB := a.Epoch(), b.Epoch()
+
+	clkB.advance(time.Second)
+	b.MarkAlive("n1")
+	fresh, _ := b.Member("n1")
+	if b.Epoch() != epochB {
+		t.Fatalf("MarkAlive of a healthy member bumped the epoch: %d -> %d", epochB, b.Epoch())
 	}
-	if got := len(m.ViewSince(base).Members); got != 0 {
-		t.Fatalf("ViewSince(current) has %d members, want 0", got)
+	if a.Merge(b.View()) {
+		t.Fatal("merging a view that differs only by a liveness refresh reported a view change")
 	}
-	if err := m.SetDraining("n2", true); err != nil {
-		t.Fatal(err)
+	if a.Epoch() != epochA {
+		t.Fatalf("liveness refresh bumped the epoch: %d -> %d", epochA, a.Epoch())
 	}
-	delta := m.ViewSince(base)
-	if len(delta.Members) != 1 || delta.Members[0].Name != "n2" || !delta.Members[0].Draining {
-		t.Fatalf("delta after drain = %+v, want just n2 draining", delta.Members)
+	if got, _ := a.Member("n1"); got != fresh {
+		t.Fatalf("fresher record not adopted: %+v, want %+v", got, fresh)
 	}
-	if delta.Epoch <= base {
-		t.Fatalf("delta epoch %d not past baseline %d", delta.Epoch, base)
+	_, _, _, _, _, merges := a.Counts()
+	if merges != 0 {
+		t.Fatalf("merges counter = %d, want 0", merges)
+	}
+
+	// A real change in the same record is still a view change.
+	clkB.advance(time.Second)
+	b.SetDraining("n1", true)
+	if !a.Merge(b.View()) || a.Epoch() <= epochA {
+		t.Fatal("a drain toggle gossiped over did not count as a view change")
 	}
 }
 
@@ -447,8 +528,8 @@ func TestMembershipMergeConverges(t *testing.T) {
 }
 
 // TestMembershipEpochMonotonic hammers the table with every mutation kind
-// and asserts the epoch never goes backwards (the property gossip deltas
-// and agent view adoption rely on).
+// and asserts the epoch never goes backwards (the property agent view
+// adoption relies on).
 func TestMembershipEpochMonotonic(t *testing.T) {
 	clk := newTestClock()
 	m := newTestMembership(clk)
@@ -467,7 +548,7 @@ func TestMembershipEpochMonotonic(t *testing.T) {
 		case 0, 1:
 			m.Join(n)
 		case 2:
-			m.Heartbeat(n.Name)
+			m.Suspect(n.Name)
 		case 3:
 			m.SetDraining(n.Name, i%2 == 0)
 		case 4:

@@ -4,7 +4,11 @@
 # Full mode (default):
 #   - runs every microbenchmark suite (cpu scheduler, cache hierarchy,
 #     micro-op emitter, tcmalloc fast path, multicore engine, simulation
-#     service) with -count=5 -benchmem,
+#     service) in BENCH_COUNT passes of -count=1 -benchmem, so each pass
+#     times a benchmark right next to its twin and a contention or steal
+#     episode lands on both sides of a gate ratio rather than on one
+#     (with -count=5 the five runs of one side went back to back, about
+#     a minute before the other side's),
 #   - summarizes with benchstat when it is installed (no hard dependency),
 #   - writes BENCH_baseline.json with the measured numbers, each next to
 #     its frozen ...Reference twin timed in the same run where it has one,
@@ -30,7 +34,7 @@
 # run.
 #
 # Environment: BENCH_OUT (output path, default BENCH_baseline.json),
-# BENCH_COUNT (repetitions, default 5), BENCH_NO_GATE=1.
+# BENCH_COUNT (passes, default 5), BENCH_NO_GATE=1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,7 +57,10 @@ fi
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-go test -run '^$' -bench . -benchmem -count="$COUNT" "${PKGS[@]}" | tee "$RAW"
+for pass in $(seq 1 "$COUNT"); do
+    echo "== pass $pass/$COUNT =="
+    go test -run '^$' -bench . -benchmem -count=1 "${PKGS[@]}"
+done | tee "$RAW"
 
 if command -v benchstat >/dev/null 2>&1; then
     echo
@@ -113,7 +120,7 @@ END {
     printf "  \"nproc\": %d,\n", nproc >> out
     printf "  \"gomaxprocs\": %d,\n", procs >> out
     printf "  \"count\": %d,\n", count >> out
-    printf "  \"note\": \"before = the frozen ...Reference twin of a benchmark (the map-based cpu scheduler, the stamped cachesim hierarchy or the literal-copying uop emitter), measured in the same run; benchmarks without a twin carry no before figure. ns_per_op is best-of-count; bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so only ratios measured in one run are compared. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. memo_gate divides that replay on a core without a schedule memo by the same replay on a core with one (every call a memo hit), both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. emit_gate divides the frozen literal-copying emitter by the current one on a 33-op fast-path sequence, both timed in this run. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
+    printf "  \"note\": \"before = the frozen ...Reference twin of a benchmark (the map-based cpu scheduler, the stamped cachesim hierarchy or the literal-copying uop emitter), measured in the same run; benchmarks without a twin carry no before figure. The suites run in count passes of -count=1, so each pass times a benchmark next to its twin; ns_per_op is the best of the passes, bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so only ratios measured in one run are compared. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. memo_gate divides that replay on a core without a schedule memo by the same replay on a core with one (every call a memo hit), both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. emit_gate divides the frozen literal-copying emitter by the current one on a 33-op fast-path sequence, both timed in this run. engine_gate bounds allocs/op and bytes/op of fresh-built multicore engine runs (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
     printf "  \"benchmarks\": {\n" >> out
     for (i = 1; i <= n; i++) {
         name = order[i]

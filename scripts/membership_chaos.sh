@@ -4,14 +4,19 @@
 # Reference leg: a static 3-node fleet (-nodes seed, no join protocol)
 # sweeps the parameter grid; its report set is the ground truth.
 #
-# Churn leg: a dynamic fleet — two gossiping coordinators, three nodes
-# that join themselves at startup (-coord, no -nodes anywhere) — runs the
-# same sweep while the membership is deliberately shaken:
+# Idle leg: once the three self-joined nodes are live on both
+# coordinators of a dynamic fleet (two gossiping coordinators, nodes that
+# join themselves at startup with -coord, no -nodes anywhere), both
+# membership epochs must hold still for 3 s — about 15 probe, gossip and
+# re-announce rounds. Liveness is not a view change.
+#
+# Churn leg: the same dynamic fleet runs the sweep while the membership
+# is deliberately shaken:
 #   - a fourth node joins mid-sweep,
 #   - one node is killed -9 (the failure detector must declare it dead
 #     and rebuild the ring),
 #   - one coordinator is killed and restarted cold (it must relearn the
-#     fleet from node heartbeats and peer gossip).
+#     fleet from the nodes' re-announced joins and peer gossip).
 # The sweep must still complete with a report set byte-identical to the
 # static reference: churn may cost time, never change answers.
 #
@@ -159,6 +164,20 @@ grep -q "3/3 nodes live (epoch" "$workdir/status1.txt" \
     || fail "ctl status does not show 3/3 live with an epoch"
 echo "membership-chaos: 3 nodes self-joined both coordinators (epoch $epoch)"
 
+# --- 2b. idle: probes, gossip and re-announces must not move the epochs -
+healthz_epoch() { curl -fsS "$1/v1/healthz" | jq -r .epoch; }
+# Let the join-time gossip settle: both sides adopt the larger epoch.
+for _ in $(seq 1 50); do
+    epochA=$(healthz_epoch "$coordA"); epochB=$(healthz_epoch "$coordB")
+    [ "$epochA" = "$epochB" ] && break
+    sleep 0.1
+done
+sleep 3.2
+idleA=$(healthz_epoch "$coordA"); idleB=$(healthz_epoch "$coordB")
+[ "$idleA" = "$epochA" ] && [ "$idleB" = "$epochB" ] \
+    || fail "idle epochs moved in 3s: coord A $epochA -> $idleA, coord B $epochB -> $idleB"
+echo "membership-chaos: idle epochs held for 3s (A $idleA, B $idleB)"
+
 # --- 3. sweep under churn: join + kill -9 + coordinator restart ---------
 run_sweep "$coordA" "$workdir/reports_churn" sweep_churn.log &
 sweep_pid=$!
@@ -184,7 +203,7 @@ check_reports "$workdir/reports_churn" "churn sweep"
 echo "membership-chaos: churn sweep byte-identical to the static reference"
 
 # Both coordinators converge on the post-churn view: d1/d3/d4 live, d2
-# dead. The restarted B relearns everything from heartbeats and gossip.
+# dead. The restarted B relearns everything from re-announces and gossip.
 wait_live "$coordA" 3 "post-churn fleet (coord A)"
 wait_live "$coordB" 3 "post-churn fleet (coord B, restarted)"
 d2state=""
