@@ -307,14 +307,36 @@ func TestHierarchyMatchesReference(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			hierarchyLockstep(t, seed, steps)
+			hierarchyLockstep(t, NewDefaultHierarchy(), seed, steps)
 		})
 	}
 }
 
-func hierarchyLockstep(t *testing.T, seed uint64, steps int) {
-	cfg := DefaultHierarchyConfig()
-	h, ref := NewHierarchy(cfg), newRefHierarchy(cfg)
+// TestHierarchyResetMatchesFresh fills a hierarchy (every L3 set holds
+// stale tags past the count Reset clears), resets it and runs another
+// seed's stream on it against a fresh reference: no tag, recency or count
+// of the first stream may leak into the second.
+func TestHierarchyResetMatchesFresh(t *testing.T) {
+	steps := 100_000
+	if testing.Short() {
+		steps = 25_000
+	}
+	h := NewDefaultHierarchy()
+	hierarchyLockstep(t, h, 1, steps)
+	h.Reset()
+	for _, c := range []*Cache{h.L1D, h.L2, h.L3, h.DTLB} {
+		if c.Stats != (Stats{}) {
+			t.Fatalf("%s stats %+v after Reset", c.cfg.Name, c.Stats)
+		}
+	}
+	hierarchyLockstep(t, h, 2, steps)
+}
+
+// hierarchyLockstep runs a seeded stream on h and on a fresh reference,
+// which h must match from its current state.
+func hierarchyLockstep(t *testing.T, h *Hierarchy, seed uint64, steps int) {
+	t.Helper()
+	ref := newRefHierarchy(DefaultHierarchyConfig())
 	rng := rand.New(rand.NewPCG(seed, 0x41e7))
 	const (
 		base      = uint64(1) << 40 // where driver.Work's footprint starts

@@ -53,6 +53,18 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // NewDefaultHierarchy builds the Haswell-like hierarchy.
 func NewDefaultHierarchy() *Hierarchy { return NewHierarchy(DefaultHierarchyConfig()) }
 
+// Reset empties every level and zeroes its Stats, leaving the hierarchy
+// as NewHierarchy built it. Only the per-set counts are cleared: a set's
+// slots past its count are never read, so the stale tags behind them need
+// no clearing. For the defaults that clears 34 KiB of counts where
+// building a new hierarchy allocates 565 KiB.
+func (h *Hierarchy) Reset() {
+	for _, c := range []*Cache{h.L1D, h.L2, h.L3, h.DTLB} {
+		clear(c.n)
+		c.Stats = Stats{}
+	}
+}
+
 // Load accesses addr and returns the latency in cycles, updating all cache
 // state. Each level is probed and, on a miss, filled in one scan before
 // the next level is tried; after an L3 fill, the L3 victim is

@@ -214,22 +214,30 @@ type Core struct {
 	memoGen uint32
 	memoKey []uint64
 	memoLat [memoMaxOps]uint64
+
+	// pooled marks a core Acquire built, the only kind Release takes.
+	pooled bool
 }
 
 // New builds a core over the given cache hierarchy. It panics if
 // FetchWidth or a port count exceeds 255, the reservation table's
 // per-cycle count range.
 func New(cfg Config, mem *cachesim.Hierarchy) *Core {
-	if cfg.MSHRs <= 0 {
-		cfg.MSHRs = 10
-	}
 	c := &Core{
-		cfg:        cfg,
 		mem:        mem,
 		bp:         NewBranchPredictor(),
 		entryReady: make([]uint64, 64),
-		mshr:       make([]uint64, cfg.MSHRs),
 		res:        newResTable(),
+	}
+	c.configure(cfg)
+	return c
+}
+
+// configure installs cfg and what it sizes: the per-class reservation
+// limits and the line-fill buffers, all free.
+func (c *Core) configure(cfg Config) {
+	if cfg.MSHRs <= 0 {
+		cfg.MSHRs = 10
 	}
 	for p, n := range [numPortClasses]int{
 		portALU:     cfg.ALUPorts,
@@ -244,7 +252,12 @@ func New(cfg Config, mem *cachesim.Hierarchy) *Core {
 		}
 		c.limit[p] = uint8(n)
 	}
-	return c
+	c.cfg = cfg
+	if cap(c.mshr) < cfg.MSHRs {
+		c.mshr = make([]uint64, cfg.MSHRs)
+	}
+	c.mshr = c.mshr[:cfg.MSHRs]
+	clear(c.mshr)
 }
 
 // SetMemo attaches a schedule memo (nil detaches it). Cores sharing one
@@ -555,9 +568,11 @@ func (c *Core) RunTrace(t uop.Trace) uint64 {
 
 // growScratch sizes the per-call scratch for n ops in one allocation:
 // fetchC, doneC and commitC, then the memo key (at most two words per op
-// of a memoized trace, plus one per line-fill buffer).
+// of a memoized trace, plus one per line-fill buffer of a core that may
+// hold a memo). The key's room does not depend on this core's Config, so
+// a recycled core keeps its scratch whatever Config it is reset to.
 func (c *Core) growScratch(n int) {
-	k := 2*memoMaxOps + len(c.mshr)
+	k := 2*memoMaxOps + memoMaxMSHRs
 	buf := make([]uint64, 3*n+k)
 	c.fetchC, c.doneC, c.commitC = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n]
 	c.memoKey = buf[3*n : 3*n : 3*n+k]

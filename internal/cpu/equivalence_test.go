@@ -28,9 +28,15 @@ type lockstep struct {
 }
 
 func newLockstep(t *testing.T, cfg Config, memo *Memo, analytic bool) *lockstep {
+	return lockstepOn(t, New(cfg, cachesim.NewDefaultHierarchy()), cfg, memo, analytic)
+}
+
+// lockstepOn pairs fast, which must already be configured with cfg, with a
+// fresh reference core.
+func lockstepOn(t *testing.T, fast *Core, cfg Config, memo *Memo, analytic bool) *lockstep {
 	l := &lockstep{
 		t:    t,
-		fast: New(cfg, cachesim.NewDefaultHierarchy()),
+		fast: fast,
 		ref:  newRefCore(cfg, cachesim.NewDefaultHierarchy()),
 	}
 	l.fast.SetAnalytic(analytic)

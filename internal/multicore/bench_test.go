@@ -17,8 +17,8 @@ func benchWorkload(b *testing.B) workload.Workload {
 }
 
 // benchEngine runs a small 4-core shard to completion; one iteration is one
-// full engine lifecycle — build heap, cores and caches, run, collect — the
-// unit an uncached simsvc cluster job pays.
+// full engine lifecycle — build the heap, take cores from the core pool,
+// run, collect, release — the unit an uncached simsvc cluster job pays.
 func benchEngine(b *testing.B, v multicore.Variant) {
 	w := benchWorkload(b)
 	b.ReportAllocs()
@@ -46,7 +46,8 @@ func BenchmarkEngine4CoreMallacc(b *testing.B) { benchEngine(b, multicore.Mallac
 // BenchmarkEngineRelay16Core measures the relay scheduler at the design-space
 // study's widest cluster: 16 cores on the default config, where every
 // epoch boundary passes the token through all sixteen core coroutines. Each
-// iteration builds a fresh engine, as an uncached designspace cell does.
+// iteration builds a new engine over pooled cores, as an uncached
+// designspace cell does.
 func BenchmarkEngineRelay16Core(b *testing.B) {
 	w, ok := workload.ByName("xapian.abstracts")
 	if !ok {

@@ -39,7 +39,6 @@ package multicore
 import (
 	"fmt"
 
-	"mallacc/internal/cachesim"
 	"mallacc/internal/catalog"
 	"mallacc/internal/core"
 	"mallacc/internal/cpu"
@@ -166,8 +165,6 @@ type Config struct {
 	// instead of executing locally (default 0.15; negative disables, so
 	// every free runs on the core that allocated the block).
 	RemoteFreeProb float64
-	// Registry receives all metrics; a fresh one is created when nil.
-	Registry *telemetry.Registry
 
 	// Progress, when set, receives machine-wide execution snapshots at
 	// epoch boundaries — at most one per ProgressEvery cycles of the epoch
@@ -203,9 +200,6 @@ func (cfg Config) WithDefaults() Config {
 		cfg.RemoteFreeProb = 0.15
 	} else if cfg.RemoteFreeProb < 0 {
 		cfg.RemoteFreeProb = 0
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
 	}
 	return cfg
 }
@@ -256,7 +250,7 @@ func newEngine(cfg Config, solo *soloBook, hooks *Hooks) *Engine {
 
 	eng := &Engine{
 		cfg:   cfg,
-		reg:   cfg.Registry,
+		reg:   telemetry.NewRegistry(),
 		hooks: hooks,
 		solo:  solo,
 		track: progress.NewTracker(cfg.Progress, cfg.ProgressEvery),
@@ -333,7 +327,7 @@ func newEngine(cfg Config, solo *soloBook, hooks *Hooks) *Engine {
 		cs := &coreState{
 			eng:         eng,
 			id:          i,
-			cpu:         cpu.New(cCfg, cachesim.NewDefaultHierarchy()),
+			cpu:         cpu.Acquire(cCfg),
 			rng:         stats.NewRNG(rngSeed),
 			foot:        workload.NewToucher(cfg.Workload),
 			threads:     cc.Threads,
@@ -544,9 +538,11 @@ func (eng *Engine) setActive(id int) {
 	}
 }
 
-// recycleEmitters returns every emitter's trace slabs, and the schedule
-// memo, once the run is over.
-func (eng *Engine) recycleEmitters() {
+// recycle returns every emitter's trace slabs, the schedule memo and the
+// simulated cores (the allocation core of an offload engine included) once
+// the run is over and collect has read them. A run that panicked never
+// gets here and keeps its cores.
+func (eng *Engine) recycle() {
 	if eng.memo != nil {
 		for _, cs := range eng.cores {
 			cs.cpu.SetMemo(nil)
@@ -565,6 +561,14 @@ func (eng *Engine) recycleEmitters() {
 	case eng.off != nil:
 		eng.off.Heap.Em.Recycle()
 		eng.offEm.Recycle()
+	}
+	for _, cs := range eng.cores {
+		cs.cpu.Release()
+		cs.cpu = nil
+	}
+	if eng.off != nil {
+		eng.off.Core.Release()
+		eng.off.Core = nil
 	}
 }
 

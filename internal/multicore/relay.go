@@ -60,7 +60,7 @@ func (eng *Engine) Run() *Result {
 	}
 	eng.track.Finish(wall, eng.fillSnapshot)
 	res := eng.collect()
-	eng.recycleEmitters()
+	eng.recycle()
 	return res
 }
 

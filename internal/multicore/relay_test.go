@@ -246,7 +246,8 @@ func simulatedCalls(eng *Engine) []uint64 {
 
 // TestRelayPanicUnwinds panics on core 2 mid-run: Engine.Run must re-raise
 // that value on its caller's goroutine, unwind every other core's shard
-// without simulating another call, and leave no coroutine behind.
+// without simulating another call, keep its cores out of the pool, and
+// leave no coroutine behind.
 func TestRelayPanicUnwinds(t *testing.T) {
 	w := &panicAfter{core: 2, after: 300}
 	eng := New(Config{
@@ -265,6 +266,9 @@ func TestRelayPanicUnwinds(t *testing.T) {
 	if want := (corePanic{2, 300}); got != want {
 		t.Fatalf("Run panicked with %v, want %v", got, want)
 	}
+	// A panicking run releases no core: had it released any, this run
+	// would take it from the pool and reset its counts.
+	Run(Config{Cores: 4, Variant: Mallacc, Workload: wl(t, "ubench.tp_small"), CallsPerCore: 300, Seed: 3})
 	if after := simulatedCalls(eng); !slices.Equal(after, w.atPanic) {
 		t.Fatalf("cores simulated calls after the panic: %v at the panic, %v after Run", w.atPanic, after)
 	}

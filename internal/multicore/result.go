@@ -149,6 +149,9 @@ func (eng *Engine) collect() *Result {
 	if eng.cores[0].mc != nil {
 		res.MC = &mcAgg
 	}
+	if eng.solo != nil {
+		eng.solo.cpu = eng.cores[0].cpu.Stats
+	}
 	switch {
 	case eng.heap != nil:
 		if eng.locks != nil {

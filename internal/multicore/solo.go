@@ -38,6 +38,9 @@ type soloBook struct {
 	// most; metaBytes is the fixed metadata the substrate requested from
 	// the simulated OS before the run, excluded from OSBytes.
 	live, peak, metaBytes uint64
+	// cpu is the core's retirement statistics, which collect copies
+	// before Run releases the core.
+	cpu cpu.Stats
 }
 
 func (b *soloBook) allocated(n uint64) {
@@ -89,7 +92,7 @@ func RunSolo(cfg Config, hooks *Hooks) *SoloResult {
 		ContextSwitches: b.switches,
 		OSBytes:         eng.sbrkBytes() - b.metaBytes,
 		PeakLiveBytes:   b.peak,
-		CPU:             eng.cores[0].cpu.Stats,
+		CPU:             b.cpu,
 	}
 }
 

@@ -36,7 +36,6 @@
 package offload
 
 import (
-	"mallacc/internal/cachesim"
 	"mallacc/internal/cpu"
 	"mallacc/internal/tcmalloc"
 	"mallacc/internal/telemetry"
@@ -131,7 +130,7 @@ func New(cfg Config) *Engine {
 	}
 	eng := &Engine{Heap: tcmalloc.New(cfg.Heap)}
 	eng.TC = eng.Heap.NewThread()
-	eng.Core = cpu.New(cfg.Core, cachesim.NewDefaultHierarchy())
+	eng.Core = cpu.Acquire(cfg.Core)
 	return eng
 }
 

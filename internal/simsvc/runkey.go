@@ -18,9 +18,8 @@ import (
 // name) so two configs that simulate identically hash identically. A test
 // guards the mirror with reflection: adding a field to multicore.Config
 // without teaching simKey about it fails the build's tests rather than
-// silently aliasing distinct runs. CoreCalls and Registry make a config
-// uncacheable (per-core overrides are test-only; an external registry
-// aliases state the key cannot see).
+// silently aliasing distinct runs. CoreCalls makes a config uncacheable
+// (per-core overrides are test-only).
 type simKey struct {
 	Cores          int
 	Variant        uint8
@@ -53,7 +52,7 @@ func clusterKeyOf(cfg multicore.Config) (string, bool) { return simKeyOf("cluste
 // defaults collide, and zeroes knobs the chosen variant ignores, so e.g. a
 // baseline run hashes the same at any MCEntries.
 func simKeyOf(kind string, cfg multicore.Config) (string, bool) {
-	if cfg.Workload == nil || cfg.Registry != nil || len(cfg.CoreCalls) > 0 {
+	if cfg.Workload == nil || len(cfg.CoreCalls) > 0 {
 		return "", false
 	}
 	name := cfg.Workload.Name()

@@ -163,11 +163,10 @@ func TestRunLevelDedup(t *testing.T) {
 // multicore.Config field by name, so adding a knob without teaching the
 // run-level cache about it breaks this test instead of silently aliasing
 // different runs. Single-core runs key by the config harness.Options
-// lowers to, so the guard covers them too. CoreCalls and Registry are
-// deliberately excluded: configs setting either are uncacheable
-// (simKeyOf rejects them).
+// lowers to, so the guard covers them too. CoreCalls is deliberately
+// excluded: configs setting it are uncacheable (simKeyOf rejects them).
 func TestSimKeyCoversConfig(t *testing.T) {
-	excluded := map[string]bool{"CoreCalls": true, "Registry": true}
+	excluded := map[string]bool{"CoreCalls": true}
 	cfg := reflect.TypeOf(multicore.Config{})
 	key := reflect.TypeOf(simKey{})
 	keyFields := map[string]bool{}
