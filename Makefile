@@ -19,9 +19,11 @@ unreached:
 test:
 	$(GO) test ./...
 
-# Race-check everything; the whole tree must be race-clean.
+# Race-check everything; the whole tree must be race-clean. The root
+# package alone takes about ten minutes under -race on a 2-core host, the
+# go test default per-binary timeout, so the timeout is explicit.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Full performance baseline: every microbenchmark suite in five passes of
 # -count=1 (each pass times a benchmark next to its frozen reference twin)

@@ -28,6 +28,7 @@ func runBuddy(opt Options) (*Result, float64) {
 		Free:   func(addr, _ uint64) { h.Free(addr) },
 	})
 	h.CheckInvariants()
+	h.Space.Release()
 	return res, h.Stats.InternalFragmentation()
 }
 

@@ -35,6 +35,8 @@ func runJemalloc(opt Options) *Result {
 		Free:   func(addr, hint uint64) { h.Free(tc, addr, hint) },
 	})
 	h.CheckInvariants()
+	h.Space.Release()
+	h.PageHeap.PageMap().Release()
 	return res
 }
 
@@ -56,6 +58,8 @@ func runHoard(opt Options) *Result {
 		Free:   func(addr, hint uint64) { h.Free(th, addr, hint) },
 	})
 	h.CheckInvariants()
+	h.Space.Release()
+	h.PageHeap.PageMap().Release()
 	return res
 }
 

@@ -2,7 +2,8 @@
 // TCMalloc substrate allocates from. No real memory proportional to the
 // simulated heap is used: only 8-byte words that the allocator actually
 // writes (chiefly the in-band free-list "next" pointers TCMalloc stores
-// inside free objects, and allocator metadata) are materialized, in a map.
+// inside free objects, and allocator metadata) are materialized, in a
+// sharded open-addressed word store whose tables are pooled across spaces.
 //
 // Keeping the heap simulated has two purposes. First, Go's garbage collector
 // never interacts with it, so timing results are deterministic (the
@@ -11,7 +12,11 @@
 // hierarchy and TLB models consume.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 const (
 	// PageShift matches TCMalloc's kPageShift at the evaluated revision:
@@ -43,8 +48,9 @@ const wordShardInitSlots = 256
 type wordShard struct {
 	keys []uint64
 	vals []uint64
-	used int // occupied slots, including zero-valued keys
-	live int // keys holding a nonzero value
+	tab  *wordTable // the pooled box keys and vals came from
+	used int        // occupied slots, including zero-valued keys
+	live int        // keys holding a nonzero value
 }
 
 // wordHash mixes an 8-aligned address into well-distributed bits; the top
@@ -75,8 +81,7 @@ func (sh *wordShard) set(h, addr, val uint64) {
 		if val == 0 {
 			return
 		}
-		sh.keys = make([]uint64, wordShardInitSlots)
-		sh.vals = make([]uint64, wordShardInitSlots)
+		sh.take(wordShardInitSlots)
 	}
 	mask := uint64(len(sh.keys) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
@@ -108,15 +113,16 @@ func (sh *wordShard) set(h, addr, val uint64) {
 }
 
 // rehash grows the table and drops zero-valued keys accumulated since the
-// last rehash.
+// last rehash. The outgrown table goes to the garbage collector, not to a
+// pool: no other shard of a growing space wants it, and a pool would keep
+// it alive through the next collection while the space is at its largest.
 func (sh *wordShard) rehash() {
 	n := len(sh.keys) * 2
 	for n < sh.live*2 {
 		n *= 2
 	}
 	oldK, oldV := sh.keys, sh.vals
-	sh.keys = make([]uint64, n)
-	sh.vals = make([]uint64, n)
+	sh.take(n)
 	sh.used, sh.live = 0, 0
 	mask := uint64(n - 1)
 	for i, k := range oldK {
@@ -133,6 +139,38 @@ func (sh *wordShard) rehash() {
 		sh.used++
 		sh.live++
 	}
+}
+
+// Word tables are pooled across spaces. A simulation run builds a fresh
+// Space and grows its shards from 256 slots, so without pooling every run
+// reallocates the tables of the run before it. Release hands a finished
+// space's tables to the pools, and a shard takes its first table and
+// each grown one from there. There is one pool per table length, not one
+// pool of whole spaces: a space only ever takes a table of the length it
+// asked for, so a run with a few hundred live words never inherits the
+// large tables of a run with tens of thousands.
+
+// wordTable is one shard's key and value arrays, boxed so that the pools
+// hold a pointer and putting a table back allocates nothing.
+type wordTable struct {
+	keys, vals []uint64
+}
+
+// wordTablePools holds released tables by length: an n-slot table (n a
+// power of two) lives in wordTablePools[bits.Len(n)].
+var wordTablePools [64]sync.Pool
+
+// take installs an empty n-slot table, a recycled one when its pool has
+// one. Only keys needs clearing: a value is read only where its key
+// matches, and written whenever a slot is filled.
+func (sh *wordShard) take(n int) {
+	t, _ := wordTablePools[bits.Len(uint(n))].Get().(*wordTable)
+	if t != nil {
+		clear(t.keys)
+	} else {
+		t = &wordTable{keys: make([]uint64, n), vals: make([]uint64, n)}
+	}
+	sh.tab, sh.keys, sh.vals = t, t.keys, t.vals
 }
 
 // Space is a simulated flat address space with an sbrk-style growth pointer
@@ -205,6 +243,18 @@ func (s *Space) WriteWord(addr, val uint64) {
 	}
 	h := wordHash(addr)
 	s.shards[h>>(64-6)].set(h, addr, val)
+}
+
+// Release returns the word store's tables to their pools for the next
+// space to take. The space's words are gone afterwards: it must not be
+// read or written again. Its sbrk counters stay readable.
+func (s *Space) Release() {
+	for i := range s.shards {
+		if t := s.shards[i].tab; t != nil {
+			wordTablePools[bits.Len(uint(len(t.keys)))].Put(t)
+		}
+		s.shards[i] = wordShard{}
+	}
 }
 
 // RoundUp rounds n up to a multiple of align (a power of two).

@@ -17,8 +17,9 @@ func benchWorkload(b *testing.B) workload.Workload {
 }
 
 // benchEngine runs a small 4-core shard to completion; one iteration is one
-// full engine lifecycle — build the heap, take cores from the core pool,
-// run, collect, release — the unit an uncached simsvc cluster job pays.
+// full engine lifecycle — build the heap over pooled storage, take cores
+// from the core pool, run, collect, release — the unit an uncached simsvc
+// cluster job pays.
 func benchEngine(b *testing.B, v multicore.Variant) {
 	w := benchWorkload(b)
 	b.ReportAllocs()

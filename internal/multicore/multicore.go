@@ -538,10 +538,11 @@ func (eng *Engine) setActive(id int) {
 	}
 }
 
-// recycle returns every emitter's trace slabs, the schedule memo and the
-// simulated cores (the allocation core of an offload engine included) once
-// the run is over and collect has read them. A run that panicked never
-// gets here and keeps its cores.
+// recycle returns every emitter's trace slabs, the schedule memo, the
+// heap's word store and page-map nodes, and the simulated cores (the
+// allocation core of an offload engine included) once the run is over and
+// collect has read them. A run that panicked never gets here and keeps its
+// cores and its heap storage.
 func (eng *Engine) recycle() {
 	if eng.memo != nil {
 		for _, cs := range eng.cores {
@@ -553,13 +554,16 @@ func (eng *Engine) recycle() {
 	switch {
 	case eng.heap != nil:
 		eng.heap.Em.Recycle()
+		eng.heap.Release()
 		for _, cs := range eng.cores {
 			cs.em.Recycle()
 		}
 	case eng.lf != nil:
 		eng.lf.Em.Recycle()
+		eng.lf.Space.Release()
 	case eng.off != nil:
 		eng.off.Heap.Em.Recycle()
+		eng.off.Heap.Release()
 		eng.offEm.Recycle()
 	}
 	for _, cs := range eng.cores {

@@ -9,10 +9,12 @@ import (
 	"mallacc/internal/catalog"
 )
 
-// Engines take their simulated cores from cpu's pool and return them when
-// their run is over, so an engine's cores have been used by other engines
-// before, of other configurations and on other goroutines. This test pins
-// that this is invisible.
+// Engines take their simulated cores from cpu's pool, and their heaps'
+// word tables, page-map nodes and emitter slabs from the pools of mem,
+// tcmalloc and uop, and return them all when their run is over. So an
+// engine's cores and heap storage have been used by other engines before,
+// of other configurations and on other goroutines. This test pins that
+// this is invisible.
 
 // recycleGrid is a small designspace-shaped grid: every strategy at one,
 // two and four cores, plus each strategy's solo run.
@@ -37,8 +39,8 @@ func recycleGrid(t *testing.T) []func() any {
 
 // TestConcurrentGridMatchesSequential runs the grid once in sequence, then
 // from four goroutines at once, each starting at a different cell, so cores
-// pass between configurations and goroutines mid-grid. Every result must
-// be byte-identical to the sequential one.
+// and heap storage pass between configurations and goroutines mid-grid.
+// Every result must be byte-identical to the sequential one.
 func TestConcurrentGridMatchesSequential(t *testing.T) {
 	cells := recycleGrid(t)
 	want := make([][]byte, len(cells))

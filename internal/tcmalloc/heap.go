@@ -141,6 +141,14 @@ func New(cfg Config) *Heap {
 	return h
 }
 
+// Release returns the heap's word store and page-map nodes to their pools
+// once its run is over and every reader of its state is done. The heap
+// must not be used afterwards; Space's sbrk counters stay readable.
+func (h *Heap) Release() {
+	h.Space.Release()
+	h.PageHeap.PageMap().Release()
+}
+
 // NewThread registers a new thread cache.
 func (h *Heap) NewThread() *ThreadCache {
 	tc := newThreadCache(h, len(h.threads))

@@ -1,6 +1,8 @@
 package tcmalloc
 
 import (
+	"sync"
+
 	"mallacc/internal/mem"
 	"mallacc/internal/uop"
 )
@@ -35,12 +37,26 @@ type pmMid struct {
 	leaves [midFanout]*pmLeaf
 }
 
+// Radix nodes are pooled across page maps: every simulation run builds a
+// heap, and with it a page map whose 32 KiB root array, 16 KiB interior
+// nodes and 32 KiB leaves would otherwise be allocated afresh and abandoned
+// when the run ends. Release zeroes a node as it returns it, so a pooled
+// node is always empty and keeps no span of a finished run alive. Only the
+// host storage is recycled: Set still places every node in the arena in
+// the same order, so simulated node addresses do not depend on where the
+// storage came from.
+var (
+	pmRootPool = sync.Pool{New: func() any { return new([rootFanout]*pmMid) }}
+	pmMidPool  = sync.Pool{New: func() any { return new(pmMid) }}
+	pmLeafPool = sync.Pool{New: func() any { return new(pmLeaf) }}
+)
+
 // PageMap is the radix tree plus the metadata arena its nodes are placed
 // in.
 type PageMap struct {
 	arena    *mem.Arena
 	rootAddr uint64
-	root     [rootFanout]*pmMid
+	root     *[rootFanout]*pmMid
 	// Nodes counts interior/leaf node allocations, for tests and the
 	// design-doc metadata accounting.
 	Nodes int
@@ -48,7 +64,11 @@ type PageMap struct {
 
 // NewPageMap builds an empty radix tree with its root in the arena.
 func NewPageMap(arena *mem.Arena) *PageMap {
-	return &PageMap{arena: arena, rootAddr: arena.Alloc(rootFanout*slotBytes, 64)}
+	return &PageMap{
+		arena:    arena,
+		rootAddr: arena.Alloc(rootFanout*slotBytes, 64),
+		root:     pmRootPool.Get().(*[rootFanout]*pmMid),
+	}
 }
 
 func (pm *PageMap) indices(pageID uint64) (r, m, l uint64) {
@@ -61,17 +81,41 @@ func (pm *PageMap) Set(pageID uint64, s *Span) {
 	r, m, l := pm.indices(pageID)
 	midNode := pm.root[r]
 	if midNode == nil {
-		midNode = &pmMid{addr: pm.arena.Alloc(midFanout*slotBytes, 64)}
+		midNode = pmMidPool.Get().(*pmMid)
+		midNode.addr = pm.arena.Alloc(midFanout*slotBytes, 64)
 		pm.root[r] = midNode
 		pm.Nodes++
 	}
 	leaf := midNode.leaves[m]
 	if leaf == nil {
-		leaf = &pmLeaf{addr: pm.arena.Alloc(leafFanout*slotBytes, 64)}
+		leaf = pmLeafPool.Get().(*pmLeaf)
+		leaf.addr = pm.arena.Alloc(leafFanout*slotBytes, 64)
 		midNode.leaves[m] = leaf
 		pm.Nodes++
 	}
 	leaf.spans[l] = s
+}
+
+// Release zeroes every node of the tree and returns it, root included, to
+// the node pools for the next page map to take. The page map and the heap
+// that owned it must not be used again.
+func (pm *PageMap) Release() {
+	for r, midNode := range pm.root {
+		if midNode == nil {
+			continue
+		}
+		for _, leaf := range &midNode.leaves {
+			if leaf != nil {
+				*leaf = pmLeaf{}
+				pmLeafPool.Put(leaf)
+			}
+		}
+		*midNode = pmMid{}
+		pmMidPool.Put(midNode)
+		pm.root[r] = nil
+	}
+	pmRootPool.Put(pm.root)
+	pm.root = nil
 }
 
 // Get returns the span mapped at pageID, or nil.

@@ -5,57 +5,26 @@ import "sync"
 // Micro-op slab pooling. An Emitter's backing array grows whenever a call
 // emits more ops than any call before it (span carving, cache flush loops,
 // lock convoys), and every simulation run builds fresh heaps — and with
-// them fresh emitters. Without pooling each growth step and each run
-// allocates and abandons a slab, which the allocation profile shows as the
-// second-largest source of garbage in a full experiment sweep. The pools
-// below recycle slabs across growths, runs and goroutines; traces hold no
-// pointers, so recycled slabs need no zeroing (every op is overwritten
-// before it is read).
+// them fresh emitters. Without pooling each run re-grows its emitters from
+// 128 ops, allocating and abandoning a slab per growth step. The pool below
+// hands a finished run's slabs, at whatever capacity they grew to, to the
+// next run's emitters; traces hold no pointers, so recycled slabs need no
+// zeroing (every op is overwritten before it is read).
 
-// slabMinShift is log2 of the smallest pooled slab (128 ops, the typical
-// fast-path trace bound).
-const slabMinShift = 7
-
-// slabMaxShift is log2 of the largest pooled slab; larger requests fall
-// back to the Go allocator (they effectively never occur).
-const slabMaxShift = 15
-
-var slabPools [slabMaxShift - slabMinShift + 1]sync.Pool
-
-// slabClass returns the pool index whose slabs hold at least n ops, or -1
-// when n exceeds the largest pooled size.
-func slabClass(n int) int {
-	for i := range slabPools {
-		if n <= 1<<(slabMinShift+i) {
-			return i
-		}
-	}
-	return -1
-}
+var slabPool sync.Pool
 
 // getSlab returns a zero-length micro-op slab with capacity at least n.
 func getSlab(n int) []UOp {
-	cl := slabClass(n)
-	if cl < 0 {
-		return make([]UOp, 0, n)
-	}
-	if s, ok := slabPools[cl].Get().(*[]UOp); ok {
+	if s, ok := slabPool.Get().(*[]UOp); ok && cap(*s) >= n {
 		return (*s)[:0]
 	}
-	return make([]UOp, 0, 1<<(slabMinShift+cl))
+	return make([]UOp, 0, n)
 }
 
-// putSlab returns a slab to its pool. Slabs of non-pooled capacities are
-// left to the garbage collector.
+// putSlab returns a slab of any capacity to the pool.
 func putSlab(s []UOp) {
-	c := cap(s)
-	if c == 0 {
+	if cap(s) == 0 {
 		return
 	}
-	cl := slabClass(c)
-	if cl < 0 || c != 1<<(slabMinShift+cl) {
-		return
-	}
-	s = s[:0]
-	slabPools[cl].Put(&s)
+	slabPool.Put(&s)
 }

@@ -1,32 +1,45 @@
 package uop
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
-func TestSlabClass(t *testing.T) {
-	cases := []struct{ n, class int }{
-		{0, 0}, {1, 0}, {128, 0}, {129, 1}, {256, 1}, {257, 2},
-		{1 << 15, slabMaxShift - slabMinShift}, {1<<15 + 1, -1},
-	}
-	for _, c := range cases {
-		if got := slabClass(c.n); got != c.class {
-			t.Errorf("slabClass(%d) = %d, want %d", c.n, got, c.class)
+// TestRecycledSlabCarriesGrowthAcrossRuns pins what the pool is for: a run
+// whose emitter grew past 1,000 ops hands that slab to the next run's
+// emitter, which then emits the same trace without allocating. Go's append
+// grows a slab to capacities such as 852 or 1280 ops, so a pool that only
+// kept power-of-two slabs would fail here. The pool may lose an entry to a
+// garbage collection, and under the race detector it drops some puts on
+// purpose, so the cycle is tried a few times; a pool that never carries a
+// slab over fails every attempt.
+func TestRecycledSlabCarriesGrowthAcrossRuns(t *testing.T) {
+	const ops = 1200
+	emit := func(e *Emitter) {
+		for i := 0; i < ops; i++ {
+			e.ALU(NoDep, NoDep)
 		}
 	}
-}
+	var last uint64
+	for attempt := 0; attempt < 20; attempt++ {
+		prev := NewEmitter()
+		emit(prev)
+		prev.Recycle()
 
-func TestPutSlabRejectsOddCapacities(t *testing.T) {
-	// Non-power-of-two and oversized slabs must not enter the pools, or a
-	// later getSlab would return less capacity than its class promises.
-	putSlab(make([]UOp, 0, 100))
-	putSlab(make([]UOp, 0, 1<<16))
-	putSlab(nil)
-	for i := 0; i < 64; i++ {
-		s := getSlab(100)
-		if cap(s) < 100 {
-			t.Fatalf("getSlab(100) returned cap %d", cap(s))
+		e := NewEmitter()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		emit(e)
+		runtime.ReadMemStats(&after)
+		if e.Len() != ops {
+			t.Fatalf("emitter holds %d ops, want %d", e.Len(), ops)
 		}
-		putSlab(s)
+		e.Recycle()
+		if last = after.Mallocs - before.Mallocs; last == 0 {
+			return
+		}
 	}
+	t.Fatalf("a fresh emitter after a grown run allocates %d times emitting %d ops, want 0", last, ops)
 }
 
 // TestEmitterSteadyStateAllocs pins the pooling contract: once an emitter

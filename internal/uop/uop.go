@@ -222,8 +222,8 @@ func (e *Emitter) Recycle() {
 // fires when a call emits more ops than any call before it), so letting
 // the outgrown slab go to the garbage collector forfeits almost nothing —
 // the pool's win is recycling slabs across runs and emitters via
-// NewEmitter/Recycle. append's doubling keeps power-of-two capacities, so
-// grown slabs still land back in a pool class on Recycle.
+// NewEmitter/Recycle: the pool takes a slab of whatever capacity append
+// grew it to, so the next run's emitter starts at that size.
 func (e *Emitter) emit(kind Kind, addr uint64, dep1, dep2 Val, site uint32, entry int16, taken, hit bool, lat uint8) Val {
 	n := len(e.ops)
 	e.ops = append(e.ops, UOp{})

@@ -24,9 +24,11 @@
 #     sequence (emit_gate: >=1.5x vs its frozen literal-copying reference
 #     twin, both measured in this run) and on the multicore engine's
 #     allocations per run, with its simulated cores taken from and
-#     returned to cpu's core pool (engine_gate: allocs/op and bytes/op may
-#     not exceed the recorded ceilings, which a run that builds its cores'
-#     cache hierarchies afresh exceeds several times over)
+#     returned to cpu's core pool and its heap storage to the pools of
+#     mem, tcmalloc and uop (engine_gate: allocs/op and bytes/op may not
+#     exceed the recorded ceilings, which a run that builds its cores'
+#     cache hierarchies or its heap storage afresh exceeds several times
+#     over)
 #     (BENCH_NO_GATE=1 skips all five).
 #   - records the host's core count (nproc) and the GOMAXPROCS the
 #     benchmarks ran at.
@@ -84,20 +86,25 @@ awk -v out="$OUT" -v count="$COUNT" \
 BEGIN {
     # Engine-lifecycle ceilings: allocs/op of a whole engine run (the path
     # simsvc cluster jobs and designspace cells take), whose simulated
-    # cores come from and go back to the core pool of package cpu: the
+    # cores come from and go back to the core pool of package cpu, and
+    # whose heap takes its word tables, page-map nodes and emitter slabs
+    # from and returns them to the pools of mem, tcmalloc and uop: the
     # worst of 28 runs at GOMAXPROCS 2, plus about 1.5%. The counts are
     # near-deterministic: only allocations inside the Go runtime (the
     # goroutine records behind the per-core coroutines) vary, by a few per
     # op at 16 cores, so any real growth fails the gate.
-    max_allocs["BenchmarkEngine4CoreBaseline"] = 1212
-    max_allocs["BenchmarkEngine4CoreMallacc"]  = 1397
-    max_allocs["BenchmarkEngineRelay16Core"]   = 3874
-    # bytes/op ceilings for the same runs: the worst of the same 28 runs
-    # plus 3%. Cores built afresh each run (a broken core pool) allocate
-    # about 4.0 MB and 14.9 MB per op here, 3.4x and 4.9x these ceilings.
-    max_bytes["BenchmarkEngine4CoreBaseline"] = 1180188
-    max_bytes["BenchmarkEngine4CoreMallacc"]  = 1222733
-    max_bytes["BenchmarkEngineRelay16Core"]   = 3030781
+    max_allocs["BenchmarkEngine4CoreBaseline"] = 1059
+    max_allocs["BenchmarkEngine4CoreMallacc"]  = 1243
+    max_allocs["BenchmarkEngineRelay16Core"]   = 3670
+    # bytes/op ceilings for the same runs: the worst of those 28 runs and
+    # the five passes of one full bench run, plus 10% (a collection may
+    # empty the pools mid-benchmark; the 16-core runs spread by 9%). Heap
+    # storage built afresh each run (broken heap pools) allocates about
+    # 1.14, 1.18 and 2.9 MB per op here, 3.2x, 2.9x and 2.0x these
+    # ceilings; cores built afresh, 4.0 and 14.9 MB.
+    max_bytes["BenchmarkEngine4CoreBaseline"] = 356973
+    max_bytes["BenchmarkEngine4CoreMallacc"]  = 409607
+    max_bytes["BenchmarkEngineRelay16Core"]   = 1445749
 }
 /^Benchmark/ {
     name = $1
@@ -122,7 +129,7 @@ END {
     printf "  \"nproc\": %d,\n", nproc >> out
     printf "  \"gomaxprocs\": %d,\n", procs >> out
     printf "  \"count\": %d,\n", count >> out
-    printf "  \"note\": \"before = the frozen ...Reference twin of a benchmark (the map-based cpu scheduler, the stamped cachesim hierarchy or the literal-copying uop emitter), measured in the same run; benchmarks without a twin carry no before figure. The suites run in count passes of -count=1, so each pass times a benchmark next to its twin; ns_per_op is the best of the passes, bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so only ratios measured in one run are compared. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. memo_gate divides that replay on a core without a schedule memo by the same replay on a core with one (every call a memo hit), both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. emit_gate divides the frozen literal-copying emitter by the current one on a 33-op fast-path sequence, both timed in this run. engine_gate bounds allocs/op and bytes/op of whole multicore engine runs over pooled simulated cores (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
+    printf "  \"note\": \"before = the frozen ...Reference twin of a benchmark (the map-based cpu scheduler, the stamped cachesim hierarchy or the literal-copying uop emitter), measured in the same run; benchmarks without a twin carry no before figure. The suites run in count passes of -count=1, so each pass times a benchmark next to its twin; ns_per_op is the best of the passes, bytes/allocs per op are the worst observed. Shared-VM noise floor is roughly +/-30 percent run to run, so only ratios measured in one run are compared. gate divides the frozen map-based scheduler by the current one on the warm fast-path replay, both timed in this run. memo_gate divides that replay on a core without a schedule memo by the same replay on a core with one (every call a memo hit), both timed in this run. cachesim_gate divides the frozen stamped hierarchy by the current one, both timed in this run. emit_gate divides the frozen literal-copying emitter by the current one on a 33-op fast-path sequence, both timed in this run. engine_gate bounds allocs/op and bytes/op of whole multicore engine runs over pooled simulated cores and pooled heap storage (BenchmarkEngine4Core*, BenchmarkEngineRelay16Core) by recorded ceilings and times nothing.\",\n" >> out
     printf "  \"benchmarks\": {\n" >> out
     for (i = 1; i <= n; i++) {
         name = order[i]
