@@ -61,9 +61,9 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Chaos smoke test: seeded fault injection across job execution, cache IO
-# and both sides of the HTTP hop; asserts byte-identical reports, breaker
-# open/recovery, retries, and quarantine healing. CHAOS_SEED overrides
-# the schedule.
+# and both sides of the HTTP hop; asserts byte-identical reports, retries,
+# retry exhaustion + resubmission, and quarantine healing. CHAOS_SEED
+# overrides the schedule.
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 

@@ -7,14 +7,15 @@
 //     set. Reports are pure functions of their specs, so these bytes are
 //     the ground truth for everything after.
 //  2. Chaos — a fresh service runs the same specs behind its real HTTP
-//     handler while seeded faults fire on job execution (a burst sized to
-//     trip the circuit breaker, plus a steady error rate), on cache reads
-//     and writes, and on the HTTP path itself. The product's job client
-//     (simsvc.Client, the one mallacc-ctl and mallacc-sim -serve use)
-//     drives the API with its own retry policy and event-stream wait. The
-//     harness asserts every job eventually completes with a report
-//     byte-identical to baseline, that the breaker opened at least once
-//     and recovered, and that retries actually happened.
+//     handler while seeded faults fire on job execution (a burst that
+//     exhausts the first job's daemon-side retries, plus a steady error
+//     rate), on cache reads and writes, and on the HTTP path itself. The
+//     product's job client (simsvc.Client, the one mallacc-ctl and
+//     mallacc-sim -serve use) drives the API with its own retry policy
+//     and event-stream wait. The harness asserts every job eventually
+//     completes with a report byte-identical to baseline, that retries
+//     actually happened, that at least one job exhausted its retries and
+//     was resubmitted whole, and that every fault point fired.
 //  3. Corruption — with faults off, on-disk cache entries are bit-flipped,
 //     truncated, and replaced with alien bytes; a restarted service on
 //     the same directory must quarantine all three, recompute, rewrite a
@@ -32,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"time"
 
 	"mallacc/internal/faults"
 	"mallacc/internal/simsvc"
@@ -114,9 +114,12 @@ func phaseBaseline() [][]byte {
 }
 
 // chaosSpec builds the seeded fault schedule for phase 2: a count-bound
-// burst of execution failures sized to trip the breaker (consecutive
-// failures >= OpenFailures), then a steady error rate on execution, both
-// cache directions, and the HTTP path, plus one latency rule.
+// burst of six execution failures, then a steady error rate on execution,
+// both cache directions, and the HTTP path, plus one latency rule. Specs
+// run one at a time, so the burst fails every attempt (MaxAttempts 3) of
+// the first spec's first two submissions: their daemon-side retries are
+// exhausted and runToDone must resubmit the spec — deterministically, on
+// every seed.
 func chaosSpec(seed uint64) faults.Spec {
 	p := func(v float64) *float64 { return &v }
 	// The cache points see only a handful of checks per run, and the HTTP
@@ -172,13 +175,7 @@ func phaseChaos(seed uint64, baseline [][]byte) {
 	}
 	defer os.RemoveAll(dir)
 
-	svc, err := simsvc.New(simsvc.Config{
-		Workers:  2,
-		CacheDir: dir,
-		// A short cooldown lets the harness watch the breaker recover
-		// without waiting out production timing.
-		Breaker: simsvc.BreakerConfig{Cooldown: 250 * time.Millisecond},
-	})
+	svc, err := simsvc.New(simsvc.Config{Workers: 2, CacheDir: dir, MaxAttempts: 3})
 	if err != nil {
 		die("chaos service: %v", err)
 	}
@@ -198,26 +195,12 @@ func phaseChaos(seed uint64, baseline [][]byte) {
 		}
 	}
 
-	// Self-healing must leave the breaker closed once faults stop: feed
-	// fresh (uncached) specs through until the probes succeed.
-	faults.Deactivate()
-	deadline := time.Now().Add(20 * time.Second)
-	for i := 0; svc.Breaker().State() == simsvc.BreakerOpen || svc.Breaker().State() == simsvc.BreakerHalfOpen; i++ {
-		if time.Now().After(deadline) {
-			die("breaker never recovered: state %s", svc.Breaker().State())
-		}
-		runToDone(client, fmt.Sprintf(`{"workload":"ubench.tp_small","calls":1000,"seed":%d}`, 100+i))
-	}
-
 	snap := svc.Registry().Snapshot()
-	if opened := snap.Value("simsvc.breaker.opened"); opened < 1 {
-		die("breaker never opened (opened=%v); the fault burst should have tripped it", opened)
-	}
-	if st := svc.Breaker().State(); st != simsvc.BreakerHealthy && st != simsvc.BreakerDegraded {
-		die("breaker did not recover: final state %s", st)
-	}
 	if attempts := snap.Value("simsvc.retries.attempts"); attempts < 1 {
 		die("no job retries happened under a 25%% execution fault rate")
+	}
+	if exhausted := snap.Value("simsvc.retries.exhausted"); exhausted < 1 {
+		die("no job exhausted its retries (exhausted=%v); the exec burst should have failed every attempt of the first spec", exhausted)
 	}
 	for _, point := range []string{faults.PointExec, faults.PointCacheRead, faults.PointCacheWrite, faults.PointHTTP} {
 		if n := snap.Value("faults.injected." + point); n < 1 {
@@ -227,8 +210,8 @@ func phaseChaos(seed uint64, baseline [][]byte) {
 	if err := svc.Drain(context.Background()); err != nil {
 		die("chaos drain: %v", err)
 	}
-	fmt.Printf("chaostest: chaos: %d specs byte-identical; breaker opened %v time(s) and recovered (%s); %v retries\n",
-		len(specs), snap.Value("simsvc.breaker.opened"), svc.Breaker().State(), snap.Value("simsvc.retries.attempts"))
+	fmt.Printf("chaostest: chaos: %d specs byte-identical; %v retries, %v job(s) exhausted and resubmitted\n",
+		len(specs), snap.Value("simsvc.retries.attempts"), snap.Value("simsvc.retries.exhausted"))
 }
 
 // phaseCorruption proves the disk tier survives hostile bytes: every

@@ -235,8 +235,8 @@ func (c *Coordinator) offer(w http.ResponseWriter, r *http.Request, m Member, bo
 	resp, err := c.proxy(c.client, r, m, http.MethodPost, "/v1/jobs", body, admit)
 	switch {
 	case err != nil || resp.StatusCode >= 500:
-		// Transport error, or 503 draining / breaker-open / 5xx: the node
-		// cannot take the job.
+		// Transport error, or 503 draining / 5xx: the node cannot take
+		// the job.
 		if err == nil {
 			drain(resp)
 		}

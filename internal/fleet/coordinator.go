@@ -318,26 +318,19 @@ func (c *Coordinator) probeAll() {
 	wg.Wait()
 }
 
-// nodeHealthz mirrors the fields of the node-side /v1/healthz document
-// the probe reads.
-type nodeHealthz struct {
-	Breaker string `json:"breaker"`
-	simsvc.Health
-}
-
 // probe checks one node's /v1/healthz. The body is read in full and
 // strictly unmarshaled, and the document's shape is validated: a node
 // answering 200 with garbage, a truncated body, or JSON of the wrong
-// shape (a real healthz always reports a positive worker count and a
-// breaker state) is a probe FAILURE, exactly like a refused connection —
-// a half-up process must not be routed to on the strength of a lie. A
-// node reporting itself draining or its breaker open fails the probe too:
-// the node's breaker sees every execution outcome, so the coordinator
-// mirrors it rather than keeping a second one.
+// shape (a real healthz always reports a positive worker count) is a
+// probe FAILURE, exactly like a refused connection — a half-up process
+// must not be routed to on the strength of a lie. A node reporting itself
+// draining fails the probe too. Failed jobs do not: the simulator is
+// deterministic, so a job's failure is a property of its spec, not of the
+// node that ran it.
 func (c *Coordinator) probe(m Member, ns *nodeState) {
 	c.probes.Add(1)
 	resp, err := c.client.Get(m.URL + "/v1/healthz")
-	var doc nodeHealthz
+	var doc simsvc.Health
 	if err == nil {
 		var body []byte
 		body, err = io.ReadAll(io.LimitReader(resp.Body, 1<<20))
@@ -350,12 +343,10 @@ func (c *Coordinator) probe(m Member, ns *nodeState) {
 		default:
 			if uerr := json.Unmarshal(body, &doc); uerr != nil {
 				err = fmt.Errorf("healthz malformed: %v", uerr)
-			} else if doc.Workers < 1 || doc.Breaker == "" {
-				err = fmt.Errorf("healthz implausible (workers=%d breaker=%q)", doc.Workers, doc.Breaker)
+			} else if doc.Workers < 1 {
+				err = fmt.Errorf("healthz implausible (workers=%d)", doc.Workers)
 			} else if doc.Draining {
 				err = errors.New("healthz reports draining")
-			} else if doc.Breaker == simsvc.BreakerOpen.String() {
-				err = errors.New("healthz reports breaker open")
 			}
 		}
 	}
@@ -366,7 +357,7 @@ func (c *Coordinator) probe(m Member, ns *nodeState) {
 		ns.health = simsvc.Health{}
 	} else {
 		ns.lastErr = ""
-		ns.health = doc.Health
+		ns.health = doc
 	}
 	ns.mu.Unlock()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -48,22 +49,21 @@ func waitProbed(t *testing.T, c *Coordinator) {
 // json.Decoder.Decode happily accepted "null", "{}", and a valid prefix
 // with trailing bytes, and the decode error was never checked — a
 // half-crashed process kept receiving traffic on the strength of a lie.
-// A well-formed document from a node that reports itself draining or its
-// breaker open fails the probe too. A failed probe makes the node suspect.
+// A well-formed document from a node that reports itself draining fails
+// the probe too. A failed probe makes the node suspect.
 func TestProbeRejectsMalformedHealthz(t *testing.T) {
 	bodies := map[string]string{
 		"garbage":        `it's not even json`,
-		"truncated":      `{"ok":true,"breaker":"healthy","wor`,
+		"truncated":      `{"workers":2,"bu`,
 		"null":           `null`,
 		"empty-object":   `{}`,
-		"trailing-junk":  `{"ok":true,"breaker":"healthy","workers":2}garbage`,
-		"wrong-shape":    `{"ok":true,"breaker":"healthy","workers":0}`,
-		"missing-fields": `{"ok":true}`,
-		"draining":       `{"ok":true,"breaker":"healthy","workers":2,"draining":true}`,
-		"breaker-open":   `{"ok":false,"breaker":"open","workers":2}`,
+		"trailing-junk":  `{"workers":2}garbage`,
+		"wrong-shape":    `{"workers":0}`,
+		"missing-fields": `{"busy":0,"queue_depth":0}`,
+		"draining":       `{"workers":2,"draining":true}`,
 	}
 	var nodes []Node
-	order := []string{"garbage", "truncated", "null", "empty-object", "trailing-junk", "wrong-shape", "missing-fields", "draining", "breaker-open"}
+	order := []string{"garbage", "truncated", "null", "empty-object", "trailing-junk", "wrong-shape", "missing-fields", "draining"}
 	for i, name := range order {
 		body := bodies[name]
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -75,7 +75,7 @@ func TestProbeRejectsMalformedHealthz(t *testing.T) {
 	}
 	// One honest node proves the validator isn't just rejecting everything.
 	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"ok":true,"breaker":"healthy","breaker_age_seconds":1,"workers":2,"busy":0,"queue_depth":0,"retrying":0,"draining":false}`)
+		io.WriteString(w, `{"workers":2,"busy":0,"queue_depth":0,"retrying":0,"draining":false}`)
 	}))
 	t.Cleanup(good.Close)
 	nodes = append(nodes, Node{Name: "honest", URL: good.URL})
@@ -102,6 +102,47 @@ func TestProbeRejectsMalformedHealthz(t *testing.T) {
 	}
 	if c.probeErrs.Load() < uint64(len(order)) {
 		t.Errorf("probe failure counter = %d, want >= %d", c.probeErrs.Load(), len(order))
+	}
+}
+
+// TestJobFailuresKeepNodeHealthy: a failed job is a property of its spec,
+// not of the node that ran it. A node whose jobs all time out stays
+// healthy through later probes and keeps taking work, and a submission
+// naming a trace the node does not hold is relayed to the client as 400
+// without making the owner suspect.
+func TestJobFailuresKeepNodeHealthy(t *testing.T) {
+	f := startFleetWith(t, simsvc.Config{Workers: 1, JobTimeout: 5 * time.Millisecond}, "n1")
+	waitProbed(t, f.coord)
+	state := func() string { return f.coord.Healthz().Nodes[0].State }
+
+	for i := 0; i < 6; i++ {
+		resp, st := f.post(t, fmt.Sprintf(`{"workload":"ubench.gauss","calls":20000,"seed":%d}`, 100+i))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %d: status %d, want 202", i, resp.StatusCode)
+		}
+		if got := f.await(t, st.ID); got.State != simsvc.StateFailed {
+			t.Fatalf("job %d: state %s, want failed by timeout", i, got.State)
+		}
+	}
+	if n := f.services["n1"].Registry().Snapshot().Value("simsvc.jobs.timeouts"); n < 6 {
+		t.Fatalf("node timeouts = %v, want >= 6", n)
+	}
+	probes := f.coord.probes.Load()
+	waitFor(t, "two probe rounds", 5*time.Second, func() bool { return f.coord.probes.Load() >= probes+2 })
+	if s := state(); s != StateMemberHealthy {
+		t.Fatalf("node is %s after its jobs timed out, want healthy", s)
+	}
+	resp, st := f.post(t, `{"workload":"ubench.gauss","calls":20000,"seed":200}`)
+	if resp.StatusCode != http.StatusAccepted || st.Node != "n1" {
+		t.Fatalf("next job: status %d node %q, want 202 on n1", resp.StatusCode, st.Node)
+	}
+
+	resp, _ = f.post(t, `{"workload":"trace:`+strings.Repeat("ab", 32)+`"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("missing-trace submission: status %d, want 400", resp.StatusCode)
+	}
+	if s := state(); s != StateMemberHealthy {
+		t.Fatalf("node is %s after relaying a 400, want healthy", s)
 	}
 }
 
@@ -133,7 +174,7 @@ func postJSON(t *testing.T, url string, in any, out any) *http.Response {
 // ring and a later join admits it again; /v1/healthz reflects it all.
 func TestFleetJoinLeaveHTTP(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"ok":true,"breaker":"healthy","workers":1}`)
+		io.WriteString(w, `{"workers":1}`)
 	}))
 	t.Cleanup(node.Close)
 
@@ -227,7 +268,7 @@ func TestFleetJoinLeaveHTTP(t *testing.T) {
 // next round teaches it the node; Close then Leave departs it.
 func TestAgentReannouncesToRestartedCoordinator(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"ok":true,"breaker":"healthy","workers":1}`)
+		io.WriteString(w, `{"workers":1}`)
 	}))
 	t.Cleanup(node.Close)
 	newCoord := func() *Coordinator {
@@ -312,7 +353,7 @@ func TestAgentReannouncesToRestartedCoordinator(t *testing.T) {
 // and no received view counts as a change.
 func TestGossipIdleEpochsStayFixed(t *testing.T) {
 	healthy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"ok":true,"breaker":"healthy","workers":1}`)
+		io.WriteString(w, `{"workers":1}`)
 	})
 	var nodes []Node
 	for _, name := range []string{"s1", "s2"} {
@@ -402,7 +443,7 @@ func TestGossipSpreadsMembership(t *testing.T) {
 	t.Cleanup(a.Close)
 
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"ok":true,"breaker":"healthy","workers":1}`)
+		io.WriteString(w, `{"workers":1}`)
 	}))
 	t.Cleanup(node.Close)
 

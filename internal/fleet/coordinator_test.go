@@ -28,12 +28,18 @@ type testFleet struct {
 
 func startFleet(t *testing.T, names ...string) *testFleet {
 	t.Helper()
+	return startFleetWith(t, simsvc.Config{Workers: 1}, names...)
+}
+
+// startFleetWith is startFleet with every node built from cfg.
+func startFleetWith(t *testing.T, cfg simsvc.Config, names ...string) *testFleet {
+	t.Helper()
 	f := &testFleet{
 		services: map[string]*simsvc.Service{},
 		servers:  map[string]*httptest.Server{},
 	}
 	for _, name := range names {
-		svc, err := simsvc.New(simsvc.Config{Workers: 1})
+		svc, err := simsvc.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mallacc/internal/harness"
 )
@@ -151,34 +150,6 @@ func TestAdmitNowCountsBorrowedCells(t *testing.T) {
 	release()
 	if st := pollTerminal(t, ts, exp.ID); st.State != StateDone {
 		t.Fatalf("experiment: %s", st.State)
-	}
-}
-
-// TestAdmitNowReleasesBreakerSlot: a refusal gives back the half-open
-// probe slot Allow took, as a full queue does, so a second admit-now is
-// refused as busy again instead of shed as breaker-open.
-func TestAdmitNowReleasesBreakerSlot(t *testing.T) {
-	var now atomic.Int64
-	now.Store(time.Unix(1000, 0).UnixNano())
-	svc, ts := newTestServer(t, Config{
-		Workers: 1,
-		Breaker: BreakerConfig{Probes: 1, Cooldown: time.Second, Now: func() time.Time { return time.Unix(0, now.Load()) }},
-	})
-	started, release := gateSims(t, svc)
-	defer release()
-	postJob(t, ts, runBody(1))
-	awaitStarts(t, started, 1)
-
-	for i := 0; i < 5; i++ {
-		svc.Breaker().Record(OutcomeFailure)
-	}
-	if s := svc.Breaker().State(); s != BreakerOpen {
-		t.Fatalf("breaker %s after five failures, want open", s)
-	}
-	now.Add(int64(2 * time.Second)) // past the cooldown: half-open, one probe slot
-	for i := 0; i < 2; i++ {
-		resp, _ := postAdmit(t, ts, runBody(2))
-		wantRefused(t, resp, 1)
 	}
 }
 

@@ -5,15 +5,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mallacc/internal/progress"
 	"mallacc/internal/telemetry"
 )
 
@@ -236,24 +239,53 @@ func TestTraceReplayByteIdentity(t *testing.T) {
 	}
 }
 
-// TestTraceMissingIsPermanent: a well-formed trace key the store does not
-// hold fails the job without burning retries.
-func TestTraceMissingIsPermanent(t *testing.T) {
-	svc := newTestService(t, Config{Workers: 1, MaxAttempts: 3})
-	missing := TraceKeyName(strings.Repeat("ab", 32))
-	st, err := svc.Submit(JobSpec{Workload: missing, Calls: 1000})
+// TestTraceMissingRefusedAtSubmit: a well-formed trace key the store does
+// not hold is bad input, refused at submit like an unknown workload name —
+// no job is created and no attempt runs, so a run of such submissions
+// leaves the node admitting valid work. A report already cached or
+// peer-filled for a trace job is still served without the trace.
+func TestTraceMissingRefusedAtSubmit(t *testing.T) {
+	missing := JobSpec{Workload: TraceKeyName(strings.Repeat("ab", 32)), Calls: 1000}
+	filled := JobSpec{Workload: TraceKeyName(strings.Repeat("cd", 32)), Calls: 1000}
+	fc, err := filled.Canonicalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err = svc.Await(watchdog(t), st.ID)
-	if err != nil {
-		t.Fatal(err)
+	svc := newTestService(t, Config{
+		Workers: 1, MaxAttempts: 3,
+		PeerFill: func(key string) ([]byte, bool) {
+			return []byte(`{"from":"peer"}`), key == fc.Key()
+		},
+	})
+	var runs atomic.Int32
+	runner := svc.sched.cfg.Runner
+	svc.sched.cfg.Runner = func(ctx context.Context, spec JobSpec, rep progress.Reporter) ([]byte, error) {
+		runs.Add(1)
+		return runner(ctx, spec, rep)
 	}
-	if st.State != StateFailed || !strings.Contains(st.Error, "not found in trace store") {
-		t.Fatalf("missing trace: state %s error %q", st.State, st.Error)
+
+	for i := 0; i < 5; i++ {
+		if _, err := svc.Submit(missing); !errors.Is(err, ErrInvalidSpec) {
+			t.Fatalf("missing-trace submit %d: err = %v, want ErrInvalidSpec", i, err)
+		}
 	}
-	if st.Attempts != 1 {
-		t.Fatalf("missing artifact retried: %d attempts", st.Attempts)
+	svc.sched.mu.Lock()
+	jobs := len(svc.sched.jobs)
+	svc.sched.mu.Unlock()
+	if jobs != 0 || runs.Load() != 0 {
+		t.Fatalf("refused submissions left %d job(s) and %d runner attempt(s)", jobs, runs.Load())
+	}
+
+	if st := submitWait(t, svc, JobSpec{Workload: "ubench.gauss", Calls: 1000}); st.State != StateDone {
+		t.Fatalf("valid job after refusals: state %s (%s)", st.State, st.Error)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("runner ran %d times, want 1", got)
+	}
+
+	st, err := svc.Submit(filled)
+	if err != nil || st.State != StateDone || !st.Cached {
+		t.Fatalf("peer-filled trace job: state %s cached %v err %v", st.State, st.Cached, err)
 	}
 }
 
@@ -431,13 +463,14 @@ func TestHTTPHealthzObservability(t *testing.T) {
 	if err := json.Unmarshal(b, &h); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"ok", "breaker", "breaker_age_seconds", "workers", "busy", "queue_depth", "retrying", "draining"} {
+	fields := []string{"workers", "busy", "queue_depth", "retrying", "draining"}
+	for _, field := range fields {
 		if _, ok := h[field]; !ok {
 			t.Errorf("healthz missing %q: %s", field, b)
 		}
 	}
-	if age, ok := h["breaker_age_seconds"].(float64); !ok || age < 0 {
-		t.Errorf("breaker_age_seconds = %v", h["breaker_age_seconds"])
+	if len(h) != len(fields) {
+		t.Errorf("healthz has %d fields, want %d: %s", len(h), len(fields), b)
 	}
 	if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
 		t.Fatalf("healthz Cache-Control = %q", cc)

@@ -18,8 +18,9 @@ import (
 // Handler returns the service's HTTP JSON API:
 //
 //	POST   /v1/jobs      submit a JobSpec; 200 done (cache hit), 202 queued,
-//	                     400 invalid spec, 429 queue full, 503 draining or
-//	                     circuit breaker open (Retry-After set). With
+//	                     400 invalid spec (including a trace:<key> this
+//	                     node's trace store does not hold), 429 queue full
+//	                     (Retry-After set), 503 draining. With
 //	                     "X-Mallacc-Admit: now" a miss is admitted only if a
 //	                     worker can start it at once; otherwise 429 with
 //	                     X-Mallacc-Backlog, the jobs that would be ahead
@@ -36,8 +37,7 @@ import (
 //	PUT    /v1/cache/{key}
 //	                     store report bytes under a job key — the receiving
 //	                     side of a fleet drain hand-off
-//	GET    /v1/healthz   liveness + occupancy + breaker state/age; ok=false
-//	                     (still 200) while the breaker is open
+//	GET    /v1/healthz   liveness + occupancy: the Health document
 //	GET    /v1/metrics   telemetry snapshot: JSON (compact map form) by
 //	                     default, OpenMetrics text exposition with
 //	                     ?format=openmetrics or an Accept header naming it
@@ -132,10 +132,6 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, ErrBreakerOpen):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -251,21 +247,7 @@ func cacheKeyOK(key string) bool {
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := s.Health()
-	breaker := s.breaker.State()
-	writeJSON(w, http.StatusOK, struct {
-		OK      bool   `json:"ok"`
-		Breaker string `json:"breaker"`
-		// BreakerAgeSeconds is how long the breaker has held its current
-		// state — an operator reading "open" wants to know "since when".
-		BreakerAgeSeconds float64 `json:"breaker_age_seconds"`
-		Health
-	}{
-		OK:                breaker != BreakerOpen,
-		Breaker:           breaker.String(),
-		BreakerAgeSeconds: s.breaker.StateAge().Seconds(),
-		Health:            h,
-	})
+	writeJSON(w, http.StatusOK, s.Health())
 }
 
 // handleMetrics negotiates the snapshot format: the explicit ?format query

@@ -75,11 +75,6 @@ type SchedulerConfig struct {
 	// Backoff supplies the jittered wait between attempts (default
 	// 50ms base / 2s max, seed 1).
 	Backoff *retry.Backoff
-	// OnOutcome, when set, observes every attempt's outcome — including
-	// each failed attempt of a retried job. It feeds the service's
-	// circuit breaker. It is called without the scheduler lock held, and
-	// must not call back into the scheduler.
-	OnOutcome func(Outcome)
 }
 
 // DefaultQueueHighWater is the backpressure threshold when unset.
@@ -348,15 +343,11 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 		s.finishLocked(j, StateCanceled, "canceled while queued", nil)
 		st := j.statusLocked()
 		s.mu.Unlock()
-		// The submission was admitted (it may hold a half-open probe slot)
-		// but produced no verdict; release it.
-		s.report(OutcomeAbandoned)
 		return st, nil
 	case StateRetrying:
 		s.finishLocked(j, StateCanceled, "canceled while awaiting retry", nil)
 		st := j.statusLocked()
 		s.mu.Unlock()
-		s.report(OutcomeAbandoned)
 		return st, nil
 	case StateRunning:
 		cancel := j.cancel
@@ -370,14 +361,6 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 		st := j.statusLocked()
 		s.mu.Unlock()
 		return st, ErrJobFinished
-	}
-}
-
-// report forwards one attempt outcome to the breaker hook. Must be
-// called without the scheduler lock held (the hook may take other locks).
-func (s *Scheduler) report(o Outcome) {
-	if s.cfg.OnOutcome != nil {
-		s.cfg.OnOutcome(o)
 	}
 }
 
@@ -456,7 +439,6 @@ func (s *Scheduler) worker() {
 		s.mu.Lock()
 		s.busy--
 		s.slots.Broadcast()
-		var outcome Outcome
 		switch {
 		case err == nil:
 			if j.attempts > 1 {
@@ -464,16 +446,13 @@ func (s *Scheduler) worker() {
 			}
 			s.finishLocked(j, StateDone, "", result)
 			s.runTime.Observe(uint64(j.ended.Sub(j.started).Microseconds()))
-			outcome = OutcomeSuccess
 		case errors.Is(err, context.Canceled):
 			s.finishLocked(j, StateCanceled, "canceled while running", nil)
-			outcome = OutcomeAbandoned
 		case errors.Is(err, context.DeadlineExceeded):
 			// Timeouts are final: the runner is deterministic, so a rerun
 			// would spend another full JobTimeout to the same end.
 			s.timeouts.Add(1)
 			s.finishLocked(j, StateFailed, fmt.Sprintf("timeout after %s", s.cfg.JobTimeout), nil)
-			outcome = OutcomeFailure
 		case retry.IsTransient(err) && j.attempts < s.cfg.MaxAttempts && !s.draining && !s.stopped:
 			j.state = StateRetrying
 			j.errMsg = err.Error()
@@ -481,16 +460,13 @@ func (s *Scheduler) worker() {
 			s.retrying++
 			s.retryAttempts.Add(1)
 			s.scheduleRetry(j, s.cfg.Backoff.Delay(j.attempts-1))
-			outcome = OutcomeFailure
 		default:
 			if retry.IsTransient(err) {
 				s.retryExhausted.Add(1)
 			}
 			s.finishLocked(j, StateFailed, err.Error(), nil)
-			outcome = OutcomeFailure
 		}
 		s.mu.Unlock()
-		s.report(outcome)
 	}
 }
 
@@ -508,7 +484,6 @@ func (s *Scheduler) scheduleRetry(j *job, delay time.Duration) {
 		if s.draining || s.stopped {
 			s.finishLocked(j, StateCanceled, "canceled: draining", nil)
 			s.mu.Unlock()
-			s.report(OutcomeAbandoned)
 			return
 		}
 		// Requeue directly: a retry bypasses the high-water check — the

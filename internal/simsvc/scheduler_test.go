@@ -373,37 +373,16 @@ func flakyRunner(failures int, result []byte) (Runner, *atomic.Int32) {
 	}, &calls
 }
 
-// outcomeCollector records OnOutcome calls in order.
-type outcomeCollector struct {
-	mu  sync.Mutex
-	got []Outcome
-}
-
-func (c *outcomeCollector) record(o Outcome) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.got = append(c.got, o)
-}
-
-func (c *outcomeCollector) seq() []Outcome {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Outcome(nil), c.got...)
-}
-
 func fastBackoff() *retry.Backoff {
 	return retry.NewBackoff(time.Millisecond, 2*time.Millisecond, 1)
 }
 
 // TestRetryTransientThenSuccess: two transient failures, then success —
-// the job completes with three attempts and the breaker hook sees every
-// attempt, not just the final verdict.
+// the job completes with three attempts.
 func TestRetryTransientThenSuccess(t *testing.T) {
 	run, calls := flakyRunner(2, []byte("ok"))
-	col := &outcomeCollector{}
 	s := NewScheduler(SchedulerConfig{
 		Workers: 1, Runner: run, MaxAttempts: 3, Backoff: fastBackoff(),
-		OnOutcome: col.record,
 	})
 	defer s.Drain(watchdog(t))
 
@@ -429,10 +408,6 @@ func TestRetryTransientThenSuccess(t *testing.T) {
 	}
 	if got := s.retrySucceeded.Load(); got != 1 {
 		t.Fatalf("retrySucceeded = %d, want 1", got)
-	}
-	want := []Outcome{OutcomeFailure, OutcomeFailure, OutcomeSuccess}
-	if got := col.seq(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("outcomes = %v, want %v", got, want)
 	}
 }
 
@@ -493,12 +468,10 @@ func TestRetryExhausted(t *testing.T) {
 // canceled immediately; its timer must not resurrect it.
 func TestCancelWhileRetrying(t *testing.T) {
 	run, _ := flakyRunner(1<<30, nil)
-	col := &outcomeCollector{}
 	s := NewScheduler(SchedulerConfig{
 		Workers: 1, Runner: run, MaxAttempts: 3,
 		// A huge backoff window keeps the job parked in retrying.
-		Backoff:   retry.NewBackoff(time.Hour, time.Hour, 1),
-		OnOutcome: col.record,
+		Backoff: retry.NewBackoff(time.Hour, time.Hour, 1),
 	})
 	defer s.Drain(watchdog(t))
 
@@ -530,11 +503,6 @@ func TestCancelWhileRetrying(t *testing.T) {
 	}
 	if h := s.Health(); h.Retrying != 0 {
 		t.Fatalf("health.Retrying = %d after cancel, want 0", h.Retrying)
-	}
-	// The attempt failure and the abandonment both reached the hook.
-	seq := col.seq()
-	if len(seq) != 2 || seq[0] != OutcomeFailure || seq[1] != OutcomeAbandoned {
-		t.Fatalf("outcomes = %v, want [failure abandoned]", seq)
 	}
 }
 
@@ -568,10 +536,8 @@ func TestDrainCancelsRetryingJobs(t *testing.T) {
 // TestNoRetryOnContextCancel: a canceled job is abandoned, never retried.
 func TestNoRetryOnContextCancel(t *testing.T) {
 	b := newBlockingRunner()
-	col := &outcomeCollector{}
 	s := NewScheduler(SchedulerConfig{
 		Workers: 1, Runner: b.run, MaxAttempts: 3, Backoff: fastBackoff(),
-		OnOutcome: col.record,
 	})
 	defer s.Drain(watchdog(t))
 
@@ -584,9 +550,5 @@ func TestNoRetryOnContextCancel(t *testing.T) {
 	}
 	if final.State != StateCanceled || final.Attempts != 1 {
 		t.Fatalf("final: state %s attempts %d, want canceled/1", final.State, final.Attempts)
-	}
-	seq := col.seq()
-	if len(seq) != 1 || seq[0] != OutcomeAbandoned {
-		t.Fatalf("outcomes = %v, want [abandoned]", seq)
 	}
 }

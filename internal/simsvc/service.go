@@ -3,7 +3,6 @@ package simsvc
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -35,9 +34,6 @@ type Config struct {
 	// RetryBackoff supplies the jittered wait between attempts; the
 	// scheduler default applies when nil.
 	RetryBackoff *retry.Backoff
-	// Breaker sizes the circuit breaker over job execution; zero fields
-	// take defaults.
-	Breaker BreakerConfig
 	// Registry receives the simsvc.* metrics; a fresh one is created when
 	// nil.
 	Registry *telemetry.Registry
@@ -60,10 +56,6 @@ type Config struct {
 	PeerFill func(key string) ([]byte, bool)
 }
 
-// ErrBreakerOpen rejects uncached submissions while the circuit breaker
-// sheds load (HTTP 503).
-var ErrBreakerOpen = errors.New("service overloaded: circuit breaker open")
-
 // maxRunResults bounds each run-level result map. Past the cap new results
 // are still returned but no longer memoized; a sweep grid is a few hundred
 // runs, far below it.
@@ -73,11 +65,10 @@ const maxRunResults = 4096
 // run-level result caches together and exposes the submit/query surface
 // the HTTP handler and the batch CLIs share.
 type Service struct {
-	reg     *telemetry.Registry
-	cache   *Cache
-	sched   *Scheduler
-	breaker *Breaker
-	traces  *TraceStore
+	reg    *telemetry.Registry
+	cache  *Cache
+	sched  *Scheduler
+	traces *TraceStore
 
 	progressEvery uint64
 	sseHeartbeat  time.Duration
@@ -132,7 +123,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		reg:             reg,
 		cache:           cache,
-		breaker:         NewBreaker(cfg.Breaker),
 		traces:          traces,
 		progressEvery:   cfg.ProgressEvery,
 		sseHeartbeat:    cfg.SSEHeartbeat,
@@ -151,11 +141,9 @@ func New(cfg Config) (*Service, error) {
 		Runner:         s.execute,
 		MaxAttempts:    cfg.MaxAttempts,
 		Backoff:        cfg.RetryBackoff,
-		OnOutcome:      s.breaker.Record,
 	})
 	s.cache.RegisterMetrics(reg)
 	s.sched.RegisterMetrics(reg)
-	s.breaker.RegisterMetrics(reg)
 	s.traces.RegisterMetrics(reg)
 	reg.Counter("simsvc.runcache.hits", s.runHits.Load)
 	reg.Counter("simsvc.runcache.misses", s.runMisses.Load)
@@ -176,8 +164,9 @@ func (s *Service) Cache() *Cache { return s.cache }
 // Submit canonicalizes and admits a job. A cache hit returns a job already
 // in state done with the stored report and Cached set; a miss first tries
 // the peer-fill hook (another fleet node may already hold the report), then
-// consults the circuit breaker (cached results are always served — shedding
-// protects the workers, not the cache) and enqueues the job for the pool.
+// enqueues the job for the pool. A miss replaying a recorded trace this
+// node's store does not hold is refused as an invalid spec (the cache and
+// peer fill still serve its report without the trace).
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	return s.submit(spec, false)
 }
@@ -200,19 +189,13 @@ func (s *Service) submit(spec JobSpec, now bool) (JobStatus, error) {
 			return s.sched.Completed(c, key, b)
 		}
 	}
-	if !s.breaker.Allow() {
-		return JobStatus{}, ErrBreakerOpen
+	if tk, ok := ParseTraceKey(c.Workload); ok {
+		if _, found := s.traces.Get(tk); !found {
+			return JobStatus{}, fmt.Errorf("%w: trace %s not found in trace store", ErrInvalidSpec, tk)
+		}
 	}
-	st, err := s.sched.enqueue(c, key, now)
-	if err != nil {
-		// The admission never reached a worker; release any probe slot.
-		s.breaker.Record(OutcomeAbandoned)
-	}
-	return st, err
+	return s.sched.enqueue(c, key, now)
 }
-
-// Breaker exposes the service's circuit breaker (health checks and tests).
-func (s *Service) Breaker() *Breaker { return s.breaker }
 
 // Events returns a job's event log for tailing (see Scheduler.Events).
 func (s *Service) Events(id string) (*eventLog, error) { return s.sched.Events(id) }
@@ -254,8 +237,8 @@ func (s *Service) execute(ctx context.Context, spec JobSpec, prog progress.Repor
 
 // resolveWorkload maps a spec's workload name to a runnable generator:
 // either a stock workload or a recorded trace fetched from the trace store.
-// A trace key the store does not hold is a permanent error — retrying
-// cannot make a missing artifact appear.
+// Submit already refused trace keys the store did not hold; a miss here is
+// a permanent error — retrying cannot make a missing artifact appear.
 func (s *Service) resolveWorkload(name string) (workload.Workload, error) {
 	if key, ok := ParseTraceKey(name); ok {
 		tr, found := s.traces.Get(key)

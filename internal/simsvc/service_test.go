@@ -251,7 +251,6 @@ func TestServiceMetricsRegistered(t *testing.T) {
 		"simsvc.cache.hits", "simsvc.cache.misses", "simsvc.cache.disk.hits",
 		"simsvc.cache.evictions", "simsvc.cache.entries", "simsvc.cache.quarantined",
 		"simsvc.retries.attempts", "simsvc.retries.succeeded", "simsvc.retries.exhausted",
-		"simsvc.breaker.state", "simsvc.breaker.opened", "simsvc.breaker.shed",
 		"simsvc.jobs.submitted", "simsvc.jobs.completed", "simsvc.jobs.failed",
 		"simsvc.jobs.canceled", "simsvc.jobs.rejected", "simsvc.jobs.panics",
 		"simsvc.jobs.timeouts",

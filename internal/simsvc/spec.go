@@ -231,7 +231,7 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 		if strings.HasPrefix(c.Workload, TraceWorkloadPrefix) {
 			// "trace:<key>" replays a recorded trace; validation is
 			// syntactic here — the service resolves the key against its
-			// trace store at run time.
+			// trace store when the job is submitted.
 			if _, ok := ParseTraceKey(c.Workload); !ok {
 				return fail("malformed trace workload %q (want trace:<64-hex-key>)", c.Workload)
 			}

@@ -5,7 +5,8 @@
 #   1. The in-process chaos harness (internal/faults/chaostest): baseline
 #      reports fault-free, replays the same specs under seeded faults on
 #      job execution / cache IO / HTTP, and asserts byte-identical
-#      reports, breaker open + recovery, retries, and quarantine healing.
+#      reports, retries, retry exhaustion + resubmission, and quarantine
+#      healing.
 #   2. The real binaries end-to-end: mallacc-serve booted with -faults,
 #      driven by mallacc-sim -serve with client-side faults armed via
 #      $MALLACC_FAULTS. Two runs of the same spec must print identical
